@@ -13,6 +13,7 @@ from .dynamics import (
     conserved,
     default_dt,
     evolve,
+    flow_stepper,
     nonlinear_term,
     step,
 )

@@ -23,8 +23,21 @@ from .spectral import Grid
 FLOAT_FMT = "%.17g"
 
 
-def _fmt(x):
-    return FLOAT_FMT % float(x)
+def _cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_, str)):
+        return str(v)
+    return FLOAT_FMT % float(v)
+
+
+def write_csv(path, columns, rows):
+    """Header line, then one line per row: floats as FLOAT_FMT, None as an empty
+    cell, bools and strings as str()."""
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
 def _jsonable(obj):
@@ -74,7 +87,8 @@ def read_field(base):
     meta = read_json(base + ".json")
     g = meta["grid"]
     grid = Grid(g["half_length"], g["n_points"])
-    values = np.frombuffer(open(base + ".f64", "rb").read(), dtype="<f8").copy()
+    with open(base + ".f64", "rb") as fh:
+        values = np.frombuffer(fh.read(), dtype="<f8").copy()
     if values.shape != (grid.n,):
         raise ContractError(f"field file length {values.shape} does not match sidecar grid")
     return grid, values, meta
@@ -163,11 +177,10 @@ def write_run(run_dir, record: RunRecord, header_extra=None):
     if header_extra:
         header.update(header_extra)
     write_json(os.path.join(run_dir, "header.json"), header)
-    with open(os.path.join(run_dir, "series.csv"), "w") as fh:
-        fh.write(",".join(RUN_COLUMNS) + "\n")
-        for d in record.samples:
-            row = (d.t, d.mass, d.energy, d.mean, d.sobolev_norm, d.linf)
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_csv(
+        os.path.join(run_dir, "series.csv"), RUN_COLUMNS,
+        ((d.t, d.mass, d.energy, d.mean, d.sobolev_norm, d.linf) for d in record.samples),
+    )
     if record.states:
         sdir = os.path.join(run_dir, "states")
         os.makedirs(sdir, exist_ok=True)
@@ -263,15 +276,10 @@ def write_track(base, record: ModulationTrack, header_extra=None):
     if header_extra:
         header.update(header_extra)
     write_json(base + ".json", header)
-    with open(base + ".csv", "w") as fh:
-        fh.write(",".join(TRACK_COLUMNS) + "\n")
-        for i in range(len(record.t)):
-            row = (
-                record.t[i], record.s[i], record.lam[i], record.rho[i],
-                record.eta_l2[i], record.eta_sobolev[i],
-                record.dlam_rel[i], record.drho_rel[i],
-            )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_csv(base + ".csv", TRACK_COLUMNS, zip(
+        record.t, record.s, record.lam, record.rho,
+        record.eta_l2, record.eta_sobolev, record.dlam_rel, record.drho_rel,
+    ))
     write_plot_script(
         base + ".gp", os.path.basename(base) + ".csv", TRACK_COLUMNS,
         title="modulation parameters",

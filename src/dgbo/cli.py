@@ -14,16 +14,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import __version__
 from .artifacts import (
-    FLOAT_FMT,
     read_chi0,
     read_ground_state,
     read_run,
+    write_csv,
     write_ground_state,
     write_json,
     write_monotonicity,
@@ -113,10 +113,7 @@ class ScanRow:
         return self.status == "completed" and not self.tripped
 
 
-SCAN_COLUMNS = (
-    "amplitude,beta,energy,supercritical,status,lambda_min,lambda_monotone,"
-    "sobolev_growth,linf_growth,trip_time,trip_reason,tripped,tube_exit_t,sign_relation_ok"
-)
+SCAN_COLUMNS = tuple(f.name for f in fields(ScanRow))
 
 
 def blowup_scan(
@@ -143,7 +140,7 @@ def blowup_scan(
     at the unit soliton speed so the scan box can stay small.
     """
     grid = grid if grid is not None else Grid(48.0, 1024)
-    gs = continuation_ladder(alpha, grid) if alpha < 2.0 else solve_ground_state(alpha, grid)
+    gs = continuation_ladder(alpha, grid)
     rep = spectrum(assemble(gs))
     chi0 = rep.chi0
     # E(Q) vanishes analytically; its discrete value sets the resolution floor
@@ -240,30 +237,7 @@ def write_scan(out_dir, rows, context):
         ("amplitude",), title="blow-up indicators",
         indices=[2, 3, 6, 8],  # beta, energy, lambda_min, sobolev_growth
     )
-    with open(os.path.join(out_dir, "scan.csv"), "w") as fh:
-        fh.write(SCAN_COLUMNS + "\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    [
-                        FLOAT_FMT % r.amplitude,
-                        FLOAT_FMT % r.beta,
-                        FLOAT_FMT % r.energy,
-                        str(r.supercritical),
-                        r.status,
-                        FLOAT_FMT % r.lambda_min,
-                        str(r.lambda_monotone),
-                        FLOAT_FMT % r.sobolev_growth,
-                        FLOAT_FMT % r.linf_growth,
-                        "" if r.trip_time is None else FLOAT_FMT % r.trip_time,
-                        r.trip_reason,
-                        str(r.tripped),
-                        "" if r.tube_exit_t is None else FLOAT_FMT % r.tube_exit_t,
-                        str(r.sign_relation_ok),
-                    ]
-                )
-                + "\n"
-            )
+    write_csv(os.path.join(out_dir, "scan.csv"), SCAN_COLUMNS, (astuple(r) for r in rows))
 
 
 # -- subcommand implementations ---------------------------------------------------
@@ -276,10 +250,8 @@ def _cmd_ground_state(args):
         if seed_gs.grid != grid:
             raise ConfigError("continuation seed grid does not match requested grid")
         gs = solve_ground_state(args.alpha, grid, seed=seed_gs.values)
-    elif args.alpha < 2.0:
-        gs = continuation_ladder(args.alpha, grid, step=args.ladder_step)
     else:
-        gs = solve_ground_state(args.alpha, grid)
+        gs = continuation_ladder(args.alpha, grid, step=args.ladder_step)
     write_ground_state(args.out, gs)
     print(f"ground state alpha={args.alpha}: residual {gs.residual:.3e}, "
           f"{gs.iterations} iterations -> {args.out}")
@@ -315,9 +287,7 @@ def _cmd_spectrum(args):
     gs = read_ground_state(args.state)
     if args.dense_n and args.dense_n != gs.grid.n:
         # re-solve at the requested dense resolution
-        grid = Grid(gs.grid.half_length, args.dense_n)
-        alpha = gs.alpha
-        gs = solve_ground_state(alpha, grid) if alpha >= 2.0 else continuation_ladder(alpha, grid)
+        gs = continuation_ladder(gs.alpha, Grid(gs.grid.half_length, args.dense_n))
     rep = spectrum(assemble(gs))
     write_spectrum(args.out, rep)
     flag = "ok" if rep.structure_ok else "STRUCTURE VIOLATION"
@@ -424,19 +394,11 @@ def _cmd_liouville_probe(args):
         gs, w0, args.t_end, args.dt, window=args.window, include_potential=False
     )
     base = args.out
-    with open(base + ".csv", "w") as fh:
-        fh.write("t,l2,sobolev,local_mass,local_mass_deflated,free_local_mass\n")
-        for i in range(len(rec.times)):
-            fh.write(
-                ",".join(
-                    FLOAT_FMT % v
-                    for v in (
-                        rec.times[i], rec.l2[i], rec.sobolev[i],
-                        rec.local_mass[i], rec.local_mass_defl[i], free.local_mass[i],
-                    )
-                )
-                + "\n"
-            )
+    write_csv(
+        base + ".csv",
+        ("t", "l2", "sobolev", "local_mass", "local_mass_deflated", "free_local_mass"),
+        zip(rec.times, rec.l2, rec.sobolev, rec.local_mass, rec.local_mass_defl, free.local_mass),
+    )
     secular_fraction = float(1.0 - rec.local_mass_defl[-1] / max(rec.local_mass[-1], 1e-300))
     write_json(
         base + ".json",
@@ -473,9 +435,11 @@ def _apply_config_defaults(parser, args_list):
         payload = json.load(fh)
     params = payload.get("parameters", payload)
     out = list(args_list[:i]) + list(args_list[i + 2 :])
+    # a flag given bare or as --flag=value beats the config entry
+    present = {a.split("=", 1)[0] for a in out if a.startswith("--")}
     for key, value in params.items():
         flag = "--" + key.replace("_", "-")
-        if flag not in out:
+        if flag not in present:
             if isinstance(value, bool):
                 if value:
                     out.append(flag)
@@ -556,7 +520,6 @@ def build_parser():
     lp.add_argument("--window", type=float, default=10.0)
     lp.add_argument("--offset", type=float, default=0.0)
     lp.add_argument("--width", type=float, default=2.0)
-    lp.add_argument("--rng-seed", type=int, default=0)
     lp.add_argument("--out", default="liouville")
     lp.set_defaults(func=_cmd_liouville_probe)
     return p

@@ -18,6 +18,9 @@ STATUS_COMPLETED = "completed"
 STATUS_DIVERGED = "diverged"
 STATUS_RESOLUTION_LOST = "resolution_lost"
 
+PAD = 2            # nonlinear products are formed on a grid PAD times finer
+N_CONTOUR = 32     # contour points of the ETDRK4 coefficient averages
+
 
 @dataclass
 class EvolutionConfig:
@@ -26,7 +29,6 @@ class EvolutionConfig:
     t_end: float
     sign: str = "focusing"          # focusing: +|u|^{2a} u_x in the equation
     filter_strength: float = 1.0    # scales the exp(-36 (|k|/kmax)^36) exponent
-    dealias_pad: int = 2
     checkpoint_every: int = 100
     frame_speed: float = 0.0        # observe in x - frame_speed * t
     linf_ceiling: float = 1e4
@@ -39,8 +41,6 @@ class EvolutionConfig:
             raise ContractError("dt and t_end must be positive")
         if self.sign not in ("focusing", "defocusing"):
             raise ContractError(f"sign must be focusing|defocusing, got {self.sign!r}")
-        if self.dealias_pad not in (1, 2):
-            raise ContractError("dealias_pad must be 1 or 2")
         if self.checkpoint_every < 1:
             raise ContractError("checkpoint_every must be >= 1")
 
@@ -105,69 +105,47 @@ def conserved(grid: Grid, u, alpha: float, t: float = 0.0) -> Diagnostics:
     )
 
 
-def nonlinear_term(grid: Grid, u, alpha: float, pad: int = 2):
-    """|u|^{2 alpha} u_x with spectral d/dx, products on a pad-times-finer grid."""
-    _check_alpha(alpha)
-    u = grid.check_field(u)
-    n = grid.n
-    F = grid.transform(u)
-    m = pad * n
-    Fp = np.zeros(m, dtype=complex)
-    Fp[: n // 2] = F[: n // 2]
-    Fp[m - n // 2 :] = F[n // 2 :]
-    Fp *= m / n
-    kpad = 2.0 * np.pi * np.fft.fftfreq(m, d=2.0 * grid.half_length / m)
+def _padded_wavenumbers(grid: Grid):
+    m = PAD * grid.n
+    return 2.0 * np.pi * np.fft.fftfreq(m, d=2.0 * grid.half_length / m)
+
+
+def _padded_flux(grid: Grid, F, alpha: float, kpad):
+    """Spectrum of |u|^{2 alpha} u_x, products formed on the PAD-times-finer grid."""
+    Fp = grid.pad(F, len(kpad))
     v = np.fft.ifft(Fp).real
     vx = np.fft.ifft(1j * kpad * Fp).real
-    w = np.abs(v) ** (2.0 * alpha) * vx
-    W = np.fft.fft(w)
-    Wt = np.concatenate([W[: n // 2], W[m - n // 2 :]]) * (n / m)
-    return np.fft.ifft(Wt).real
+    return grid.truncate(np.fft.fft(np.abs(v) ** (2.0 * alpha) * vx))
+
+
+def nonlinear_term(grid: Grid, u, alpha: float):
+    """|u|^{2 alpha} u_x with spectral d/dx, products on a PAD-times-finer grid."""
+    _check_alpha(alpha)
+    W = _padded_flux(grid, grid.transform(u), alpha, _padded_wavenumbers(grid))
+    return np.fft.ifft(W).real
 
 
 class Stepper:
-    """Precomputed ETDRK4 update for a fixed (grid, config)."""
+    """ETDRK4 (Cox & Matthews) for F_t = symbol * F + nonlinear(F) in Fourier space.
 
-    def __init__(self, grid: Grid, cfg: EvolutionConfig, n_contour: int = 32):
-        self.grid = grid
-        self.cfg = cfg
-        self.alpha = cfg.alpha
-        self.nl_sign = -1.0 if cfg.sign == "focusing" else +1.0
-        n = grid.n
-        sym = grid.multiplier(cfg.alpha, "dispersion") + 1j * cfg.frame_speed * grid.k
-        sym[n // 2] = 0.0
-        z = cfg.dt * sym
-        r = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+    The phi-function coefficients are averaged over a circle of contour points
+    around each dt * symbol (Kassam & Trefethen), which stays accurate where
+    dt * symbol is near zero. ``filter``, when given, multiplies every step.
+    """
+
+    def __init__(self, symbol, dt: float, nonlinear, filter=None):
+        z = dt * symbol
+        r = np.exp(2j * np.pi * (np.arange(N_CONTOUR) + 0.5) / N_CONTOUR)
         zc = z[:, None] + r[None, :]
         ez = np.exp(zc)
         self.E = np.exp(z)
         self.E2 = np.exp(z / 2.0)
-        self.Q = cfg.dt * np.mean((np.exp(zc / 2.0) - 1.0) / zc, axis=1)
-        self.f1 = cfg.dt * np.mean((-4.0 - zc + ez * (4.0 - 3.0 * zc + zc**2)) / zc**3, axis=1)
-        self.f2 = cfg.dt * np.mean((2.0 + zc + ez * (zc - 2.0)) / zc**3, axis=1)
-        self.f3 = cfg.dt * np.mean((-4.0 - 3.0 * zc - zc**2 + ez * (4.0 - zc)) / zc**3, axis=1)
-        m = cfg.dealias_pad * n
-        self.m = m
-        self.kpad = 2.0 * np.pi * np.fft.fftfreq(m, d=2.0 * grid.half_length / m)
-        ka = np.abs(grid.k)
-        if cfg.filter_strength > 0.0:
-            self.filter = np.exp(-36.0 * cfg.filter_strength * (ka / ka.max()) ** 36)
-        else:
-            self.filter = None
-
-    def nonlinear(self, F):
-        """Spectrum of -sign * |u|^{2a} u_x, zero mode pinned to its exact value 0."""
-        n, m = self.grid.n, self.m
-        Fp = np.zeros(m, dtype=complex)
-        Fp[: n // 2] = F[: n // 2]
-        Fp[m - n // 2 :] = F[n // 2 :]
-        Fp *= m / n
-        v = np.fft.ifft(Fp).real
-        vx = np.fft.ifft(1j * self.kpad * Fp).real
-        W = np.fft.fft(np.abs(v) ** (2.0 * self.alpha) * vx)
-        Wt = np.concatenate([W[: n // 2], W[m - n // 2 :]]) * (n / m)
-        Wt[0] = 0.0  # the flux is a perfect derivative: its mean vanishes identically
-        return self.nl_sign * Wt
+        self.Q = dt * np.mean((np.exp(zc / 2.0) - 1.0) / zc, axis=1)
+        self.f1 = dt * np.mean((-4.0 - zc + ez * (4.0 - 3.0 * zc + zc**2)) / zc**3, axis=1)
+        self.f2 = dt * np.mean((2.0 + zc + ez * (zc - 2.0)) / zc**3, axis=1)
+        self.f3 = dt * np.mean((-4.0 - 3.0 * zc - zc**2 + ez * (4.0 - zc)) / zc**3, axis=1)
+        self.nonlinear = nonlinear
+        self.filter = filter
 
     def step_spectrum(self, F):
         Nv = self.nonlinear(F)
@@ -183,9 +161,29 @@ class Stepper:
         return out
 
 
+def flow_stepper(grid: Grid, cfg: EvolutionConfig) -> Stepper:
+    """The ETDRK4 update of the dgBO flow for a fixed (grid, config)."""
+    sym = grid.multiplier(cfg.alpha, "dispersion") + 1j * cfg.frame_speed * grid.k
+    sym[grid.n // 2] = 0.0
+    kpad = _padded_wavenumbers(grid)
+    nl_sign = -1.0 if cfg.sign == "focusing" else +1.0
+
+    def nonlinear(F):
+        """Spectrum of -sign * |u|^{2a} u_x, zero mode pinned to its exact value 0."""
+        W = _padded_flux(grid, F, cfg.alpha, kpad)
+        W[0] = 0.0  # the flux is a perfect derivative: its mean vanishes identically
+        return nl_sign * W
+
+    filt = None
+    if cfg.filter_strength > 0.0:
+        ka = np.abs(grid.k)
+        filt = np.exp(-36.0 * cfg.filter_strength * (ka / ka.max()) ** 36)
+    return Stepper(sym, cfg.dt, nonlinear, filt)
+
+
 def step(grid: Grid, u, cfg: EvolutionConfig, stepper: Stepper | None = None):
-    """Advance one time step; convenience wrapper building a Stepper if needed."""
-    st = stepper if stepper is not None else Stepper(grid, cfg)
+    """Advance one time step; convenience wrapper building the flow stepper if needed."""
+    st = stepper if stepper is not None else flow_stepper(grid, cfg)
     F = grid.transform(u)
     return np.fft.ifft(st.step_spectrum(F)).real
 
@@ -197,7 +195,7 @@ def evolve(grid: Grid, u0, cfg: EvolutionConfig, observer=None) -> RunRecord:
     True to stop the run early (recorded as completed at that time).
     """
     u0 = grid.check_field(u0)
-    st = Stepper(grid, cfg)
+    st = flow_stepper(grid, cfg)
     rec = RunRecord(config=cfg, grid=grid)
     F = grid.transform(u0)
     rec.samples.append(conserved(grid, u0, cfg.alpha, t=0.0))

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from .dynamics import PAD, Stepper
 from .errors import CapacityError, ContractError
 from .ground_state import GroundState
 from .spectral import Grid
@@ -225,69 +226,6 @@ class LinearizedRunRecord:
     window: float
 
 
-class LinearizedStepper:
-    """ETDRK4 for w_t = dx(|D|^alpha + 1) w - dx(Q^{2 alpha} w).
-
-    With ``include_potential=False`` the potential stage is dropped and the
-    step is the exact free dispersive group (the no-soliton baseline).
-    """
-
-    def __init__(self, gs: GroundState, dt: float, pad: int = 2, n_contour: int = 32,
-                 include_potential: bool = True):
-        grid = gs.grid
-        self.grid, self.dt = grid, dt
-        n = grid.n
-        sym = grid.multiplier(gs.alpha, "dispersion") + 1j * grid.k
-        sym[n // 2] = 0.0
-        z = dt * sym
-        r = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
-        zc = z[:, None] + r[None, :]
-        ez = np.exp(zc)
-        self.E = np.exp(z)
-        self.E2 = np.exp(z / 2.0)
-        self.Q = dt * np.mean((np.exp(zc / 2.0) - 1.0) / zc, axis=1)
-        self.f1 = dt * np.mean((-4.0 - zc + ez * (4.0 - 3.0 * zc + zc**2)) / zc**3, axis=1)
-        self.f2 = dt * np.mean((2.0 + zc + ez * (zc - 2.0)) / zc**3, axis=1)
-        self.f3 = dt * np.mean((-4.0 - 3.0 * zc - zc**2 + ez * (4.0 - zc)) / zc**3, axis=1)
-        m = pad * n
-        self.m = m
-        self.kpad = 2.0 * np.pi * np.fft.fftfreq(m, d=2.0 * grid.half_length / m)
-        pot = np.abs(gs.values) ** (2.0 * gs.alpha) if include_potential else np.zeros(n)
-        self.pot_pad = _pad_field(grid, pot, m)
-        self.ikn = 1j * grid.k.copy()
-        self.ikn[n // 2] = 0.0
-
-    def nonlinear(self, F):
-        n, m = self.grid.n, self.m
-        Fp = np.zeros(m, dtype=complex)
-        Fp[: n // 2] = F[: n // 2]
-        Fp[m - n // 2 :] = F[n // 2 :]
-        Fp *= m / n
-        w = np.fft.ifft(Fp).real
-        W = np.fft.fft(self.pot_pad * w)
-        Wt = np.concatenate([W[: n // 2], W[m - n // 2 :]]) * (n / m)
-        return -self.ikn * Wt
-
-    def step_spectrum(self, F):
-        Nv = self.nonlinear(F)
-        a = self.E2 * F + self.Q * Nv
-        Na = self.nonlinear(a)
-        b = self.E2 * F + self.Q * Na
-        Nb = self.nonlinear(b)
-        c = self.E2 * a + self.Q * (2.0 * Nb - Nv)
-        Nc = self.nonlinear(c)
-        return self.E * F + self.f1 * Nv + 2.0 * self.f2 * (Na + Nb) + self.f3 * Nc
-
-
-def _pad_field(grid: Grid, f, m):
-    F = grid.transform(f)
-    n = grid.n
-    Fp = np.zeros(m, dtype=complex)
-    Fp[: n // 2] = F[: n // 2]
-    Fp[m - n // 2 :] = F[n // 2 :]
-    return np.fft.ifft(Fp * (m / n)).real
-
-
 def evolve_linearized(
     gs: GroundState,
     w0,
@@ -311,7 +249,22 @@ def evolve_linearized(
     grid = gs.grid
     if dt <= 0 or t_end <= 0:
         raise ContractError("dt and t_end must be positive")
-    st = LinearizedStepper(gs, dt, include_potential=include_potential)
+    n = grid.n
+    sym = grid.multiplier(gs.alpha, "dispersion") + 1j * grid.k
+    sym[n // 2] = 0.0
+    # the potential stage -dx(Q^{2 alpha} w), products on the PAD-times-finer
+    # grid; without it the step is the exact free dispersive group
+    pot = np.abs(gs.values) ** (2.0 * gs.alpha) if include_potential else np.zeros(n)
+    m = PAD * n
+    pot_pad = np.fft.ifft(grid.pad(grid.transform(pot), m)).real
+    ikn = 1j * grid.k
+    ikn[n // 2] = 0.0
+
+    def potential_term(F):
+        W = np.fft.fft(pot_pad * np.fft.ifft(grid.pad(F, m)).real)
+        return -ikn * grid.truncate(W)
+
+    st = Stepper(sym, dt, potential_term)
     qp = gs.derivative()
     qp_n2 = grid.inner(qp, qp)
     if qp_n2 == 0.0:

@@ -69,6 +69,8 @@ def decompose(
     parameters themselves stay accurate since the orthogonality weights are
     localized at the origin.
     """
+    if max_iters < 1:
+        raise ContractError(f"max_iters must be >= 1, got {max_iters}")
     grid, alpha = gs.grid, gs.alpha
     u = grid.check_field(u)
     qp = gs.derivative()

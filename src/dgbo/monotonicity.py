@@ -203,13 +203,15 @@ def _mass_functional(grid, u, weight, center, window):
     return grid.quadrature(u**2 * weight.phi_a(grid.x - center) * window)
 
 
-def check_right_monotonicity(
-    times, states, rhos, weight: Weight, x0: float, mu: float, c0: float,
-    grid: Grid, *, window_fraction: float = 0.05, max_pairs: int = 64,
+def _check_sided(
+    kind, times, states, rhos, weight: Weight, x0: float, mu: float, c0: float,
+    grid: Grid, window_fraction: float, max_pairs: int,
 ) -> MonotonicityReport:
-    """Weighted mass on the right of the soliton at t2 against its t1 value.
+    """Weighted mass at t2 against its t1 value, x0 to the right or left of rho.
 
-    lhs(t2) <= rhs(t1; mu-shift) + c0/x0^{2r-1} for all sampled pairs t1 < t2.
+    lhs(t2) <= rhs(t1) + c0/x0^{2r-1} for all sampled pairs t1 < t2. The
+    mu-shift of the center moves the t1 functional on the right and the t2
+    functional on the left.
     """
     if x0 <= 1.0:
         raise ContractError(f"x0 must exceed 1, got {x0}")
@@ -217,14 +219,16 @@ def check_right_monotonicity(
         raise ContractError(f"mu must lie in (0,1), got {mu}")
     if len(times) != len(states) or len(times) != len(rhos):
         raise WindowError("times/states/rhos length mismatch")
+    side = 1.0 if kind == "right" else -1.0
     win = seam_window(grid, window_fraction)
     pairs = _select_pairs(len(times), max_pairs)
     budget = c0 / x0 ** (2.0 * weight.r - 1.0)
     lhs, rhs, tpairs = [], [], []
     for i, j in pairs:
-        drho = rhos[j] - rhos[i]
-        l = _mass_functional(grid, states[j], weight, rhos[j] + x0, win)
-        r0 = _mass_functional(grid, states[i], weight, rhos[i] + mu * drho + x0, win)
+        shift = side * mu * (rhos[j] - rhos[i])
+        shift1, shift2 = (shift, 0.0) if kind == "right" else (0.0, shift)
+        l = _mass_functional(grid, states[j], weight, rhos[j] + shift2 + side * x0, win)
+        r0 = _mass_functional(grid, states[i], weight, rhos[i] + shift1 + side * x0, win)
         lhs.append(l)
         rhs.append(r0 + budget)
         tpairs.append((times[i], times[j]))
@@ -232,44 +236,29 @@ def check_right_monotonicity(
     rhs = np.array(rhs)
     verdicts = lhs <= rhs
     return MonotonicityReport(
-        kind="right", x0=x0, mu=mu, r=weight.r, A=weight.A, c0=c0,
+        kind=kind, x0=x0, mu=mu, r=weight.r, A=weight.A, c0=c0,
         pairs=tpairs, lhs=lhs, rhs=rhs, slack=rhs - lhs,
         error_budget=np.full(len(pairs), budget), verdicts=verdicts,
         all_true=bool(np.all(verdicts)), window_fraction=window_fraction,
     )
+
+
+def check_right_monotonicity(
+    times, states, rhos, weight: Weight, x0: float, mu: float, c0: float,
+    grid: Grid, *, window_fraction: float = 0.05, max_pairs: int = 64,
+) -> MonotonicityReport:
+    """Weighted mass on the right of the soliton, mu-shift at t1."""
+    return _check_sided("right", times, states, rhos, weight, x0, mu, c0, grid,
+                        window_fraction, max_pairs)
 
 
 def check_left_monotonicity(
     times, states, rhos, weight: Weight, x0: float, mu: float, c0: float,
     grid: Grid, *, window_fraction: float = 0.05, max_pairs: int = 64,
 ) -> MonotonicityReport:
-    """Mirror statement on the left; implemented directly, with the mu-shift at t2."""
-    if x0 <= 1.0:
-        raise ContractError(f"x0 must exceed 1, got {x0}")
-    if not 0.0 < mu < 1.0:
-        raise ContractError(f"mu must lie in (0,1), got {mu}")
-    if len(times) != len(states) or len(times) != len(rhos):
-        raise WindowError("times/states/rhos length mismatch")
-    win = seam_window(grid, window_fraction)
-    pairs = _select_pairs(len(times), max_pairs)
-    budget = c0 / x0 ** (2.0 * weight.r - 1.0)
-    lhs, rhs, tpairs = [], [], []
-    for i, j in pairs:
-        drho = rhos[j] - rhos[i]
-        l = _mass_functional(grid, states[j], weight, rhos[j] - mu * drho - x0, win)
-        r0 = _mass_functional(grid, states[i], weight, rhos[i] - x0, win)
-        lhs.append(l)
-        rhs.append(r0 + budget)
-        tpairs.append((times[i], times[j]))
-    lhs = np.array(lhs)
-    rhs = np.array(rhs)
-    verdicts = lhs <= rhs
-    return MonotonicityReport(
-        kind="left", x0=x0, mu=mu, r=weight.r, A=weight.A, c0=c0,
-        pairs=tpairs, lhs=lhs, rhs=rhs, slack=rhs - lhs,
-        error_budget=np.full(len(pairs), budget), verdicts=verdicts,
-        all_true=bool(np.all(verdicts)), window_fraction=window_fraction,
-    )
+    """Mirror statement on the left, mu-shift at t2."""
+    return _check_sided("left", times, states, rhos, weight, x0, mu, c0, grid,
+                        window_fraction, max_pairs)
 
 
 def check_eta_monotonicity(

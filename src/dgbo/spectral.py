@@ -95,6 +95,24 @@ class Grid:
             raise ContractError("inverse transform produced a non-real field")
         return u.real
 
+    def pad(self, F, m: int):
+        """Coefficients of the same trigonometric interpolant on an m-point grid.
+
+        The Nyquist coefficient goes to the negative side; the m/n factor keeps
+        the sampled values unchanged under numpy's 1/m inverse normalisation.
+        """
+        n = self.n
+        Fp = np.zeros(m, dtype=complex)
+        Fp[: n // 2] = F[: n // 2]
+        Fp[m - n // 2 :] = F[n // 2 :]
+        Fp *= m / n
+        return Fp
+
+    def truncate(self, W):
+        """Inverse of ``pad``: keep the n lowest modes of m-point coefficients."""
+        n, m = self.n, len(W)
+        return np.concatenate([W[: n // 2], W[m - n // 2 :]]) * (n / m)
+
     # -- multipliers --------------------------------------------------------
 
     def multiplier(self, alpha: float, kind: str):

@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from dgbo.artifacts import (
     write_ground_state,
     write_run,
 )
-from dgbo.cli import main
+from dgbo.cli import _apply_config_defaults, build_parser, main
 from dgbo.dynamics import EvolutionConfig, evolve
 from dgbo.spectral import Grid
 
@@ -43,6 +45,15 @@ class TestRoundTrips:
         assert g2 == g
         assert np.array_equal(v2, vals)
         assert meta["t"] == 1.5
+
+    def test_read_field_closes_its_file(self, tmp_path):
+        g = Grid(25.0, 128)
+        write_field(str(tmp_path / "f"), g, np.sin(g.x))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            read_field(str(tmp_path / "f"))
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_ground_state_roundtrip(self, tmp_path):
         gs = ground_state_for(2.0, COMPACT)
@@ -130,6 +141,15 @@ class TestCommands:
         ref = read_ground_state(str(artifacts_dir / "gs"))
         got = read_ground_state(out)
         assert np.array_equal(got.values, ref.values)
+
+    @pytest.mark.parametrize("flag", [["--alpha", "1.5"], ["--alpha=1.5"]])
+    def test_flag_beats_config_in_both_spellings(self, tmp_path, flag):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"parameters": {"alpha": 2.0, "n": 256}}))
+        argv = ["ground-state", "--config", str(cfg_file)] + flag
+        args = build_parser().parse_args(_apply_config_defaults(build_parser(), argv))
+        assert args.alpha == 1.5
+        assert args.n == 256
 
     def test_config_error_exit_code(self, tmp_path):
         rc = main(["evolve", "--state", str(tmp_path / "missing"), "--out", str(tmp_path / "x")])

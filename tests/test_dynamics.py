@@ -4,9 +4,9 @@ import pytest
 from dgbo import (
     EvolutionConfig,
     Grid,
-    Stepper,
     conserved,
     evolve,
+    flow_stepper,
     nonlinear_term,
     step,
 )
@@ -42,8 +42,6 @@ class TestConfig:
             EvolutionConfig(alpha=2.0, dt=-1.0, t_end=1.0)
         with pytest.raises(ContractError):
             EvolutionConfig(alpha=2.0, dt=1e-3, t_end=1.0, sign="both")
-        with pytest.raises(ContractError):
-            EvolutionConfig(alpha=2.0, dt=1e-3, t_end=1.0, dealias_pad=3)
 
     def test_stability_margin_and_default_dt(self):
         g = Grid(50.0, 1024)
@@ -77,7 +75,7 @@ class TestStep:
     def test_linear_regime_matches_exact_propagator(self):
         g = Grid(30.0, 256)
         cfg = EvolutionConfig(alpha=1.5, dt=1e-3, t_end=1.0, filter_strength=0.0)
-        st = Stepper(g, cfg)
+        st = flow_stepper(g, cfg)
         u0 = 1e-8 * np.exp(-(g.x**2) / 4.0)
         F = g.transform(u0)
         for _ in range(100):

@@ -106,6 +106,16 @@ class TestLinearizedFlow:
         drift = g.norm_l2(rec.final_state - qp) / g.norm_l2(qp)
         assert drift < 1e-8
 
+    def test_free_flow_is_exact_propagator(self, gs2_compact):
+        g = gs2_compact.grid
+        w0 = np.exp(-((g.x / 2.0) ** 2))
+        t_end = 0.5
+        rec = evolve_linearized(gs2_compact, w0, t_end, 1e-3, include_potential=False)
+        sym = g.multiplier(2.0, "dispersion") + 1j * g.k
+        sym[g.n // 2] = 0.0
+        exact = np.fft.ifft(g.transform(w0) * np.exp(t_end * sym)).real
+        assert np.max(np.abs(rec.final_state - exact)) < 1e-10
+
     def test_scaling_direction_initial_velocity(self, gs2_compact):
         g = gs2_compact.grid
         lam_q = scaling_generator(gs2_compact)

@@ -81,6 +81,12 @@ class TestDecompose:
             decompose(3.0 * gs.values, gs, chi0, guess=(1.0, 0.0))
 
 
+    def test_max_iters_below_one_rejected(self, frame):
+        gs, chi0 = frame
+        with pytest.raises(ContractError):
+            decompose(gs.values, gs, chi0, max_iters=0)
+
+
 class TestBeta:
     def test_zero_at_ground_state(self, frame):
         gs, _ = frame

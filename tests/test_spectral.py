@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dgbo import Grid, stable_kernel
 from dgbo.errors import ContractError, ResolutionError
@@ -57,6 +60,19 @@ def test_parseval(n, rng):
     g = Grid(40.0, n)
     f = rng.standard_normal(n)
     assert parseval_residual(g, f) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4, 16, 64, 256]).flatmap(
+    lambda n: hnp.arrays(float, n, elements=st.floats(-1e3, 1e3))))
+def test_pad_truncate_roundtrip(f):
+    g = Grid(10.0, len(f))
+    F = g.transform(f)
+    Fp = g.pad(F, 2 * g.n)
+    assert np.array_equal(g.truncate(Fp), F)
+    # the padded interpolant takes the original values on the even fine points
+    err = np.max(np.abs(np.fft.ifft(Fp)[::2] - np.fft.ifft(F)))
+    assert err <= 1e-12 * (1.0 + np.max(np.abs(f)))
 
 
 def test_length_mismatch():
