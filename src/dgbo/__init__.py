@@ -15,7 +15,6 @@ from .dynamics import (
     evolve,
     flow_stepper,
     nonlinear_term,
-    step,
 )
 from .ground_state import (
     GNReport,
@@ -26,7 +25,6 @@ from .ground_state import (
     gkdv_profile,
     gn_report,
     j1,
-    pohozaev_check,
     pohozaev_residuals,
     scaling_generator,
     solve_ground_state,

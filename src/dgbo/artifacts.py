@@ -108,7 +108,6 @@ def write_ground_state(base, gs: GroundState, extra=None):
         "sup_diff": gs.sup_diff,
         "pohozaev_residuals": list(gs.pohozaev_residuals),
         "energy_residual": gs.energy_residual,
-        "decay_exponent_fit": gs.decay_exponent_fit,
         "mass": gs.mass(),
     }
     if extra:
@@ -129,7 +128,6 @@ def read_ground_state(base) -> GroundState:
         sup_diff=cert["sup_diff"],
         pohozaev_residuals=tuple(cert["pohozaev_residuals"]),
         energy_residual=cert["energy_residual"],
-        decay_exponent_fit=cert["decay_exponent_fit"],
     )
 
 
@@ -284,6 +282,16 @@ def write_track(base, record: ModulationTrack, header_extra=None):
         base + ".gp", os.path.basename(base) + ".csv", TRACK_COLUMNS,
         title="modulation parameters",
     )
+
+
+def read_track(base):
+    """Columns of a stored track CSV as lists of floats, keyed by TRACK_COLUMNS."""
+    with open(base + ".csv") as fh:
+        cols = tuple(fh.readline().strip().split(","))
+        if cols != TRACK_COLUMNS:
+            raise ContractError(f"unexpected track columns {list(cols)}")
+        rows = [[float(v) for v in line.strip().split(",")] for line in fh]
+    return {name: [r[i] for r in rows] for i, name in enumerate(TRACK_COLUMNS)}
 
 
 # -- monotonicity reports ----------------------------------------------------------

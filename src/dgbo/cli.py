@@ -5,16 +5,15 @@ blowup-scan, liouville-probe. A JSON config file may supply any parameter;
 command-line flags override it. Identical configs (same seed) produce
 byte-identical CSV artifacts.
 
-Exit codes: 0 success, 2 config error, 3 convergence failure, 4 resolution
-failure, 5 divergence detected outside a scan (inside a scan a divergence
-indicator is a successful finding).
+Exit codes: 0 success, 2 config error (also a request the code path cannot
+serve: a dense solve beyond its size limit, an unavailable window),
+3 convergence failure, 4 resolution failure, 5 divergence detected outside a
+scan (inside a scan a divergence indicator is a successful finding).
 """
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .artifacts import (
     read_chi0,
     read_ground_state,
     read_run,
+    read_track,
     write_csv,
     write_ground_state,
     write_json,
@@ -31,20 +31,19 @@ from .artifacts import (
     write_spectrum,
     write_track,
 )
-from .dynamics import EvolutionConfig, conserved, evolve
+from .dynamics import EvolutionConfig, evolve
 from .errors import (
-    ClosenessError,
+    CapacityError,
     ConfigError,
     ContractError,
     ConvergenceError,
-    DecompositionError,
     DgboError,
     ResolutionError,
+    WindowError,
 )
 from .ground_state import continuation_ladder, solve_ground_state
 from .linearized import assemble, evolve_linearized, spectrum
-from .modulation import beta as beta_fn
-from .modulation import decompose, track
+from .modulation import track
 from .monotonicity import (
     build_weight,
     calibrate_budget,
@@ -53,6 +52,7 @@ from .monotonicity import (
     check_left_monotonicity,
     check_right_monotonicity,
 )
+from .scan import blowup_scan, build_initial_data, write_scan
 from .spectral import Grid
 
 EXIT_OK = 0
@@ -60,184 +60,6 @@ EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_RESOLUTION = 4
 EXIT_DIVERGENCE = 5
-
-
-# -- initial data vocabulary ---------------------------------------------------
-
-
-def build_initial_data(grid: Grid, gs, recipe: dict, rng):
-    """Perturbation vocabulary: scale, translate, gaussian bump, band noise."""
-    u = recipe.get("scale", 1.0) * gs.values
-    if recipe.get("translate"):
-        u = grid.shift(u, float(recipe["translate"]))
-    if "bump" in recipe:
-        b = recipe["bump"]
-        amp, width, offset = b.get("amplitude", 0.01), b.get("width", 1.0), b.get("offset", 0.0)
-        u = u + amp * np.exp(-(((grid.x - offset) / width) ** 2))
-    if "noise" in recipe:
-        nz = recipe["noise"]
-        band = nz.get("band", 0.25)
-        amp = nz.get("amplitude", 1e-3)
-        F = (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)).astype(complex)
-        F[np.abs(grid.k) > band * grid.k_max] = 0.0
-        F[0] = 0.0
-        w = np.fft.ifft(F + np.conj(F[np.r_[0, grid.n - 1 : 0 : -1]])).real
-        peak = np.max(np.abs(w))
-        if peak > 0:
-            u = u + amp * w / peak
-    return u
-
-
-# -- blow-up scan ---------------------------------------------------------------
-
-
-@dataclass
-class ScanRow:
-    amplitude: float
-    beta: float
-    energy: float
-    supercritical: bool          # energy below the discrete certification floor
-    status: str
-    lambda_min: float
-    lambda_monotone: bool
-    sobolev_growth: float
-    linf_growth: float
-    trip_time: float | None
-    trip_reason: str
-    tripped: bool
-    tube_exit_t: float | None
-    sign_relation_ok: bool
-
-    @property
-    def bounded(self):
-        return self.status == "completed" and not self.tripped
-
-
-SCAN_COLUMNS = tuple(f.name for f in fields(ScanRow))
-
-
-def blowup_scan(
-    alpha: float,
-    amplitudes,
-    *,
-    grid: Grid | None = None,
-    dt: float = 5e-4,
-    t_end_super: float = 80.0,
-    t_end_bounded: float = 20.0,
-    lam_stop: float = 0.75,
-    sobolev_trip: float = 1.3,
-    checkpoint_every: int = 100,
-    rng_seed: int = 0,
-    perturbation: dict | None = None,
-):
-    """Scan a*Q initial data; a divergence indicator on a row is a finding.
-
-    Divergence indicators: modulation-scale contraction below ``lam_stop``,
-    H^{alpha/2} growth beyond ``sobolev_trip``, and the solver's own
-    diverged/resolution flags. Leaving the modulation tube merely ends the
-    lambda tracking (subcritical data disperses away from the family); it is
-    recorded but is not an indicator. Runs are observed in the frame moving
-    at the unit soliton speed so the scan box can stay small.
-    """
-    grid = grid if grid is not None else Grid(48.0, 1024)
-    gs = continuation_ladder(alpha, grid)
-    rep = spectrum(assemble(gs))
-    chi0 = rep.chi0
-    # E(Q) vanishes analytically; its discrete value sets the resolution floor
-    # below which an energy sign is not certifiable on this grid
-    energy_floor = 10.0 * abs(conserved(grid, gs.values, alpha).energy) + 1e-12
-    rng = np.random.default_rng(rng_seed)
-    rows = []
-    for a in amplitudes:
-        u0 = build_initial_data(grid, gs, {"scale": a, **(perturbation or {})}, rng)
-        b = beta_fn(u0, gs)
-        d0 = conserved(grid, u0, alpha)
-        supercritical = d0.energy < -energy_floor
-        cfg = EvolutionConfig(
-            alpha=alpha,
-            dt=dt,
-            t_end=t_end_super if supercritical else t_end_bounded,
-            frame_speed=1.0,
-            checkpoint_every=checkpoint_every,
-        )
-        lam_hist = []
-        trip = {"time": None, "reason": ""}
-        tube = {"inside": True, "exit_t": None}
-        guess = [(1.0, float(grid.x[int(np.argmax(np.abs(u0)))]))]
-
-        def observer(t, u, rec):
-            if tube["inside"]:
-                try:
-                    st = decompose(u, gs, chi0, guess=guess[0])
-                    guess[0] = (st.lam, st.rho)
-                    lam_hist.append((t, st.lam))
-                    if st.lam < lam_stop:
-                        trip.update(time=t, reason="lambda_contraction")
-                        return True
-                except (DecompositionError, ClosenessError):
-                    tube.update(inside=False, exit_t=t)
-            d = rec.samples[-1]
-            if d.sobolev_norm > sobolev_trip * d0.sobolev_norm:
-                trip.update(time=t, reason="sobolev_growth")
-                return True
-            return False
-
-        rec = evolve(grid, u0, cfg, observer=observer)
-        if rec.status != "completed" and trip["time"] is None:
-            trip.update(time=rec.status_t, reason=rec.status)
-        lam_vals = np.array([l for _, l in lam_hist]) if lam_hist else np.array([1.0])
-        lam_min = float(np.min(lam_vals))
-        monotone = bool(
-            np.all(np.diff(lam_vals) <= 5e-3 * lam_vals[:-1]) and lam_vals[-1] <= lam_vals[0]
-        )
-        sob = rec.column("sobolev_norm")
-        linf = rec.column("linf")
-        rows.append(
-            ScanRow(
-                amplitude=float(a),
-                beta=float(b),
-                energy=float(d0.energy),
-                supercritical=supercritical,
-                status=rec.status,
-                lambda_min=lam_min,
-                lambda_monotone=monotone,
-                sobolev_growth=float(np.max(sob) / sob[0]),
-                linf_growth=float(np.max(linf) / linf[0]),
-                trip_time=trip["time"],
-                trip_reason=trip["reason"],
-                tripped=trip["time"] is not None,
-                tube_exit_t=tube["exit_t"],
-                sign_relation_ok=bool(b > 0.0 if supercritical else True),
-            )
-        )
-    rows.sort(key=lambda r: r.beta)
-    context = {
-        "alpha": alpha,
-        "grid": grid,
-        "dt": dt,
-        "t_end_super": t_end_super,
-        "t_end_bounded": t_end_bounded,
-        "lam_stop": lam_stop,
-        "energy_floor": energy_floor,
-        "sobolev_trip": sobolev_trip,
-        "rng_seed": rng_seed,
-        "ground_state_residual": gs.residual,
-        "spectrum_structure_ok": rep.structure_ok,
-    }
-    return rows, context
-
-
-def write_scan(out_dir, rows, context):
-    from .artifacts import write_plot_script
-
-    os.makedirs(out_dir, exist_ok=True)
-    write_json(os.path.join(out_dir, "scan.json"), {"kind": "blowup_scan", **context})
-    write_plot_script(
-        os.path.join(out_dir, "plot.gp"), "scan.csv",
-        ("amplitude",), title="blow-up indicators",
-        indices=[2, 3, 6, 8],  # beta, energy, lambda_min, sobolev_growth
-    )
-    write_csv(os.path.join(out_dir, "scan.csv"), SCAN_COLUMNS, (astuple(r) for r in rows))
 
 
 # -- subcommand implementations ---------------------------------------------------
@@ -285,9 +107,6 @@ def _cmd_evolve(args):
 
 def _cmd_spectrum(args):
     gs = read_ground_state(args.state)
-    if args.dense_n and args.dense_n != gs.grid.n:
-        # re-solve at the requested dense resolution
-        gs = continuation_ladder(gs.alpha, Grid(gs.grid.half_length, args.dense_n))
     rep = spectrum(assemble(gs))
     write_spectrum(args.out, rep)
     flag = "ok" if rep.structure_ok else "STRUCTURE VIOLATION"
@@ -318,33 +137,22 @@ def _cmd_monotonicity(args):
     _header, _samples, states, grid = read_run(args.run)
     if not states:
         raise ConfigError(f"run directory {args.run} holds no checkpointed states")
-    import csv as _csv
-
-    with open(args.track + ".csv") as fh:
-        rows = list(_csv.DictReader(fh))
-    times = [float(r["t"]) for r in rows]
-    rhos = [float(r["rho"]) for r in rows]
-    state_times = [t for t, _ in states]
-    if len(times) > len(state_times):
-        times = times[: len(state_times)]
-        rhos = rhos[: len(state_times)]
+    columns = read_track(args.track)
+    times, rhos = columns["t"], columns["rho"]
+    if times != [t for t, _ in states][: len(times)]:
+        raise ConfigError(
+            f"track {args.track} times are not a prefix of the checkpoint times of {args.run}"
+        )
     fields = [u for _, u in states][: len(times)]
     weight = build_weight(args.r, args.A, grid)
     x0_list = [float(v) for v in args.x0.split(",")]
     reports = []
     for x0 in x0_list:
-        c0 = args.c0 if args.c0 is not None else calibrate_budget(
-            times, fields, rhos, weight, [x0], args.mu, grid, kind="right"
-        )
-        reports.append(
-            check_right_monotonicity(times, fields, rhos, weight, x0, args.mu, c0, grid)
-        )
-        c0l = args.c0 if args.c0 is not None else calibrate_budget(
-            times, fields, rhos, weight, [x0], args.mu, grid, kind="left"
-        )
-        reports.append(
-            check_left_monotonicity(times, fields, rhos, weight, x0, args.mu, c0l, grid)
-        )
+        for kind, check in (("right", check_right_monotonicity), ("left", check_left_monotonicity)):
+            c0 = args.c0 if args.c0 is not None else calibrate_budget(
+                times, fields, rhos, weight, [x0], args.mu, grid, kind=kind
+            )
+            reports.append(check(times, fields, rhos, weight, x0, args.mu, c0, grid))
     if args.state and args.chi0:
         gs = read_ground_state(args.state)
         _, chi0 = read_chi0(args.chi0)
@@ -422,7 +230,7 @@ def _cmd_liouville_probe(args):
 # -- argument plumbing --------------------------------------------------------------
 
 
-def _apply_config_defaults(parser, args_list):
+def _apply_config_defaults(args_list):
     """If --config FILE appears, use its entries as defaults (flags still win)."""
     if "--config" not in args_list:
         return args_list
@@ -476,7 +284,6 @@ def build_parser():
 
     s = sub.add_parser("spectrum", help="dense eigendecomposition of the linearized operator")
     s.add_argument("--state", required=True)
-    s.add_argument("--dense-n", type=int, default=None)
     s.add_argument("--out", default="spectrum")
     s.set_defaults(func=_cmd_spectrum)
 
@@ -527,11 +334,12 @@ def build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     try:
-        argv = _apply_config_defaults(build_parser(), argv)
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(_apply_config_defaults(argv))
         return args.func(args)
-    except (ConfigError, ContractError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (CapacityError, ConfigError, ContractError, WindowError, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:

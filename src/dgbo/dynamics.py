@@ -80,10 +80,6 @@ class RunRecord:
     status: str = STATUS_COMPLETED
     status_t: float | None = None
 
-    @property
-    def times(self):
-        return np.array([d.t for d in self.samples])
-
     def column(self, name):
         return np.array([getattr(d, name) for d in self.samples])
 
@@ -105,23 +101,18 @@ def conserved(grid: Grid, u, alpha: float, t: float = 0.0) -> Diagnostics:
     )
 
 
-def _padded_wavenumbers(grid: Grid):
-    m = PAD * grid.n
-    return 2.0 * np.pi * np.fft.fftfreq(m, d=2.0 * grid.half_length / m)
-
-
-def _padded_flux(grid: Grid, F, alpha: float, kpad):
+def _padded_flux(grid: Grid, F, alpha: float):
     """Spectrum of |u|^{2 alpha} u_x, products formed on the PAD-times-finer grid."""
-    Fp = grid.pad(F, len(kpad))
-    v = np.fft.ifft(Fp).real
-    vx = np.fft.ifft(1j * kpad * Fp).real
+    m = PAD * grid.n
+    v = np.fft.ifft(grid.pad(F, m)).real
+    vx = np.fft.ifft(grid.pad(1j * grid.k * F, m)).real
     return grid.truncate(np.fft.fft(np.abs(v) ** (2.0 * alpha) * vx))
 
 
 def nonlinear_term(grid: Grid, u, alpha: float):
     """|u|^{2 alpha} u_x with spectral d/dx, products on a PAD-times-finer grid."""
     _check_alpha(alpha)
-    W = _padded_flux(grid, grid.transform(u), alpha, _padded_wavenumbers(grid))
+    W = _padded_flux(grid, grid.transform(u), alpha)
     return np.fft.ifft(W).real
 
 
@@ -165,12 +156,11 @@ def flow_stepper(grid: Grid, cfg: EvolutionConfig) -> Stepper:
     """The ETDRK4 update of the dgBO flow for a fixed (grid, config)."""
     sym = grid.multiplier(cfg.alpha, "dispersion") + 1j * cfg.frame_speed * grid.k
     sym[grid.n // 2] = 0.0
-    kpad = _padded_wavenumbers(grid)
     nl_sign = -1.0 if cfg.sign == "focusing" else +1.0
 
     def nonlinear(F):
         """Spectrum of -sign * |u|^{2a} u_x, zero mode pinned to its exact value 0."""
-        W = _padded_flux(grid, F, cfg.alpha, kpad)
+        W = _padded_flux(grid, F, cfg.alpha)
         W[0] = 0.0  # the flux is a perfect derivative: its mean vanishes identically
         return nl_sign * W
 
@@ -179,13 +169,6 @@ def flow_stepper(grid: Grid, cfg: EvolutionConfig) -> Stepper:
         ka = np.abs(grid.k)
         filt = np.exp(-36.0 * cfg.filter_strength * (ka / ka.max()) ** 36)
     return Stepper(sym, cfg.dt, nonlinear, filt)
-
-
-def step(grid: Grid, u, cfg: EvolutionConfig, stepper: Stepper | None = None):
-    """Advance one time step; convenience wrapper building the flow stepper if needed."""
-    st = stepper if stepper is not None else flow_stepper(grid, cfg)
-    F = grid.transform(u)
-    return np.fft.ifft(st.step_spectrum(F)).real
 
 
 def evolve(grid: Grid, u0, cfg: EvolutionConfig, observer=None) -> RunRecord:

@@ -15,9 +15,6 @@ import numpy as np
 from .errors import ContractError, ConvergenceError, ResolutionError, SeedError
 from .spectral import Grid, _check_alpha
 
-DEFAULT_HALF_LENGTH = 200.0
-DEFAULT_N = 4096
-
 
 def sech(z):
     e = np.exp(-np.abs(z))
@@ -46,11 +43,6 @@ class GroundState:
     sup_diff: float                 # last successive sup-norm difference
     pohozaev_residuals: tuple       # (mass/gradient, mass/potential, energy) relative
     energy_residual: float
-    decay_exponent_fit: float | None = None
-
-    @property
-    def q(self):
-        return self.values
 
     def derivative(self):
         return self.grid.derivative(self.values)
@@ -73,11 +65,6 @@ def pohozaev_residuals(grid: Grid, u, alpha: float):
     return ra, rb, rc
 
 
-def pohozaev_check(gs: GroundState):
-    """Recompute the identity residuals for a certified state."""
-    return pohozaev_residuals(gs.grid, gs.values, gs.alpha)
-
-
 def solve_ground_state(
     alpha: float,
     grid: Grid,
@@ -86,7 +73,6 @@ def solve_ground_state(
     tol_diff: float = 1e-12,
     tol_residual: float = 1e-9,
     max_iters: int = 2000,
-    fit_decay: bool = False,
 ) -> GroundState:
     """Petviashvili iteration with stabilizer exponent (2a+1)/(2a).
 
@@ -128,7 +114,7 @@ def solve_ground_state(
             history=history,
         )
     ra, rb, rc = pohozaev_residuals(grid, u, alpha)
-    gs = GroundState(
+    return GroundState(
         alpha=alpha,
         grid=grid,
         values=u,
@@ -139,12 +125,6 @@ def solve_ground_state(
         pohozaev_residuals=(ra, rb, rc),
         energy_residual=rc,
     )
-    if fit_decay:
-        try:
-            gs.decay_exponent_fit = decay_fit(gs)
-        except ResolutionError:
-            gs.decay_exponent_fit = None
-    return gs
 
 
 def continuation_ladder(alpha: float, grid: Grid, step: float = 0.25, **kwargs) -> GroundState:

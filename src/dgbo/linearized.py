@@ -34,9 +34,6 @@ class LinearizedOperator:
     gs: GroundState
     matrix: np.ndarray
 
-    def apply(self, v):
-        return apply_operator(self.gs, v)
-
 
 def assemble(gs: GroundState) -> LinearizedOperator:
     """Dense symmetric N x N collocation matrix of L (N <= 4096)."""
@@ -185,7 +182,7 @@ def coercivity_probe(
         nrm = _h1_norm_sq(grid, v)
         if nrm < 1e-12:
             continue
-        quot = grid.inner(op.apply(v), v) / nrm
+        quot = grid.inner(apply_operator(op.gs, v), v) / nrm
         mu_est = min(mu_est, quot)
 
     # exact minimum of (Lv,v)/||v||^2 restricted orthogonal to Q

@@ -165,8 +165,8 @@ def decompose(
 
 def scan_decompose(u, gs: GroundState, chi0, lam_window=(0.7, 1.4), rho_halfwidth=5.0, n_coarse=41):
     """Brute-force (lam, rho) solve: coarse grid on the squared orthogonality
-    residual followed by a Nelder-Mead polish. Slow; used as the test oracle
-    and as the fallback when Newton stalls.
+    residual followed by a Nelder-Mead polish. Slow; used only as the test oracle
+    for the Newton solve in ``decompose``.
     """
     grid, alpha = gs.grid, gs.alpha
     u = grid.check_field(u)
@@ -227,7 +227,7 @@ def _central_derivative(y, s):
     return d
 
 
-def track(times, states, gs: GroundState, chi0, keep_eta: bool = True, **dec_kwargs) -> ModulationTrack:
+def track(times, states, gs: GroundState, chi0) -> ModulationTrack:
     """Per-frame decomposition with warm starts; rho is unwrapped across the seam.
 
     Frames after the first decomposition failure are dropped and the track is
@@ -242,13 +242,12 @@ def track(times, states, gs: GroundState, chi0, keep_eta: bool = True, **dec_kwa
     truncated, trunc_at = False, None
     for t, u in zip(times, states):
         try:
-            st = decompose(u, gs, chi0, guess=guess, **dec_kwargs)
+            st = decompose(u, gs, chi0, guess=guess)
         except (DecompositionError, ClosenessError):
             truncated, trunc_at = True, float(t)
             break
         rows.append((float(t), st))
-        if keep_eta:
-            etas.append(st.eta)
+        etas.append(st.eta)
         guess = (st.lam, st.rho)
     if not rows:
         raise DecompositionError("no frame of the run was decomposable")

@@ -273,7 +273,7 @@ def check_eta_monotonicity(
     if x0 <= 1.0:
         raise ContractError(f"x0 must exceed 1, got {x0}")
     if not track.eta_fields:
-        raise WindowError("track carries no remainder fields; rerun track(keep_eta=True)")
+        raise WindowError("track carries no remainder fields")
     win = seam_window(grid, window_fraction)
     n = len(track.eta_fields)
     pairs = _select_pairs(n, max_pairs)

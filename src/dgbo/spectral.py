@@ -137,11 +137,10 @@ class Grid:
         mult = self.multiplier(alpha, kind)
         return self.inverse(mult * self.transform(f))
 
-    def derivative(self, f, order: int = 1):
-        """Spectral d^order/dx^order; odd orders get the Nyquist mode zeroed."""
-        sym = (1j * self.k) ** order
-        if order % 2 == 1:
-            sym[self.n // 2] = 0.0
+    def derivative(self, f):
+        """Spectral d/dx; the Nyquist mode is zeroed."""
+        sym = 1j * self.k
+        sym[self.n // 2] = 0.0
         return np.fft.ifft(sym * self.transform(f)).real
 
     # -- quadrature and norms -----------------------------------------------

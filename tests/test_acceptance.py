@@ -33,7 +33,7 @@ from dgbo import (
     stable_kernel,
     track,
 )
-from dgbo.cli import blowup_scan, write_scan
+from dgbo.scan import blowup_scan, write_scan
 from dgbo.dynamics import EvolutionConfig
 from dgbo.errors import ResolutionError
 from dgbo.ground_state import gkdv_profile, random_smooth_field, scaling_generator

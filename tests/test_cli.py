@@ -147,13 +147,43 @@ class TestCommands:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"parameters": {"alpha": 2.0, "n": 256}}))
         argv = ["ground-state", "--config", str(cfg_file)] + flag
-        args = build_parser().parse_args(_apply_config_defaults(build_parser(), argv))
+        args = build_parser().parse_args(_apply_config_defaults(argv))
         assert args.alpha == 1.5
         assert args.n == 256
 
     def test_config_error_exit_code(self, tmp_path):
         rc = main(["evolve", "--state", str(tmp_path / "missing"), "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_spectrum_beyond_dense_limit_is_a_config_error(self, tmp_path):
+        base = str(tmp_path / "gs")
+        rc = main(["ground-state", "--alpha", "2.0", "--half-length", "100.0", "--n", "8192",
+                   "--out", base])
+        assert rc == 0
+        assert main(["spectrum", "--state", base, "--out", str(tmp_path / "spec")]) == 2
+
+    def test_monotonicity_rejects_a_track_of_other_checkpoints(self, artifacts_dir, tmp_path):
+        gs, spec = str(artifacts_dir / "gs"), str(artifacts_dir / "spec")
+        runs = {}
+        for every in (100, 50):
+            runs[every] = str(tmp_path / f"run{every}")
+            rc = main([
+                "evolve", "--state", gs, "--t-end", "0.02", "--dt", "2e-4",
+                "--checkpoint-every", str(every),
+                "--perturbation", '{"bump": {"amplitude": 0.01, "width": 2.0}}',
+                "--out", runs[every],
+            ])
+            assert rc == 0
+        track_base = str(tmp_path / "track100")
+        rc = main(["modulate", "--run", runs[100], "--state", gs, "--chi0", spec,
+                   "--out", track_base])
+        assert rc == 0
+        # track times (0, 0.02) against checkpoint times (0, 0.01, 0.02)
+        rc = main(["monotonicity", "--run", runs[50], "--track", track_base,
+                   "--x0", "10", "--r", "1.5", "--A", "10",
+                   "--out", str(tmp_path / "mono.json")])
+        assert rc == 2
+        assert not os.path.exists(str(tmp_path / "mono.json"))
 
 
 class TestBlowupScan:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dgbo import (
     EvolutionConfig,
@@ -8,7 +11,6 @@ from dgbo import (
     evolve,
     flow_stepper,
     nonlinear_term,
-    step,
 )
 from dgbo.dynamics import default_dt, rescaled_config
 from dgbo.errors import ContractError
@@ -69,8 +71,26 @@ class TestConserved:
 class TestStep:
     def test_zero_data(self):
         g = Grid(30.0, 128)
-        out = step(g, np.zeros(128), soliton_cfg())
+        out = flow_stepper(g, soliton_cfg()).step_spectrum(g.transform(np.zeros(128)))
         assert np.max(np.abs(out)) == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(coefs=hnp.arrays(float, 16, elements=st.floats(-1.0, 1.0)),
+           mean=st.floats(-2.0, 2.0),
+           alpha=st.sampled_from([1.0, 1.5, 2.0]),
+           sign=st.sampled_from(["focusing", "defocusing"]),
+           frame_speed=st.sampled_from([0.0, 1.0]),
+           filter_strength=st.sampled_from([0.0, 1.0]))
+    def test_zero_mode_unchanged(self, coefs, mean, alpha, sign, frame_speed, filter_strength):
+        # random smooth data: a mean plus the eight lowest modes
+        g = Grid(20.0, 128)
+        F = np.zeros(g.n // 2 + 1, dtype=complex)
+        F[1:9] = coefs[:8] + 1j * coefs[8:]
+        u = mean + np.fft.irfft(F, g.n) * (g.n / 8)
+        cfg = EvolutionConfig(alpha=alpha, dt=1e-3, t_end=1.0, sign=sign,
+                              frame_speed=frame_speed, filter_strength=filter_strength)
+        F0 = g.transform(u)
+        assert flow_stepper(g, cfg).step_spectrum(F0)[0] == F0[0]
 
     def test_linear_regime_matches_exact_propagator(self):
         g = Grid(30.0, 256)

@@ -232,3 +232,28 @@ class TestResampling:
         assert np.max(np.abs(g.reflect(g.reflect(f)) - f)) == 0.0
         sym = g.symmetrize(f)
         assert np.max(np.abs(sym - g.reflect(sym))) < 1e-15
+
+
+def band_limited(n, coefs):
+    """Real field of length n whose modes |m| < n/2 are coefs (Nyquist mode zero)."""
+    F = np.zeros(n // 2 + 1, dtype=complex)
+    F[: n // 2] = coefs[: n // 2] + 1j * coefs[n // 2 :]
+    return np.fft.irfft(F, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(float, 64, elements=st.floats(-1.0, 1.0)),
+       st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+def test_shift_composes(coefs, a, b):
+    g = Grid(10.0, 64)
+    f = band_limited(g.n, coefs)
+    err = np.max(np.abs(g.shift(g.shift(f, a), b) - g.shift(f, a + b)))
+    assert err <= 1e-12 * max(1.0, np.max(np.abs(f)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4, 16, 64, 256]).flatmap(
+    lambda n: hnp.arrays(float, n, elements=st.floats(allow_nan=False))))
+def test_reflect_is_an_involution(f):
+    g = Grid(10.0, len(f))
+    assert np.array_equal(g.reflect(g.reflect(f)), f)
