@@ -18,7 +18,6 @@ STATUS_COMPLETED = "completed"
 STATUS_DIVERGED = "diverged"
 STATUS_RESOLUTION_LOST = "resolution_lost"
 
-PAD = 2            # nonlinear products are formed on a grid PAD times finer
 N_CONTOUR = 32     # contour points of the ETDRK4 coefficient averages
 
 
@@ -102,18 +101,16 @@ def conserved(grid: Grid, u, alpha: float, t: float = 0.0) -> Diagnostics:
 
 
 def _padded_flux(grid: Grid, F, alpha: float):
-    """Spectrum of |u|^{2 alpha} u_x, products formed on the PAD-times-finer grid."""
-    m = PAD * grid.n
-    v = np.fft.ifft(grid.pad(F, m)).real
-    vx = np.fft.ifft(grid.pad(1j * grid.k * F, m)).real
-    return grid.truncate(np.fft.fft(np.abs(v) ** (2.0 * alpha) * vx))
+    """Spectrum of |u|^{2 alpha} u_x, products formed on the padded grid."""
+    v = grid.fine(F)
+    vx = grid.fine(1j * grid.k * F)
+    return grid.coarse(np.abs(v) ** (2.0 * alpha) * vx)
 
 
 def nonlinear_term(grid: Grid, u, alpha: float):
-    """|u|^{2 alpha} u_x with spectral d/dx, products on a PAD-times-finer grid."""
+    """|u|^{2 alpha} u_x with spectral d/dx, products on the padded grid."""
     _check_alpha(alpha)
-    W = _padded_flux(grid, grid.transform(u), alpha)
-    return np.fft.ifft(W).real
+    return grid.field(_padded_flux(grid, grid.transform(u), alpha))
 
 
 class Stepper:
@@ -154,8 +151,7 @@ class Stepper:
 
 def flow_stepper(grid: Grid, cfg: EvolutionConfig) -> Stepper:
     """The ETDRK4 update of the dgBO flow for a fixed (grid, config)."""
-    sym = grid.multiplier(cfg.alpha, "dispersion") + 1j * cfg.frame_speed * grid.k
-    sym[grid.n // 2] = 0.0
+    sym = grid.multiplier(cfg.alpha, "dispersion") + cfg.frame_speed * grid.ik
     nl_sign = -1.0 if cfg.sign == "focusing" else +1.0
 
     def nonlinear(F):
@@ -189,7 +185,7 @@ def evolve(grid: Grid, u0, cfg: EvolutionConfig, observer=None) -> RunRecord:
         F = st.step_spectrum(F)
         if i % cfg.checkpoint_every == 0 or i == n_steps:
             t = i * cfg.dt
-            u = np.fft.ifft(F).real
+            u = grid.field(F)
             d = conserved(grid, u, cfg.alpha, t=t)
             rec.samples.append(d)
             if cfg.store_states:
@@ -207,7 +203,7 @@ def evolve(grid: Grid, u0, cfg: EvolutionConfig, observer=None) -> RunRecord:
             if observer is not None and observer(t, u, rec):
                 rec.final_state, rec.final_t = u, t
                 return rec
-    rec.final_state = np.fft.ifft(F).real
+    rec.final_state = grid.field(F)
     rec.final_t = n_steps * cfg.dt
     return rec
 

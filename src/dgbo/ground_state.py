@@ -95,9 +95,9 @@ def solve_ground_state(
         if np.min(u) < -0.1 * np.max(u):
             raise SeedError(f"sign-indefinite iterate at step {it} (alpha={alpha})")
         nl = np.abs(u) ** (2.0 * alpha) * u / p
-        lin = np.fft.ifft(riesz * np.fft.fft(u)).real + u
+        lin = grid.field(riesz * grid.transform(u)) + u
         m = float(np.sum(lin * u) / np.sum(nl * u))
-        unew = np.fft.ifft(m**gamma * np.fft.fft(nl) / denom).real
+        unew = grid.field(m**gamma * grid.transform(nl) / denom)
         unew = grid.symmetrize(unew)
         diff = float(np.max(np.abs(unew - u)))
         u = unew

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .dynamics import PAD, Stepper
+from .dynamics import Stepper
 from .errors import CapacityError, ContractError
 from .ground_state import GroundState
 from .spectral import Grid
@@ -44,7 +44,7 @@ def assemble(gs: GroundState) -> LinearizedOperator:
             f"dense assembly limited to N <= {DENSE_N_LIMIT}, got {n}; "
             "use apply_operator for matrix-free application"
         )
-    col = np.fft.ifft(grid.multiplier(gs.alpha, "riesz")).real
+    col = grid.field(grid.multiplier(gs.alpha, "riesz"))
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     mat = col[idx] + np.eye(n) - np.diag(np.abs(gs.values) ** (2.0 * gs.alpha))
     mat = 0.5 * (mat + mat.T)
@@ -246,20 +246,14 @@ def evolve_linearized(
     grid = gs.grid
     if dt <= 0 or t_end <= 0:
         raise ContractError("dt and t_end must be positive")
-    n = grid.n
-    sym = grid.multiplier(gs.alpha, "dispersion") + 1j * grid.k
-    sym[n // 2] = 0.0
-    # the potential stage -dx(Q^{2 alpha} w), products on the PAD-times-finer
-    # grid; without it the step is the exact free dispersive group
-    pot = np.abs(gs.values) ** (2.0 * gs.alpha) if include_potential else np.zeros(n)
-    m = PAD * n
-    pot_pad = np.fft.ifft(grid.pad(grid.transform(pot), m)).real
-    ikn = 1j * grid.k
-    ikn[n // 2] = 0.0
+    sym = grid.multiplier(gs.alpha, "dispersion") + grid.ik
+    # the potential stage -dx(Q^{2 alpha} w), products on the padded grid;
+    # without it the step is the exact free dispersive group
+    pot = np.abs(gs.values) ** (2.0 * gs.alpha) if include_potential else np.zeros(grid.n)
+    pot_fine = grid.fine(grid.transform(pot))
 
     def potential_term(F):
-        W = np.fft.fft(pot_pad * np.fft.ifft(grid.pad(F, m)).real)
-        return -ikn * grid.truncate(W)
+        return -grid.ik * grid.coarse(pot_fine * grid.fine(F))
 
     st = Stepper(sym, dt, potential_term)
     qp = gs.derivative()
@@ -272,7 +266,7 @@ def evolve_linearized(
     F = grid.transform(grid.check_field(w0))
 
     def record(t):
-        w = np.fft.ifft(F).real
+        w = grid.field(F)
         times.append(t)
         l2s.append(grid.norm_l2(w))
         sobs.append(grid.h_alpha_half_norm(w, gs.alpha))
@@ -299,6 +293,6 @@ def evolve_linearized(
         local_mass=np.array(locm),
         local_mass_defl=np.array(locd),
         states=states,
-        final_state=w if w is not None else np.fft.ifft(F).real,
+        final_state=w if w is not None else grid.field(F),
         window=window,
     )

@@ -35,10 +35,10 @@ def build_initial_data(grid: Grid, gs, recipe: dict, rng):
         nz = recipe["noise"]
         band = nz.get("band", 0.25)
         amp = nz.get("amplitude", 1e-3)
-        F = (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)).astype(complex)
+        F = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
         F[np.abs(grid.k) > band * grid.k_max] = 0.0
         F[0] = 0.0
-        w = np.fft.ifft(F + np.conj(F[np.r_[0, grid.n - 1 : 0 : -1]])).real
+        w = grid.field(F)
         peak = np.max(np.abs(w))
         if peak > 0:
             u = u + amp * w / peak
@@ -91,9 +91,11 @@ def blowup_scan(
     diverged/resolution flags. Leaving the modulation tube merely ends the
     lambda tracking (subcritical data disperses away from the family); it is
     recorded but is not an indicator. Runs are observed in the frame moving
-    at the unit soliton speed so the scan box can stay small.
+    at the unit soliton speed so the scan box can stay small. Rows not
+    certified supercritical run to ``min(t_end_bounded, t_end_super)``.
     """
     grid = grid if grid is not None else Grid(48.0, 1024)
+    t_end_bounded = min(t_end_bounded, t_end_super)
     gs = continuation_ladder(alpha, grid)
     rep = spectrum(assemble(gs))
     chi0 = rep.chi0

@@ -2,7 +2,8 @@
 
 A field is a real numpy array of length ``grid.n`` sampled at the collocation
 points of a ``Grid``; its discrete Fourier coefficients follow the numpy FFT
-layout. All fractional operators are diagonal Fourier multipliers:
+layout, which no module but this one sees. All fractional operators are
+diagonal Fourier multipliers:
 
     riesz       |k|^alpha          (the fractional derivative |D|^alpha)
     half_riesz  |k|^(alpha/2)
@@ -22,6 +23,7 @@ from .errors import ContractError, ResolutionError
 
 ALPHA_MIN = 1.0
 ALPHA_MAX = 2.0
+PAD = 2  # nonlinear products are formed on a grid PAD times finer
 
 MULTIPLIER_KINDS = ("riesz", "half_riesz", "dispersion", "semigroup")
 
@@ -55,6 +57,15 @@ class Grid:
     def k(self):
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
 
+    @cached_property
+    def ik(self):
+        """The d/dx symbol i k with the Nyquist mode zeroed (read-only)."""
+        ik = 1j * self.k
+        # no real antisymmetric assignment exists for an odd symbol at Nyquist
+        ik[self.n // 2] = 0.0
+        ik.flags.writeable = False
+        return ik
+
     @property
     def k_max(self):
         return np.pi * (self.n // 2) / self.half_length
@@ -75,33 +86,27 @@ class Grid:
     # -- transforms ---------------------------------------------------------
 
     def check_field(self, f):
+        """A real field on this grid: real fields in, real fields out."""
         f = np.asarray(f)
-        if f.shape != (self.n,):
-            raise ContractError(f"field length {f.shape} does not match grid n={self.n}")
+        if f.shape != (self.n,) or np.iscomplexobj(f):
+            raise ContractError(f"need a real field of length {self.n}, got {f.dtype} {f.shape}")
         return f
 
     def transform(self, f):
         """Forward DFT of a real field."""
         return np.fft.fft(self.check_field(f))
 
-    def inverse(self, F):
-        """Inverse DFT, discarding the (checked) imaginary residue."""
-        F = np.asarray(F)
-        if F.shape != (self.n,):
-            raise ContractError(f"coefficient length {F.shape} does not match grid n={self.n}")
-        u = np.fft.ifft(F)
-        scale = np.max(np.abs(u.real))
-        if scale > 0 and np.max(np.abs(u.imag)) > 1e-8 * scale:
-            raise ContractError("inverse transform produced a non-real field")
-        return u.real
+    def field(self, F):
+        """The real field with coefficients F (the imaginary residue is dropped)."""
+        return np.fft.ifft(F).real
 
-    def pad(self, F, m: int):
-        """Coefficients of the same trigonometric interpolant on an m-point grid.
+    def pad(self, F):
+        """Coefficients of the same trigonometric interpolant on the PAD-times-finer grid.
 
         The Nyquist coefficient goes to the negative side; the m/n factor keeps
         the sampled values unchanged under numpy's 1/m inverse normalisation.
         """
-        n = self.n
+        n, m = self.n, PAD * self.n
         Fp = np.zeros(m, dtype=complex)
         Fp[: n // 2] = F[: n // 2]
         Fp[m - n // 2 :] = F[n // 2 :]
@@ -112,6 +117,14 @@ class Grid:
         """Inverse of ``pad``: keep the n lowest modes of m-point coefficients."""
         n, m = self.n, len(W)
         return np.concatenate([W[: n // 2], W[m - n // 2 :]]) * (n / m)
+
+    def fine(self, F):
+        """Values on the PAD-times-finer grid of the interpolant with coefficients F."""
+        return self.field(self.pad(F))
+
+    def coarse(self, w):
+        """Coefficients on this grid of values ``w`` on the PAD-times-finer grid."""
+        return self.truncate(np.fft.fft(w))
 
     # -- multipliers --------------------------------------------------------
 
@@ -124,10 +137,7 @@ class Grid:
         if kind == "half_riesz":
             return ka ** (alpha / 2.0)
         if kind == "dispersion":
-            m = 1j * self.k * ka**alpha
-            # no real antisymmetric assignment exists for the odd symbol at Nyquist
-            m[self.n // 2] = 0.0
-            return m
+            return self.ik * ka**alpha
         if kind == "semigroup":
             return np.exp(-(ka**alpha))
         raise ContractError(f"unknown multiplier kind {kind!r}")
@@ -135,13 +145,11 @@ class Grid:
     def apply_multiplier(self, f, alpha: float, kind: str = "riesz"):
         """F^{-1}[ m(k) F[f] ] for the requested symbol, returned as a real field."""
         mult = self.multiplier(alpha, kind)
-        return self.inverse(mult * self.transform(f))
+        return self.field(mult * self.transform(f))
 
     def derivative(self, f):
         """Spectral d/dx; the Nyquist mode is zeroed."""
-        sym = 1j * self.k
-        sym[self.n // 2] = 0.0
-        return np.fft.ifft(sym * self.transform(f)).real
+        return self.field(self.ik * self.transform(f))
 
     # -- quadrature and norms -----------------------------------------------
 
@@ -181,7 +189,7 @@ class Grid:
         """f(x - delta) by exact Fourier phase."""
         F = self.transform(f) * np.exp(-1j * self.k * delta)
         F[self.n // 2] = F[self.n // 2].real  # keep conjugate symmetry at Nyquist
-        return np.fft.ifft(F).real
+        return self.field(F)
 
     def reflect(self, f):
         """f(-x) on the periodic grid."""
@@ -200,7 +208,7 @@ class Grid:
         Nyquist coefficient is dropped (negligible for resolved fields).
         """
         n, L = self.n, self.half_length
-        F = self.transform(f).astype(complex)
+        F = self.transform(f)
         F[n // 2] = 0.0
         c = shift + L - scale * L
         G = np.fft.fftshift(F * np.exp(1j * self.k * c))
@@ -212,7 +220,7 @@ class Grid:
     def evaluate(self, f, points):
         """Trigonometric interpolation of f at arbitrary points (dense, O(N*M))."""
         pts = np.atleast_1d(np.asarray(points, dtype=float))
-        F = self.transform(f).astype(complex)
+        F = self.transform(f)
         F[self.n // 2] = 0.0
         phase = np.exp(1j * np.outer(pts + self.half_length, self.k))
         vals = (phase @ (F / self.n)).real
@@ -227,7 +235,7 @@ class Grid:
         Ff = self.transform(f)
         Fg = self.transform(g)
         A = Ff * np.conj(Fg)
-        corr = np.fft.ifft(A).real  # corr[j] = sum_m f_m g_{m-j} ordering
+        corr = self.field(A)  # corr[j] = sum_m f_m g_{m-j} ordering
         if guess is None:
             j0 = int(np.argmax(corr))
             s = (j0 * self.h + self.half_length) % (2 * self.half_length) - self.half_length
@@ -274,7 +282,7 @@ def stable_kernel(alpha: float, grid: Grid, certify: bool = True):
     # is (+1) at Nyquist since n/2 is even for n a power of two >= 4
     phase = np.ones(n)
     phase[1::2] = -1.0
-    K = np.fft.ifft(phase * khat).real * (n / (2 * L))
+    K = grid.field(phase * khat) * (n / (2 * L))
     if certify:
         peak = float(np.max(K))
         floor = 100.0 * np.finfo(float).eps * peak  # roundoff level of the synthesis

@@ -209,3 +209,13 @@ class TestBlowupScan:
             assert supercritical == "True" and beta > 0
             assert tripped == "True"
             assert sign_ok == "True"
+
+    def test_short_horizon_reaches_bounded_rows(self, tmp_path):
+        out = str(tmp_path / "short")
+        assert main([
+            "blowup-scan", "--alpha", "2", "--amplitudes", "1.06:1.06:0.01",
+            "--include-bounded", "--t-end", "0.05", "--half-length", "24", "--n", "256",
+            "--out", out,
+        ]) == 0
+        with open(os.path.join(out, "scan.json")) as fh:
+            assert json.load(fh)["t_end_bounded"] == 0.05

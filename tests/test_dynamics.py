@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from dgbo import (
     EvolutionConfig,
     Grid,
+    Stepper,
     conserved,
     evolve,
     flow_stepper,
@@ -190,6 +191,27 @@ class TestOrderAndSymmetry:
         recB = evolve(gB, v0, rescaled_config(cfgA, lam0))
         want = lam0 ** (-1.0 / alpha) * recA.final_state
         assert np.max(np.abs(recB.final_state - want)) < 1e-10 * np.max(np.abs(want))
+
+    @settings(max_examples=25, deadline=None)
+    @given(coefs=hnp.arrays(float, 16, elements=st.floats(-1.0, 1.0)),
+           alpha=st.sampled_from([1.0, 1.5, 2.0]),
+           sign=st.sampled_from(["focusing", "defocusing"]),
+           frame_speed=st.sampled_from([0.0, 1.0]),
+           filter_strength=st.sampled_from([0.0, 1.0]))
+    def test_step_commutes_with_reflection(self, coefs, alpha, sign, frame_speed, filter_strength):
+        # x -> -x, t -> -t: reflect(S_dt u) == S_{-dt}(reflect u) on smooth data
+        g = Grid(20.0, 128)
+        F = np.zeros(g.n // 2 + 1, dtype=complex)
+        F[1:9] = coefs[:8] + 1j * coefs[8:]
+        u = np.fft.irfft(F, g.n) * (g.n / 8)
+        cfg = EvolutionConfig(alpha=alpha, dt=1e-3, t_end=1.0, sign=sign,
+                              frame_speed=frame_speed, filter_strength=filter_strength)
+        fwd = flow_stepper(g, cfg)
+        sym = g.multiplier(alpha, "dispersion") + frame_speed * g.ik
+        bwd = Stepper(sym, -cfg.dt, fwd.nonlinear, fwd.filter)
+        lhs = g.reflect(g.field(fwd.step_spectrum(g.transform(u))))
+        rhs = g.field(bwd.step_spectrum(g.transform(g.reflect(u))))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(u)))
 
     def test_time_space_reflection_symmetry(self):
         g = Grid(40.0, 512)

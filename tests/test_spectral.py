@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import dgbo
 from dgbo import Grid, stable_kernel
 from dgbo.errors import ContractError, ResolutionError
 from dgbo.ground_state import gkdv_profile
@@ -52,7 +55,7 @@ def test_roundtrip_against_dense_dft(rng):
     g = Grid(25.0, 256)
     f = rng.standard_normal(256)
     assert np.max(np.abs(g.transform(f) - dense_dft(g, f))) < 1e-10
-    assert np.max(np.abs(g.inverse(g.transform(f)) - f)) < 1e-12
+    assert np.max(np.abs(g.field(g.transform(f)) - f)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024, 8192])
@@ -68,7 +71,7 @@ def test_parseval(n, rng):
 def test_pad_truncate_roundtrip(f):
     g = Grid(10.0, len(f))
     F = g.transform(f)
-    Fp = g.pad(F, 2 * g.n)
+    Fp = g.pad(F)
     assert np.array_equal(g.truncate(Fp), F)
     # the padded interpolant takes the original values on the even fine points
     err = np.max(np.abs(np.fft.ifft(Fp)[::2] - np.fft.ifft(F)))
@@ -81,6 +84,22 @@ def test_length_mismatch():
         g.transform(np.zeros(65))
     with pytest.raises(ContractError):
         g.inner(np.zeros(64), np.zeros(32))
+
+
+def test_complex_field_rejected():
+    g = Grid(10.0, 64)
+    z = np.zeros(64, dtype=complex)
+    with pytest.raises(ContractError):
+        g.transform(z)
+    with pytest.raises(ContractError):
+        g.inner(np.zeros(64), z)
+
+
+def test_fourier_layout_lives_in_spectral():
+    src = Path(dgbo.__file__).parent
+    users = [p.name for p in sorted(src.glob("*.py"))
+             if p.name != "spectral.py" and "np.fft" in p.read_text()]
+    assert users == []
 
 
 class TestMultipliers:
@@ -257,3 +276,12 @@ def test_shift_composes(coefs, a, b):
 def test_reflect_is_an_involution(f):
     g = Grid(10.0, len(f))
     assert np.array_equal(g.reflect(g.reflect(f)), f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.5, 100.0), st.sampled_from([2, 4, 16, 64, 256]).flatmap(
+    lambda n: hnp.arrays(float, n, elements=st.floats(-1e3, 1e3))))
+def test_parseval_and_roundtrip_on_random_grids(half_length, f):
+    g = Grid(half_length, len(f))
+    assert parseval_residual(g, f) < 1e-12
+    assert np.max(np.abs(g.field(g.transform(f)) - f)) <= 1e-12 * (1.0 + np.max(np.abs(f)))
