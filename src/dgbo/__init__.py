@@ -52,6 +52,7 @@ from .monotonicity import (
     MonotonicityReport,
     Weight,
     build_weight,
+    calibrate,
     calibrate_budget,
     calibrate_eta_budget,
     check_eta_monotonicity,

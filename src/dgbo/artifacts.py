@@ -18,6 +18,7 @@ from .errors import ContractError
 from .ground_state import GroundState
 from .linearized import SpectrumReport
 from .modulation import ModulationTrack
+from .monotonicity import WINDOW_FRACTION
 from .spectral import Grid
 
 FLOAT_FMT = "%.17g"
@@ -315,7 +316,7 @@ def write_monotonicity(path, reports, header_extra=None):
                 "error_budget": r.error_budget,
                 "verdicts": r.verdicts.astype(bool),
                 "all_true": r.all_true,
-                "window_fraction": r.window_fraction,
+                "window_fraction": WINDOW_FRACTION,
             }
             for r in reports
         ],

@@ -14,6 +14,7 @@ scan (inside a scan a divergence indicator is a successful finding).
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,8 +47,7 @@ from .linearized import assemble, evolve_linearized, spectrum
 from .modulation import track
 from .monotonicity import (
     build_weight,
-    calibrate_budget,
-    calibrate_eta_budget,
+    calibrate,
     check_eta_monotonicity,
     check_left_monotonicity,
     check_right_monotonicity,
@@ -144,22 +144,21 @@ def _cmd_monotonicity(args):
             f"track {args.track} times are not a prefix of the checkpoint times of {args.run}"
         )
     fields = [u for _, u in states][: len(times)]
-    weight = build_weight(args.r, args.A, grid)
+    weight = build_weight(args.r, args.A)
     x0_list = [float(v) for v in args.x0.split(",")]
-    reports = []
-    for x0 in x0_list:
-        for kind, check in (("right", check_right_monotonicity), ("left", check_left_monotonicity)):
-            c0 = args.c0 if args.c0 is not None else calibrate_budget(
-                times, fields, rhos, weight, [x0], args.mu, grid, kind=kind
-            )
-            reports.append(check(times, fields, rhos, weight, x0, args.mu, c0, grid))
+    # each check runs once at c0 = 0 and is re-budgeted with its own calibration
+    # (or --c0 for the sided checks); the eta constant is always calibrated
+    sided = [check(times, fields, rhos, weight, x0, args.mu, 0.0, grid)
+             for x0 in x0_list for check in (check_right_monotonicity, check_left_monotonicity)]
+    reports = [replace(rep, c0=args.c0 if args.c0 is not None else calibrate([rep]))
+               for rep in sided]
     if args.state and args.chi0:
         gs = read_ground_state(args.state)
         _, chi0 = read_chi0(args.chi0)
         tr = track(times, fields, gs, chi0)
         for x0 in x0_list:
-            c = calibrate_eta_budget(tr, weight, [x0], args.mu, grid)
-            reports.append(check_eta_monotonicity(tr, weight, x0, args.mu, c, grid))
+            rep = check_eta_monotonicity(tr, weight, x0, args.mu, 0.0, grid)
+            reports.append(replace(rep, c0=calibrate([rep])))
     write_monotonicity(args.out, reports, header_extra={"run": args.run, "track": args.track})
     bad = [r for r in reports if not r.all_true]
     print(f"{len(reports)} reports, {len(bad)} with violations -> {args.out}")

@@ -31,13 +31,17 @@ class ModulationState:
     iterations: int
 
 
+def _frame(grid: Grid, u, lam, rho, alpha):
+    """v(y) = lam^{1/a} u(lam^{2/a} y + rho) on the reference grid."""
+    return lam ** (1.0 / alpha) * grid.resample_scaled(u, scale=lam ** (2.0 / alpha), shift=rho)
+
+
 def _rescaled_frame(grid: Grid, u, uprime, lam, rho, alpha):
-    """v(y) = lam^{1/a} u(lam^{2/a} y + rho) and v_y on the reference grid."""
+    """v and v_y = lam^{3/a} u'(lam^{2/a} y + rho) on the reference grid."""
     s = lam ** (2.0 / alpha)
     amp = lam ** (1.0 / alpha)
-    v = amp * grid.resample_scaled(u, scale=s, shift=rho)
     vy = amp * s * grid.resample_scaled(uprime, scale=s, shift=rho)
-    return v, vy
+    return _frame(grid, u, lam, rho, alpha), vy
 
 
 def _orthogonality(grid, eta, qp, chi0):
@@ -122,7 +126,7 @@ def decompose(
             lam_try = lam + scale * step[0]
             rho_try = rho + scale * step[1]
             if lam_try > 0:
-                v_t, _ = _rescaled_frame(grid, u, uprime, lam_try, rho_try, alpha)
+                v_t = _frame(grid, u, lam_try, rho_try, alpha)
                 t1, t2 = _orthogonality(grid, v_t - gs.values, qp, chi0)
                 if max(abs(t1), abs(t2)) < max(gn, g_norm_prev):
                     break
@@ -144,11 +148,6 @@ def decompose(
             f"remainder H^{{a/2}} norm {eta_sob:.3e} exceeds closeness ceiling {ceiling:.3e}"
         )
     weighted = float(np.sqrt(grid.quadrature(eta**2 / (1.0 + grid.x**2))))
-    # (lam, rho) and (lam, rho + lam^{2/a} 2L k) parameterize the same periodic
-    # decomposition; pick the branch whose frame origin sits nearest the peak
-    period = lam ** (2.0 / alpha) * 2.0 * grid.half_length
-    x_peak = float(grid.x[int(np.argmax(np.abs(u)))])
-    rho = rho + period * np.round((x_peak - rho) / period)
     return ModulationState(
         lam=lam,
         rho=((rho + grid.half_length) % (2.0 * grid.half_length)) - grid.half_length,
@@ -171,15 +170,13 @@ def scan_decompose(u, gs: GroundState, chi0, lam_window=(0.7, 1.4), rho_halfwidt
     grid, alpha = gs.grid, gs.alpha
     u = grid.check_field(u)
     qp = gs.derivative()
-    uprime = grid.derivative(u)
     rho_c = float(grid.x[int(np.argmax(np.abs(u)))])
 
     def objective(p):
         lam, rho = p
         if lam <= 0.05:
             return 1e12
-        v, _ = _rescaled_frame(grid, u, uprime, lam, rho, alpha)
-        g1, g2 = _orthogonality(grid, v - gs.values, qp, chi0)
+        g1, g2 = _orthogonality(grid, _frame(grid, u, lam, rho, alpha) - gs.values, qp, chi0)
         return g1 * g1 + g2 * g2
 
     lams = np.linspace(lam_window[0], lam_window[1], n_coarse)

@@ -8,58 +8,36 @@ qualitative statements into regression checks. The Kato-identity breakdown of
 d/dt of the weighted mass is exposed term by term.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 from scipy.special import gamma as gamma_fn
-from scipy.special import roots_legendre
 
 from .errors import ContractError, WindowError
 from .modulation import ModulationTrack
 from .spectral import Grid
 
-_GL_NODES, _GL_WEIGHTS = roots_legendre(12)
+WINDOW_FRACTION = 0.05     # seam_window ramp width, as a fraction of the half-length
+MAX_PAIRS = 64
+CALIBRATION_MARGIN = 2.0
+CALIBRATION_FLOOR = 1e-10
 
 
 @dataclass
 class Weight:
     r: float
     A: float
-    phi_total: float
-    knot_spacing: float
-    knots: np.ndarray        # cumulative integral of <s>^{-2r} from 0 at uniform knots
-    table_edge: float
+    phi_total: float         # int_R <s>^{-2r} ds = sqrt(pi) Gamma(r - 1/2) / Gamma(r)
 
     # -- unscaled profile -----------------------------------------------------
 
-    def _cumulative(self, y):
-        """int_0^y <s>^{-2r} ds for y >= 0, table knot + per-point GL remainder."""
-        y = np.asarray(y, dtype=float)
-        idx = np.minimum((y / self.knot_spacing).astype(int), len(self.knots) - 1)
-        base = self.knots[idx]
-        lo = idx * self.knot_spacing
-        halft = 0.5 * (y - lo)
-        mid = lo + halft
-        nodes = mid[..., None] + halft[..., None] * _GL_NODES
-        rem = halft * np.sum(_GL_WEIGHTS * (1.0 + nodes**2) ** (-self.r), axis=-1)
-        out = base + rem
-        big = y > self.table_edge
-        if np.any(big):
-            out = np.where(big, 0.5 * self.phi_total - self._tail(np.maximum(y, 1.0)), out)
-        return out
-
-    def _tail(self, y):
-        """int_y^inf <s>^{-2r} ds by asymptotic expansion (y > table edge)."""
-        r = self.r
-        t1 = y ** (1.0 - 2.0 * r) / (2.0 * r - 1.0)
-        t2 = -r * y ** (-1.0 - 2.0 * r) / (2.0 * r + 1.0)
-        t3 = 0.5 * r * (r + 1.0) * y ** (-3.0 - 2.0 * r) / (2.0 * r + 3.0)
-        return t1 + t2 + t3
-
     def phi(self, x):
+        """Closed form through t = 1/(1+s^2): the tail int_{|x|}^inf <s>^{-2r} ds
+        is (phi_total/2) I_{1/(1+x^2)}(r - 1/2, 1/2), I the regularized incomplete beta."""
         x = np.asarray(x, dtype=float)
-        p = self._cumulative(np.abs(x))
-        return 0.5 * self.phi_total + np.sign(x) * p
+        tail = 0.5 * self.phi_total * betainc(self.r - 0.5, 0.5, 1.0 / (1.0 + x**2))
+        return np.where(x <= 0.0, tail, self.phi_total - tail)
 
     def dphi(self, x):
         return (1.0 + np.asarray(x, dtype=float) ** 2) ** (-self.r)
@@ -77,8 +55,8 @@ class Weight:
         return (1.0 + (np.asarray(x) / self.A) ** 2) ** (-self.r / 2.0) / np.sqrt(self.A)
 
 
-def build_weight(r: float, A: float, grid: Grid | None = None) -> Weight:
-    """Tabulate the weight; the table covers the grid extent with margin."""
+def build_weight(r: float, A: float) -> Weight:
+    """The weight of exponent r, 1/2 < r <= 3/2, dilated by A >= 1."""
     if not r > 0.5:
         raise ContractError(f"r must exceed 1/2, got {r}")
     if r > 1.5:
@@ -86,27 +64,10 @@ def build_weight(r: float, A: float, grid: Grid | None = None) -> Weight:
     if A < 1.0:
         raise ContractError(f"A must be >= 1, got {A}")
     phi_total = float(np.sqrt(np.pi) * gamma_fn(r - 0.5) / gamma_fn(r))
-    span = 4.0 * grid.half_length / A if grid is not None else 0.0
-    edge = max(256.0, span)
-    spacing = 0.25
-    n_panels = int(np.ceil(edge / spacing))
-    edges = spacing * np.arange(n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    halfw = 0.5 * spacing
-    nodes = mid[:, None] + halfw * _GL_NODES[None, :]
-    panels = halfw * np.sum(_GL_WEIGHTS * (1.0 + nodes**2) ** (-r), axis=1)
-    knots = np.concatenate([[0.0], np.cumsum(panels)])
-    return Weight(
-        r=float(r),
-        A=float(A),
-        phi_total=phi_total,
-        knot_spacing=spacing,
-        knots=knots,
-        table_edge=float(edges[-1]),
-    )
+    return Weight(r=float(r), A=float(A), phi_total=phi_total)
 
 
-def seam_window(grid: Grid, fraction: float = 0.05):
+def seam_window(grid: Grid, fraction: float = WINDOW_FRACTION):
     """1 on the inner part of the box, cosine ramp to 0 on the outer fraction."""
     ax = np.abs(grid.x) / grid.half_length
     t = np.clip((ax - (1.0 - 2.0 * fraction)) / fraction, 0.0, 1.0)
@@ -169,11 +130,20 @@ def commutator_residual(grid: Grid, u, weight: Weight, alpha: float, center: flo
     return lhs + sur, grid.quadrature(u**2 * dphi)
 
 
+
+
 # -- monotonicity checks --------------------------------------------------------
 
 
 @dataclass
 class MonotonicityReport:
+    """Pairwise statements lhs <= base + c0 * unit_budget.
+
+    Everything that depends on the budget constant is derived from ``c0``, so
+    ``dataclasses.replace(report, c0=c)`` re-budgets a report without
+    recomputing a functional.
+    """
+
     kind: str                      # right | left | eta
     x0: float
     mu: float
@@ -182,21 +152,54 @@ class MonotonicityReport:
     c0: float
     pairs: list                    # (t1, t2) or (s1, s2)
     lhs: np.ndarray
-    rhs: np.ndarray                # including the error budget
-    slack: np.ndarray              # rhs - lhs, reported even when negative
-    error_budget: np.ndarray
-    verdicts: np.ndarray
-    all_true: bool
-    window_fraction: float
-    metadata: dict = field(default_factory=dict)
+    base: np.ndarray               # right-hand side before the error budget
+    unit_budget: np.ndarray        # error budget at c0 = 1
+
+    @property
+    def error_budget(self):
+        return self.c0 * self.unit_budget
+
+    @property
+    def rhs(self):
+        return self.base + self.error_budget
+
+    @property
+    def slack(self):
+        """rhs - lhs, reported even when negative."""
+        return self.rhs - self.lhs
+
+    @property
+    def verdicts(self):
+        return self.lhs <= self.rhs
+
+    @property
+    def all_true(self):
+        return bool(np.all(self.verdicts))
 
 
-def _select_pairs(n, max_pairs=64):
+def _select_pairs(n, max_pairs):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if len(pairs) > max_pairs:
         stride = int(np.ceil(len(pairs) / max_pairs))
         pairs = pairs[::stride]
     return pairs
+
+
+def _check_domain(x0, mu):
+    if x0 <= 1.0:
+        raise ContractError(f"x0 must exceed 1, got {x0}")
+    if not 0.0 < mu < 1.0:
+        raise ContractError(f"mu must lie in (0,1), got {mu}")
+
+
+def _report(kind, times, pair_terms, weight: Weight, x0, mu, c0, max_pairs):
+    """Evaluate pair_terms(i, j) -> (lhs, base, unit_budget) on the sampled pairs."""
+    pairs = _select_pairs(len(times), max_pairs)
+    lhs, base, unit = np.array([pair_terms(i, j) for i, j in pairs], dtype=float).reshape(-1, 3).T
+    return MonotonicityReport(
+        kind=kind, x0=x0, mu=mu, r=weight.r, A=weight.A, c0=c0,
+        pairs=[(times[i], times[j]) for i, j in pairs], lhs=lhs, base=base, unit_budget=unit,
+    )
 
 
 def _mass_functional(grid, u, weight, center, window):
@@ -205,80 +208,61 @@ def _mass_functional(grid, u, weight, center, window):
 
 def _check_sided(
     kind, times, states, rhos, weight: Weight, x0: float, mu: float, c0: float,
-    grid: Grid, window_fraction: float, max_pairs: int,
+    grid: Grid, max_pairs: int,
 ) -> MonotonicityReport:
     """Weighted mass at t2 against its t1 value, x0 to the right or left of rho.
 
-    lhs(t2) <= rhs(t1) + c0/x0^{2r-1} for all sampled pairs t1 < t2. The
+    lhs(t2) <= base(t1) + c0/x0^{2r-1} for all sampled pairs t1 < t2. The
     mu-shift of the center moves the t1 functional on the right and the t2
     functional on the left.
     """
-    if x0 <= 1.0:
-        raise ContractError(f"x0 must exceed 1, got {x0}")
-    if not 0.0 < mu < 1.0:
-        raise ContractError(f"mu must lie in (0,1), got {mu}")
+    _check_domain(x0, mu)
     if len(times) != len(states) or len(times) != len(rhos):
         raise WindowError("times/states/rhos length mismatch")
     side = 1.0 if kind == "right" else -1.0
-    win = seam_window(grid, window_fraction)
-    pairs = _select_pairs(len(times), max_pairs)
-    budget = c0 / x0 ** (2.0 * weight.r - 1.0)
-    lhs, rhs, tpairs = [], [], []
-    for i, j in pairs:
+    win = seam_window(grid)
+    unit = x0 ** (1.0 - 2.0 * weight.r)
+
+    def pair_terms(i, j):
         shift = side * mu * (rhos[j] - rhos[i])
         shift1, shift2 = (shift, 0.0) if kind == "right" else (0.0, shift)
-        l = _mass_functional(grid, states[j], weight, rhos[j] + shift2 + side * x0, win)
-        r0 = _mass_functional(grid, states[i], weight, rhos[i] + shift1 + side * x0, win)
-        lhs.append(l)
-        rhs.append(r0 + budget)
-        tpairs.append((times[i], times[j]))
-    lhs = np.array(lhs)
-    rhs = np.array(rhs)
-    verdicts = lhs <= rhs
-    return MonotonicityReport(
-        kind=kind, x0=x0, mu=mu, r=weight.r, A=weight.A, c0=c0,
-        pairs=tpairs, lhs=lhs, rhs=rhs, slack=rhs - lhs,
-        error_budget=np.full(len(pairs), budget), verdicts=verdicts,
-        all_true=bool(np.all(verdicts)), window_fraction=window_fraction,
-    )
+        lhs = _mass_functional(grid, states[j], weight, rhos[j] + shift2 + side * x0, win)
+        base = _mass_functional(grid, states[i], weight, rhos[i] + shift1 + side * x0, win)
+        return lhs, base, unit
+
+    return _report(kind, times, pair_terms, weight, x0, mu, c0, max_pairs)
 
 
 def check_right_monotonicity(
     times, states, rhos, weight: Weight, x0: float, mu: float, c0: float,
-    grid: Grid, *, window_fraction: float = 0.05, max_pairs: int = 64,
+    grid: Grid, *, max_pairs: int = MAX_PAIRS,
 ) -> MonotonicityReport:
     """Weighted mass on the right of the soliton, mu-shift at t1."""
-    return _check_sided("right", times, states, rhos, weight, x0, mu, c0, grid,
-                        window_fraction, max_pairs)
+    return _check_sided("right", times, states, rhos, weight, x0, mu, c0, grid, max_pairs)
 
 
 def check_left_monotonicity(
     times, states, rhos, weight: Weight, x0: float, mu: float, c0: float,
-    grid: Grid, *, window_fraction: float = 0.05, max_pairs: int = 64,
+    grid: Grid, *, max_pairs: int = MAX_PAIRS,
 ) -> MonotonicityReport:
     """Mirror statement on the left, mu-shift at t2."""
-    return _check_sided("left", times, states, rhos, weight, x0, mu, c0, grid,
-                        window_fraction, max_pairs)
+    return _check_sided("left", times, states, rhos, weight, x0, mu, c0, grid, max_pairs)
 
 
 def check_eta_monotonicity(
     track: ModulationTrack, weight: Weight, x0: float, mu: float, c_err: float,
-    grid: Grid, *, window_fraction: float = 0.05, max_pairs: int = 64,
+    grid: Grid, *, max_pairs: int = MAX_PAIRS,
 ) -> MonotonicityReport:
     """Weighted remainder mass in rescaled time, bounded-soliton regime.
 
     The error budget is c_err * int_{s1}^{s2} ||eta(s)||^2 (x0+mu(s2-s))^{-2r} ds,
     quadratured over the track samples.
     """
-    if x0 <= 1.0:
-        raise ContractError(f"x0 must exceed 1, got {x0}")
+    _check_domain(x0, mu)
     if not track.eta_fields:
         raise WindowError("track carries no remainder fields")
-    win = seam_window(grid, window_fraction)
-    n = len(track.eta_fields)
-    pairs = _select_pairs(n, max_pairs)
+    win = seam_window(grid)
     a = track.alpha
-    lhs, rhs, budgets, spairs = [], [], [], []
 
     def functional(i, shift):
         scale = track.lam[i] ** (2.0 / a)
@@ -286,62 +270,43 @@ def check_eta_monotonicity(
         w = (weight.phi_a(arg) - weight.phi_a(-x0 - shift)) * win
         return grid.quadrature(track.eta_fields[i] ** 2 * w)
 
-    for i, j in pairs:
+    def pair_terms(i, j):
         s1, s2 = track.s[i], track.s[j]
-        l = functional(j, 0.0)
-        r0 = functional(i, mu * (s2 - s1))
-        seg = slice(i, j + 1)
-        ss = track.s[seg]
-        integrand = track.eta_l2[seg] ** 2 / (x0 + mu * (s2 - ss)) ** (2.0 * weight.r)
-        budget = c_err * float(np.trapezoid(integrand, ss)) if j > i else 0.0
-        lhs.append(l)
-        rhs.append(r0 + budget)
-        budgets.append(budget)
-        spairs.append((s1, s2))
-    lhs = np.array(lhs)
-    rhs = np.array(rhs)
-    verdicts = lhs <= rhs
-    return MonotonicityReport(
-        kind="eta", x0=x0, mu=mu, r=weight.r, A=weight.A, c0=c_err,
-        pairs=spairs, lhs=lhs, rhs=rhs, slack=rhs - lhs,
-        error_budget=np.array(budgets), verdicts=verdicts,
-        all_true=bool(np.all(verdicts)), window_fraction=window_fraction,
-    )
+        ss = track.s[i:j + 1]
+        integrand = track.eta_l2[i:j + 1] ** 2 / (x0 + mu * (s2 - ss)) ** (2.0 * weight.r)
+        return functional(j, 0.0), functional(i, mu * (s2 - s1)), np.trapezoid(integrand, ss)
+
+    return _report("eta", track.s, pair_terms, weight, x0, mu, c_err, max_pairs)
 
 
 # -- calibration -----------------------------------------------------------------
 
 
-def calibrate_budget(
-    times, states, rhos, weight: Weight, x0_list, mu: float, grid: Grid,
-    kind: str = "right", margin: float = 2.0, floor: float = 1e-10,
-):
-    """C0 from a reference run: the worst budget-normalized deficit, with margin.
+def calibrate(reports):
+    """The budget constant covering the worst deficit of ``reports``, with margin.
 
-    The result is frozen into report metadata; later runs are regression
-    checks against it.
+    Each report's deficit per unit budget is (lhs - base) / unit_budget over
+    its pairs with a positive unit budget.
+    """
+    worst = [CALIBRATION_FLOOR]
+    for rep in reports:
+        covered = rep.unit_budget > 0
+        worst.extend((rep.lhs - rep.base)[covered] / rep.unit_budget[covered])
+    return CALIBRATION_MARGIN * float(max(worst))
+
+
+def calibrate_budget(
+    times, states, rhos, weight: Weight, x0_list, mu: float, grid: Grid, kind: str = "right",
+):
+    """C0 from a reference run, with margin.
+
+    Later checks take it as their c0 and are then regression checks against
+    the reference run.
     """
     check = check_right_monotonicity if kind == "right" else check_left_monotonicity
-    worst = floor
-    for x0 in x0_list:
-        rep = check(times, states, rhos, weight, x0, mu, 0.0, grid)
-        deficit = np.max(rep.lhs - rep.rhs)  # rhs has zero budget here
-        worst = max(worst, float(deficit) * x0 ** (2.0 * weight.r - 1.0))
-    return margin * worst
+    return calibrate([check(times, states, rhos, weight, x0, mu, 0.0, grid) for x0 in x0_list])
 
 
-def calibrate_eta_budget(
-    track: ModulationTrack, weight: Weight, x0_list, mu: float, grid: Grid,
-    margin: float = 2.0, floor: float = 1e-10,
-):
+def calibrate_eta_budget(track: ModulationTrack, weight: Weight, x0_list, mu: float, grid: Grid):
     """Reference constant for the eta-monotonicity error term."""
-    worst = floor
-    for x0 in x0_list:
-        rep = check_eta_monotonicity(track, weight, x0, mu, 0.0, grid)
-        # normalize deficits by the (unit-constant) error integral
-        unit = check_eta_monotonicity(track, weight, x0, mu, 1.0, grid)
-        integrals = unit.error_budget
-        for d, q in zip(rep.lhs - rep.rhs, integrals):
-            if q > 0:
-                worst = max(worst, float(d) / float(q))
-    return margin * worst
+    return calibrate([check_eta_monotonicity(track, weight, x0, mu, 0.0, grid) for x0 in x0_list])

@@ -224,7 +224,7 @@ class TestAcceptance:
         g = gs.grid
         r = (alpha + 1.0) / 2.0
         mu = 0.5
-        weight = build_weight(r, 10.0, g)
+        weight = build_weight(r, 10.0)
         cfg = EvolutionConfig(alpha=alpha, dt=2e-4, t_end=2.0, checkpoint_every=500,
                               store_states=True)
         runs = {}

@@ -57,6 +57,18 @@ class TestDecompose:
         assert abs(st.lam - lam0) < 1e-7
         assert abs(st.rho - x0) < 1e-7
 
+    def test_center_at_the_seam_keeps_eta_in_its_frame(self, frame):
+        # rho is defined modulo 2L only; the reported rho must still be the
+        # center whose rescaled frame gives the reported remainder
+        gs, chi0 = frame
+        g = gs.grid
+        u = sum(make_soliton(gs, 1.1, 49.9 + 2.0 * g.half_length * k) for k in (-1, 0, 1))
+        st = decompose(u, gs, chi0, guess=(1.1, -50.1))
+        assert abs(st.lam - 1.1) < 1e-7
+        assert abs(st.rho - 49.9) < 1e-7
+        v = st.lam**0.5 * g.resample_scaled(u, scale=st.lam, shift=st.rho)
+        assert np.max(np.abs(v - gs.values - st.eta)) < 1e-12
+
     def test_orthogonality_residuals(self, frame, rng):
         gs, chi0 = frame
         g = gs.grid

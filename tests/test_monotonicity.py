@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from dgbo import (
     EvolutionConfig,
@@ -80,6 +83,15 @@ class TestWeight:
         assert np.max(np.abs(w.sqrt_dphi_a(xs) - want)) < 1e-10
         assert np.max(np.abs(w.sqrt_dphi_a(xs) ** 2 - w.dphi_a(xs))) < 1e-12
 
+    @pytest.mark.parametrize("r", [0.8, 1.25])
+    def test_matches_quadrature(self, r):
+        # relative accuracy down the far tails, where phi or phi_total - phi is small
+        w = build_weight(r, 1.0)
+        for x in (-2000.0, -300.0, -40.0, -3.0, 0.5, 7.0, 60.0):
+            ref = quad(lambda s: (1.0 + s * s) ** (-r), -np.inf, x,
+                       epsabs=0.0, epsrel=2e-14, limit=200)[0]
+            assert float(w.phi(x)) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
     def test_domain_errors(self):
         for r, a in [(0.5, 5.0), (0.4, 5.0), (1.6, 5.0), (1.0, 0.5)]:
             with pytest.raises(ContractError):
@@ -89,7 +101,7 @@ class TestWeight:
 class TestKato:
     def test_zero_field(self, runs):
         g = runs["grid"]
-        w = build_weight(R, A, g)
+        w = build_weight(R, A)
         kt = kato_terms(g, np.zeros(g.n), w, 0.0, 2.0, rho_t=1.0)
         assert kt.transport == kt.dispersive == kt.nonlinear == kt.total == 0.0
 
@@ -97,7 +109,7 @@ class TestKato:
         # a traveling wave keeps its co-moving weighted mass constant, so the
         # three terms cancel to spectral accuracy
         gs, g = runs["gs"], runs["grid"]
-        w = build_weight(R, A, g)
+        w = build_weight(R, A)
         kt = kato_terms(g, gs.values, w, 10.0, 2.0, rho_t=1.0)
         scale = max(abs(kt.transport), abs(kt.dispersive), abs(kt.nonlinear))
         assert abs(kt.total) < 1e-10 * scale
@@ -114,7 +126,7 @@ class TestKato:
         times = [t for t, _ in rec.states]
         states = [u for _, u in rec.states]
         tr = track(times, states, gs, chi0)
-        w = build_weight(R, A, g)
+        w = build_weight(R, A)
         x0 = 10.0
         i = len(states) // 2
         rho_t = (tr.rho[i + 1] - tr.rho[i - 1]) / (times[i + 1] - times[i - 1])
@@ -128,7 +140,7 @@ class TestKato:
         # int(-|D|^a u) u phi_A' <= -|||D|^{a/2}(u sqrt(phi_A'))||^2
         #                           + (C/A^a) int u^2 phi_A'
         g = runs["grid"]
-        w = build_weight(R, A, g)
+        w = build_weight(R, A)
         cs = []
         for _ in range(20):
             z = g.x / A
@@ -151,7 +163,7 @@ class TestCommutatorScaling:
         cands = (5.0, 10.0, 20.0)
         cmax = []
         for a_dil in cands:
-            w = build_weight(R, a_dil, g)
+            w = build_weight(R, a_dil)
             vals = []
             for _ in range(20):
                 z = g.x / a_dil
@@ -172,7 +184,7 @@ class TestCommutatorScaling:
 class TestMonotonicityChecks:
     def test_right_all_true_on_runs(self, runs):
         g = runs["grid"]
-        w = build_weight(R, A, g)
+        w = build_weight(R, A)
         ts, ss, tr_s = runs["sol"]
         tp, sp, tr_p = runs["pert"]
         for x0 in (10.0, 20.0, 40.0):
@@ -184,7 +196,7 @@ class TestMonotonicityChecks:
 
     def test_left_all_true_on_runs(self, runs):
         g = runs["grid"]
-        w = build_weight(R, A, g)
+        w = build_weight(R, A)
         ts, ss, tr_s = runs["sol"]
         tp, sp, tr_p = runs["pert"]
         for x0 in (10.0, 20.0, 40.0):
@@ -195,7 +207,7 @@ class TestMonotonicityChecks:
 
     def test_budget_scales_with_x0(self, runs):
         g = runs["grid"]
-        w = build_weight(R, A, g)
+        w = build_weight(R, A)
         ts, ss, tr_s = runs["sol"]
         c0 = calibrate_budget(ts, ss, tr_s.rho, w, [10.0], MU, g)
         r10 = check_right_monotonicity(ts, ss, tr_s.rho, w, 10.0, MU, c0, g)
@@ -209,7 +221,7 @@ class TestMonotonicityChecks:
         # their masses add up to phi_total times the windowed mass (exact up
         # to the solver's conservation drift)
         g = runs["grid"]
-        w = build_weight(R, A, g)
+        w = build_weight(R, A)
         tp, sp, tr_p = runs["pert"]
         x0 = 10.0
         n = len(tp)
@@ -233,16 +245,33 @@ class TestMonotonicityChecks:
 
     def test_eta_monotonicity(self, runs):
         g = runs["grid"]
-        w = build_weight(R, A, g)
+        w = build_weight(R, A)
         _, _, tr_p = runs["pert"]
         c = calibrate_eta_budget(tr_p, w, [15.0, 30.0], MU, g)
         for x0 in (10.0, 20.0):
             rep = check_eta_monotonicity(tr_p, w, x0, MU, c, g)
             assert rep.all_true
 
+    def test_rebudget_matches_a_fresh_check(self, runs):
+        # the CLI checks once at c0 = 0 and re-budgets that report; a check
+        # run at the calibrated constant must state the same inequalities
+        g = runs["grid"]
+        w = build_weight(R, A)
+        tp, sp, tr_p = runs["pert"]
+        c0 = calibrate_budget(tp, sp, tr_p.rho, w, [10.0], MU, g)
+        c_eta = calibrate_eta_budget(tr_p, w, [10.0], MU, g)
+        for check, c in (
+            (lambda c: check_right_monotonicity(tp, sp, tr_p.rho, w, 10.0, MU, c, g), c0),
+            (lambda c: check_eta_monotonicity(tr_p, w, 10.0, MU, c, g), c_eta),
+        ):
+            fresh, rebudgeted = check(c), replace(check(0.0), c0=c)
+            assert np.array_equal(rebudgeted.rhs, fresh.rhs)
+            assert np.array_equal(rebudgeted.verdicts, fresh.verdicts)
+            assert rebudgeted.all_true
+
     def test_eta_zero_track(self, runs):
         g = runs["grid"]
-        w = build_weight(R, A, g)
+        w = build_weight(R, A)
         _, _, tr_s = runs["sol"]
         rep = check_eta_monotonicity(tr_s, w, 10.0, MU, 0.0, g)
         scale = np.max(tr_s.eta_l2) ** 2 * w.phi_total + 1e-300
@@ -251,7 +280,7 @@ class TestMonotonicityChecks:
 
     def test_eta_error_term_x0_scaling(self, runs):
         g = runs["grid"]
-        w = build_weight(R, A, g)
+        w = build_weight(R, A)
         _, _, tr_p = runs["pert"]
         x0s = np.array([10.0, 20.0, 40.0])
         terms = []
@@ -263,12 +292,14 @@ class TestMonotonicityChecks:
 
     def test_domain_validation(self, runs):
         g = runs["grid"]
-        w = build_weight(R, A, g)
+        w = build_weight(R, A)
         ts, ss, tr_s = runs["sol"]
         with pytest.raises(ContractError):
             check_right_monotonicity(ts, ss, tr_s.rho, w, 0.5, MU, 0.0, g)
         with pytest.raises(ContractError):
             check_right_monotonicity(ts, ss, tr_s.rho, w, 10.0, 1.5, 0.0, g)
+        with pytest.raises(ContractError):
+            check_eta_monotonicity(tr_s, w, 10.0, 1.5, 0.0, g)
 
     def test_seam_window_shape(self, runs):
         g = runs["grid"]
