@@ -45,7 +45,6 @@ from .modulation import (
     beta,
     decompose,
     renormalize,
-    scan_decompose,
     track,
 )
 from .monotonicity import (

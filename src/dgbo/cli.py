@@ -109,9 +109,14 @@ def _cmd_spectrum(args):
     gs = read_ground_state(args.state)
     rep = spectrum(assemble(gs))
     write_spectrum(args.out, rep)
-    flag = "ok" if rep.structure_ok else "STRUCTURE VIOLATION"
+    if not rep.structure_ok:
+        flag, code = "STRUCTURE VIOLATION", EXIT_CONVERGENCE
+    elif not rep.chi0_resolved:
+        flag, code = "CHI0 UNRESOLVED", EXIT_RESOLUTION
+    else:
+        flag, code = "ok", EXIT_OK
     print(f"spectrum mu0={rep.mu0:.6f} near-kernel dim {len(rep.near_kernel)} [{flag}] -> {args.out}")
-    return EXIT_OK if rep.structure_ok else EXIT_CONVERGENCE
+    return code
 
 
 def _cmd_modulate(args):

@@ -63,6 +63,7 @@ class SpectrumReport:
     essential_edge_estimate: float   # smallest eigenvalue above the near-kernel band
     qprime_cosine: float             # |cos| similarity of the near-kernel mode with Q'
     chi0_even_defect: float
+    chi0_resolved: bool              # False: chi0's sign change is within its resolution floor
     max_eig_residual: float
     structure_ok: bool
     notes: list = field(default_factory=list)
@@ -74,7 +75,10 @@ def spectrum(op: LinearizedOperator, kernel_tol_rel: float = 1e-6) -> SpectrumRe
     Violations of the expected structure (wrong negative count, wrong
     near-kernel dimension, non-even or sign-changing ground eigenfunction,
     poor Q' match) are reported in ``notes`` with ``structure_ok=False``;
-    they are never silently accepted.
+    they are never silently accepted. A sign change of chi0 no deeper than
+    chi0's own resolution floor, sqrt(spectral tail fraction) * max chi0, is
+    not a finding about the operator: it sets ``chi0_resolved=False``
+    instead, with a note.
     """
     grid = op.grid
     evals, evecs = sla.eigh(op.matrix)
@@ -96,9 +100,19 @@ def spectrum(op: LinearizedOperator, kernel_tol_rel: float = 1e-6) -> SpectrumRe
     if even_defect > 1e-8:
         ok = False
         notes.append(f"chi0 evenness defect {even_defect:.2e}")
-    if np.min(chi0) < -1e-8 * np.max(chi0):
-        ok = False
-        notes.append(f"chi0 changes sign (min {np.min(chi0):.2e})")
+    peak, dip = float(np.max(chi0)), -float(np.min(chi0))
+    resolved = True
+    if dip > 1e-8 * peak:
+        floor = np.sqrt(grid.spectral_tail_fraction(grid.transform(chi0))) * peak
+        if dip <= floor:
+            resolved = False
+            notes.append(
+                f"chi0 changes sign (min {-dip:.2e}) within its resolution floor "
+                f"{floor:.2e}; increase N or L"
+            )
+        else:
+            ok = False
+            notes.append(f"chi0 changes sign (min {-dip:.2e})")
 
     near_idx = np.where(np.abs(evals) <= ktol)[0]
     near_kernel = [(float(evals[i]), evecs[:, i].copy()) for i in near_idx]
@@ -135,6 +149,7 @@ def spectrum(op: LinearizedOperator, kernel_tol_rel: float = 1e-6) -> SpectrumRe
         essential_edge_estimate=edge,
         qprime_cosine=qcos,
         chi0_even_defect=even_defect,
+        chi0_resolved=resolved,
         max_eig_residual=resid,
         structure_ok=ok,
         notes=notes,

@@ -10,11 +10,12 @@ come from a certified spectrum on the same (alpha, grid).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ClosenessError, ContractError, DecompositionError, ResolutionError
 from .ground_state import GroundState
 from .spectral import Grid
+
+MAX_ITERS = 50
 
 
 @dataclass
@@ -27,7 +28,6 @@ class ModulationState:
     eta_l2: float
     eta_sobolev: float
     eta_weighted: float      # (int eta^2/(1+y^2))^{1/2}
-    valid: bool
     iterations: int
 
 
@@ -54,18 +54,18 @@ def decompose(
     chi0,
     guess=None,
     *,
-    newton_tol: float = 1e-12,
-    max_iters: int = 50,
     eps0: float = 0.3,
 ) -> ModulationState:
     """Solve the orthogonality conditions for (lam, rho).
 
     ``guess`` defaults to (1, argmax |u|), which targets the unit-scale tube;
-    pass an informed guess for data far from lam = 1. Raises
-    DecompositionError when the Newton iteration fails (the caller treats
-    this as leaving the soliton tube) and ClosenessError when the converged
-    remainder exceeds the closeness ceiling eps0 (relative to
-    ||Q||_{H^{a/2}}).
+    pass an informed guess for data far from lam = 1. The one stop rule is
+    the residual test max |<eta, Q'>|, |<eta, chi0>| < max(1e-12, 1e-14 *
+    ||u|| * max(||Q'||, ||chi0||)), which the exact-phase resampler reaches
+    in a few Newton steps. Raises DecompositionError when the iteration
+    fails within MAX_ITERS (the caller treats this as leaving the soliton
+    tube) and ClosenessError when the converged remainder exceeds the
+    closeness ceiling eps0 (relative to ||Q||_{H^{a/2}}).
 
     Torus geometry: the rescaled frame periodizes u with image spacing
     2L / lam^{2/a} in y, so for lam^{2/a} approaching 2 a soliton image
@@ -73,8 +73,6 @@ def decompose(
     parameters themselves stay accurate since the orthogonality weights are
     localized at the origin.
     """
-    if max_iters < 1:
-        raise ContractError(f"max_iters must be >= 1, got {max_iters}")
     grid, alpha = gs.grid, gs.alpha
     u = grid.check_field(u)
     qp = gs.derivative()
@@ -85,14 +83,12 @@ def decompose(
     else:
         lam, rho = float(guess[0]), float(guess[1])
 
-    # resampling noise floors the reachable residual; scale the target and
-    # accept a stall that already satisfies the orthogonality invariant
+    # the residuals are inner products of u against Q' and chi0: their
+    # roundoff scales with ||u|| times the larger weight
     scale_floor = grid.norm_l2(u) * max(grid.norm_l2(qp), grid.norm_l2(chi0))
-    tol = max(newton_tol, 1e-14 * scale_floor)
+    tol = max(1e-12, 1e-14 * scale_floor)
     g_norm_prev = np.inf
-    eta = None
-    stall = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         if lam <= 0:
             raise DecompositionError(f"scale parameter left (0, inf): lam={lam}")
         v, vy = _rescaled_frame(grid, u, uprime, lam, rho, alpha)
@@ -101,12 +97,6 @@ def decompose(
         gn = max(abs(g1), abs(g2))
         if gn < tol:
             break
-        if gn >= 0.5 * g_norm_prev:
-            stall += 1
-            if stall >= 5 and gn < 1e-10 * max(grid.norm_l2(eta), 1e-4):
-                break  # converged to the interpolation noise floor
-        else:
-            stall = 0
         lam_v = (v + 2.0 * grid.x * vy) / alpha
         d_lam = lam_v / lam
         d_rho_factor = lam ** (-2.0 / alpha)
@@ -135,11 +125,10 @@ def decompose(
         g_norm_prev = gn
     else:
         raise DecompositionError(
-            f"modulation Newton did not converge in {max_iters} iterations "
+            f"modulation Newton did not converge in {MAX_ITERS} iterations "
             f"(residual {gn:.3e})"
         )
 
-    g1, g2 = _orthogonality(grid, eta, qp, chi0)
     eta_l2 = grid.norm_l2(eta)
     eta_sob = grid.h_alpha_half_norm(eta, alpha)
     ceiling = eps0 * grid.h_alpha_half_norm(gs.values, alpha)
@@ -157,43 +146,8 @@ def decompose(
         eta_l2=eta_l2,
         eta_sobolev=eta_sob,
         eta_weighted=weighted,
-        valid=True,
         iterations=it,
     )
-
-
-def scan_decompose(u, gs: GroundState, chi0, lam_window=(0.7, 1.4), rho_halfwidth=5.0, n_coarse=41):
-    """Brute-force (lam, rho) solve: coarse grid on the squared orthogonality
-    residual followed by a Nelder-Mead polish. Slow; used only as the test oracle
-    for the Newton solve in ``decompose``.
-    """
-    grid, alpha = gs.grid, gs.alpha
-    u = grid.check_field(u)
-    qp = gs.derivative()
-    rho_c = float(grid.x[int(np.argmax(np.abs(u)))])
-
-    def objective(p):
-        lam, rho = p
-        if lam <= 0.05:
-            return 1e12
-        g1, g2 = _orthogonality(grid, _frame(grid, u, lam, rho, alpha) - gs.values, qp, chi0)
-        return g1 * g1 + g2 * g2
-
-    lams = np.linspace(lam_window[0], lam_window[1], n_coarse)
-    rhos = rho_c + np.linspace(-rho_halfwidth, rho_halfwidth, n_coarse)
-    best, best_val = None, np.inf
-    for lam in lams:
-        for rho in rhos:
-            val = objective((lam, rho))
-            if val < best_val:
-                best, best_val = (lam, rho), val
-    res = minimize(
-        objective,
-        np.array(best),
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-24, "maxiter": 2000},
-    )
-    return float(res.x[0]), float(res.x[1])
 
 
 @dataclass

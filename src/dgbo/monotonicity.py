@@ -9,6 +9,7 @@ d/dt of the weighted mass is exposed term by term.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.special import betainc
@@ -214,7 +215,7 @@ def _check_sided(
 
     lhs(t2) <= base(t1) + c0/x0^{2r-1} for all sampled pairs t1 < t2. The
     mu-shift of the center moves the t1 functional on the right and the t2
-    functional on the left.
+    functional on the left; the unshifted side is evaluated once per frame.
     """
     _check_domain(x0, mu)
     if len(times) != len(states) or len(times) != len(rhos):
@@ -223,12 +224,16 @@ def _check_sided(
     win = seam_window(grid)
     unit = x0 ** (1.0 - 2.0 * weight.r)
 
+    def functional(k, shift):
+        return _mass_functional(grid, states[k], weight, rhos[k] + shift + side * x0, win)
+
+    unshifted = cache(lambda k: functional(k, 0.0))
+
     def pair_terms(i, j):
         shift = side * mu * (rhos[j] - rhos[i])
-        shift1, shift2 = (shift, 0.0) if kind == "right" else (0.0, shift)
-        lhs = _mass_functional(grid, states[j], weight, rhos[j] + shift2 + side * x0, win)
-        base = _mass_functional(grid, states[i], weight, rhos[i] + shift1 + side * x0, win)
-        return lhs, base, unit
+        if kind == "right":
+            return unshifted(j), functional(i, shift), unit
+        return functional(j, shift), unshifted(i), unit
 
     return _report(kind, times, pair_terms, weight, x0, mu, c0, max_pairs)
 
@@ -270,11 +275,13 @@ def check_eta_monotonicity(
         w = (weight.phi_a(arg) - weight.phi_a(-x0 - shift)) * win
         return grid.quadrature(track.eta_fields[i] ** 2 * w)
 
+    unshifted = cache(lambda j: functional(j, 0.0))
+
     def pair_terms(i, j):
         s1, s2 = track.s[i], track.s[j]
         ss = track.s[i:j + 1]
         integrand = track.eta_l2[i:j + 1] ** 2 / (x0 + mu * (s2 - ss)) ** (2.0 * weight.r)
-        return functional(j, 0.0), functional(i, mu * (s2 - s1)), np.trapezoid(integrand, ss)
+        return unshifted(j), functional(i, mu * (s2 - s1)), np.trapezoid(integrand, ss)
 
     return _report("eta", track.s, pair_terms, weight, x0, mu, c_err, max_pairs)
 

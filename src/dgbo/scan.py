@@ -179,6 +179,7 @@ def blowup_scan(
         "rng_seed": rng_seed,
         "ground_state_residual": gs.residual,
         "spectrum_structure_ok": rep.structure_ok,
+        "spectrum_chi0_resolved": rep.chi0_resolved,
     }
     return rows, context
 

@@ -14,10 +14,10 @@ Quadrature is the trapezoid rule, which is spectrally exact for band-limited
 periodic integrands.
 """
 
+import math
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import czt
 
 from .errors import ContractError, ResolutionError
 
@@ -31,6 +31,22 @@ MULTIPLIER_KINDS = ("riesz", "half_riesz", "dispersion", "semigroup")
 def _check_alpha(alpha):
     if not (ALPHA_MIN <= alpha <= ALPHA_MAX):
         raise ContractError(f"alpha={alpha} outside [{ALPHA_MIN}, {ALPHA_MAX}]")
+
+
+def _exp_i_pi(a: float, q):
+    """exp(i pi a q) for an integer array q, with a*q reduced mod 2 exactly.
+
+    a is split as a_hi + a_lo with a_hi short enough that a_hi*q is exact in
+    binary64, so reducing that large part loses nothing; a_lo*q is small and
+    carries only its own roundoff. The phase error is then O(eps), not
+    O(eps*|a*q|).
+    """
+    q = np.asarray(q, dtype=float)
+    bits = 52 - int(np.max(np.abs(q))).bit_length()
+    e = math.frexp(a)[1] - bits
+    a_hi = math.ldexp(round(math.ldexp(a, -e)), e)
+    half_turns = np.fmod(a_hi * q, 2.0) + (a - a_hi) * q
+    return np.exp(1j * np.pi * np.fmod(half_turns, 2.0))
 
 
 class Grid:
@@ -203,19 +219,28 @@ class Grid:
     def resample_scaled(self, f, scale: float = 1.0, shift: float = 0.0):
         """Trigonometric interpolation of f at the points scale*x_j + shift.
 
-        Evaluation points wrap periodically. The target points form a uniform
-        grid, so the sum is a chirp-z transform and costs O(N log N); the
-        Nyquist coefficient is dropped (negligible for resolved fields).
+        Evaluation points wrap periodically; the Nyquist coefficient is
+        dropped (negligible for resolved fields). With x_j = j'h and modes
+        m, j' in [-N/2, N/2) the sum is over exp(2 pi i scale m j' / N), a
+        chirp-z transform: Bluestein's identity 2mj' = m^2 + j'^2 - (j'-m)^2
+        turns it into one circular convolution of length 2N against the
+        chirp exp(i pi scale t^2 / N), O(N log N). Every phase is reduced
+        mod 2 pi exactly before exponentiation (``_exp_i_pi``), so the error
+        stays at roundoff of the field instead of growing like N^2 eps.
         """
-        n, L = self.n, self.half_length
-        F = self.transform(f)
-        F[n // 2] = 0.0
-        c = shift + L - scale * L
-        G = np.fft.fftshift(F * np.exp(1j * self.k * c))
-        w = np.exp(2j * np.pi * scale / n)
-        S = czt(G, m=n, w=w)
-        j = np.arange(n)
-        return (S * np.exp(-1j * np.pi * scale * j)).real / n
+        n = self.n
+        m = np.arange(-(n // 2), n // 2)
+        F = np.fft.fftshift(self.transform(f))  # modes m = -N/2 .. N/2 - 1
+        F[0] = 0.0  # Nyquist
+        chirp = _exp_i_pi(scale / n, np.arange(n + 1) ** 2)  # t = 0 .. N
+        chirp_m = chirp[np.abs(m)]
+        # e^{i k_m (shift + L)} = (-1)^m e^{i pi m shift / L}
+        sign = np.where(m % 2, -1.0, 1.0)
+        a = np.zeros(2 * n, dtype=complex)
+        a[:n] = F * sign * _exp_i_pi(shift / self.half_length, m) * chirp_m
+        kernel = np.conj(np.concatenate([chirp[:n], chirp[:0:-1]]))  # offsets 0..N-1, -N..-1
+        conv = np.fft.ifft(np.fft.fft(a) * np.fft.fft(kernel))[:n]
+        return (chirp_m * conv).real / n
 
     def evaluate(self, f, points):
         """Trigonometric interpolation of f at arbitrary points (dense, O(N*M))."""
@@ -255,15 +280,6 @@ class Grid:
         return s
 
 
-def parseval_residual(grid: Grid, f):
-    """Relative defect of h*sum f^2 == (h^2/2L)*sum |F|^2 (diagnostic)."""
-    lhs = grid.h * float(np.sum(np.asarray(f) ** 2))
-    F = grid.transform(f)
-    rhs = grid.h**2 / (2 * grid.half_length) * float(np.sum(np.abs(F) ** 2))
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale
-
-
 # -- stable semigroup kernel -------------------------------------------------
 
 
@@ -298,20 +314,3 @@ def stable_kernel(alpha: float, grid: Grid, certify: bool = True):
         if np.any(np.diff(right) >= floor):
             raise ResolutionError("stable kernel not unimodal on (0, L); increase N or L")
     return K
-
-
-def periodized_poisson_kernel(grid: Grid):
-    """Closed form of the periodized alpha=1 kernel (geometric image sum)."""
-    L = grid.half_length
-    q = np.exp(-np.pi / L)
-    theta = np.pi * grid.x / L
-    return (1.0 - q * q) / (2.0 * L * (1.0 - 2.0 * q * np.cos(theta) + q * q))
-
-
-def periodized_gauss_kernel(grid: Grid, n_images: int = 8):
-    """Periodized alpha=2 kernel (1/(2 sqrt(pi))) exp(-x^2/4) with images."""
-    L = grid.half_length
-    out = np.zeros(grid.n)
-    for m in range(-n_images, n_images + 1):
-        out += np.exp(-((grid.x + 2 * L * m) ** 2) / 4.0)
-    return out / (2.0 * np.sqrt(np.pi))

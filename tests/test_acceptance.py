@@ -37,10 +37,9 @@ from dgbo.scan import blowup_scan, write_scan
 from dgbo.dynamics import EvolutionConfig
 from dgbo.errors import ResolutionError
 from dgbo.ground_state import gkdv_profile, random_smooth_field, scaling_generator
-from dgbo.modulation import scan_decompose
-from dgbo.spectral import periodized_gauss_kernel, periodized_poisson_kernel
 
 from conftest import ground_state_for, spectrum_for
+from oracles import periodized_gauss_kernel, periodized_poisson_kernel, scan_decompose
 
 ALPHAS = (1.0, 1.25, 1.5, 1.75, 2.0)
 

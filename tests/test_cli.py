@@ -162,6 +162,15 @@ class TestCommands:
         assert rc == 0
         assert main(["spectrum", "--state", base, "--out", str(tmp_path / "spec")]) == 2
 
+    def test_underresolved_chi0_is_a_resolution_error(self, tmp_path):
+        # on (25, 256) chi0 dips below zero by less than its own resolution
+        # floor: that is exit 4 (resolution), not exit 3 (structure)
+        base = str(tmp_path / "gs")
+        rc = main(["ground-state", "--alpha", "2", "--half-length", "25", "--n", "256",
+                   "--out", base])
+        assert rc == 0
+        assert main(["spectrum", "--state", base, "--out", str(tmp_path / "spec")]) == 4
+
     def test_monotonicity_rejects_a_track_of_other_checkpoints(self, artifacts_dir, tmp_path):
         gs, spec = str(artifacts_dir / "gs"), str(artifacts_dir / "spec")
         runs = {}

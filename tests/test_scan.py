@@ -1,0 +1,11 @@
+from dgbo.scan import blowup_scan
+
+
+def test_supercritical_row_trips_on_contraction_inside_the_tube():
+    # a = 1.02 at alpha = 2 stays decomposable while lam contracts, so the row
+    # trips on lam < lam_stop near t = 2.2 and never leaves the tube
+    (row,), _ = blowup_scan(2.0, [1.02], t_end_super=3)
+    assert row.supercritical
+    assert row.trip_reason == "lambda_contraction"
+    assert 2.0 < row.trip_time < 2.4
+    assert row.tube_exit_t is None

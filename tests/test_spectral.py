@@ -10,11 +10,7 @@ import dgbo
 from dgbo import Grid, stable_kernel
 from dgbo.errors import ContractError, ResolutionError
 from dgbo.ground_state import gkdv_profile
-from dgbo.spectral import (
-    parseval_residual,
-    periodized_gauss_kernel,
-    periodized_poisson_kernel,
-)
+from oracles import parseval_residual, periodized_gauss_kernel, periodized_poisson_kernel
 
 
 def dense_dft(grid, f):
@@ -222,8 +218,9 @@ class TestStableKernel:
 
 
 class TestResampling:
-    def test_scaled_resample_matches_dense(self, rng):
-        g = Grid(50.0, 256)
+    @pytest.mark.parametrize("n", [256, 1024, 4096])
+    def test_scaled_resample_matches_dense(self, n):
+        g = Grid(50.0, n)
         f = np.exp(-((g.x - 3.0) ** 2) / 16.0) * np.cos(0.7 * g.x)
         for scale, shift in [(1.0, 0.0), (0.8, 2.5), (1.13, -7.1)]:
             got = g.resample_scaled(f, scale, shift)
