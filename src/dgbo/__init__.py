@@ -44,6 +44,7 @@ from .modulation import (
     ModulationTrack,
     beta,
     decompose,
+    remainder,
     renormalize,
     track,
 )

@@ -257,7 +257,9 @@ def read_chi0(base):
 # -- modulation tracks -----------------------------------------------------------
 
 
-TRACK_COLUMNS = ("t", "s", "lambda", "rho", "eta_l2", "eta_sobolev", "dlambda_rel", "drho_rel")
+TRACK_COLUMNS = (
+    "t", "s", "lambda", "rho", "eta_l2", "eta_sobolev", "eta_weighted", "dlambda_rel", "drho_rel",
+)
 
 
 def write_track(base, record: ModulationTrack, header_extra=None):
@@ -278,7 +280,7 @@ def write_track(base, record: ModulationTrack, header_extra=None):
     write_json(base + ".json", header)
     write_csv(base + ".csv", TRACK_COLUMNS, zip(
         record.t, record.s, record.lam, record.rho,
-        record.eta_l2, record.eta_sobolev, record.dlam_rel, record.drho_rel,
+        record.eta_l2, record.eta_sobolev, record.eta_weighted, record.dlam_rel, record.drho_rel,
     ))
     write_plot_script(
         base + ".gp", os.path.basename(base) + ".csv", TRACK_COLUMNS,
@@ -286,14 +288,21 @@ def write_track(base, record: ModulationTrack, header_extra=None):
     )
 
 
-def read_track(base):
-    """Columns of a stored track CSV as lists of floats, keyed by TRACK_COLUMNS."""
+def read_track(base) -> ModulationTrack:
+    """A stored track without its remainder fields (``modulation.remainder`` rebuilds them)."""
+    header = read_json(base + ".json")
     with open(base + ".csv") as fh:
         cols = tuple(fh.readline().strip().split(","))
         if cols != TRACK_COLUMNS:
             raise ContractError(f"unexpected track columns {list(cols)}")
-        rows = [[float(v) for v in line.strip().split(",")] for line in fh]
-    return {name: [r[i] for r in rows] for i, name in enumerate(TRACK_COLUMNS)}
+        rows = np.array([[float(v) for v in line.strip().split(",")] for line in fh])
+    t, s, lam, rho, eta_l2, eta_sob, eta_w, dlam, drho = rows.reshape(-1, len(TRACK_COLUMNS)).T
+    return ModulationTrack(
+        alpha=header["alpha"], t=t, s=s, lam=lam, rho=rho,
+        eta_l2=eta_l2, eta_sobolev=eta_sob, eta_weighted=eta_w,
+        dlam_rel=dlam, drho_rel=drho, fitted_c=header["fitted_c"],
+        truncated=header["truncated"], truncated_at=header["truncated_at"],
+    )
 
 
 # -- monotonicity reports ----------------------------------------------------------

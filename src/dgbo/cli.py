@@ -7,8 +7,10 @@ byte-identical CSV artifacts.
 
 Exit codes: 0 success, 2 config error (also a request the code path cannot
 serve: a dense solve beyond its size limit, an unavailable window),
-3 convergence failure, 4 resolution failure, 5 divergence detected outside a
-scan (inside a scan a divergence indicator is a successful finding).
+3 convergence failure (also a modulation solve that left the soliton tube:
+DecompositionError, ClosenessError), 4 resolution failure, 5 divergence
+detected outside a scan (inside a scan a divergence indicator is a successful
+finding).
 """
 
 import argparse
@@ -35,16 +37,18 @@ from .artifacts import (
 from .dynamics import EvolutionConfig, evolve
 from .errors import (
     CapacityError,
+    ClosenessError,
     ConfigError,
     ContractError,
     ConvergenceError,
+    DecompositionError,
     DgboError,
     ResolutionError,
     WindowError,
 )
 from .ground_state import continuation_ladder, solve_ground_state
 from .linearized import assemble, evolve_linearized, spectrum
-from .modulation import track
+from .modulation import remainder, track
 from .monotonicity import (
     build_weight,
     calibrate,
@@ -142,8 +146,8 @@ def _cmd_monotonicity(args):
     _header, _samples, states, grid = read_run(args.run)
     if not states:
         raise ConfigError(f"run directory {args.run} holds no checkpointed states")
-    columns = read_track(args.track)
-    times, rhos = columns["t"], columns["rho"]
+    tr = read_track(args.track)
+    times, rhos = list(tr.t), list(tr.rho)
     if times != [t for t, _ in states][: len(times)]:
         raise ConfigError(
             f"track {args.track} times are not a prefix of the checkpoint times of {args.run}"
@@ -158,9 +162,13 @@ def _cmd_monotonicity(args):
     reports = [replace(rep, c0=args.c0 if args.c0 is not None else calibrate([rep]))
                for rep in sided]
     if args.state and args.chi0:
+        # the remainders at the stored (lambda, rho): one resample per frame
         gs = read_ground_state(args.state)
-        _, chi0 = read_chi0(args.chi0)
-        tr = track(times, fields, gs, chi0)
+        cgrid, _ = read_chi0(args.chi0)
+        if gs.grid != grid or cgrid != grid:
+            raise ConfigError("ground-state or chi0 grid does not match the run grid")
+        tr = replace(tr, eta_fields=[remainder(u, gs, lam, rho)
+                                     for u, lam, rho in zip(fields, tr.lam, tr.rho)])
         for x0 in x0_list:
             rep = check_eta_monotonicity(tr, weight, x0, args.mu, 0.0, grid)
             reports.append(replace(rep, c0=calibrate([rep])))
@@ -348,6 +356,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
+    except (DecompositionError, ClosenessError) as exc:
+        print(f"modulation error (left the soliton tube): {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except ResolutionError as exc:
         print(f"resolution error: {exc}", file=sys.stderr)

@@ -100,11 +100,22 @@ def conserved(grid: Grid, u, alpha: float, t: float = 0.0) -> Diagnostics:
     )
 
 
+def _abs_power(v, p: float):
+    """|v|^p, by multiplication when p = 2 alpha is an integer (2, 3 or 4)."""
+    if p == 4.0:
+        v2 = v * v
+        return v2 * v2
+    if p == 3.0:
+        return np.abs(v) * v * v
+    if p == 2.0:
+        return v * v
+    return np.abs(v) ** p
+
+
 def _padded_flux(grid: Grid, F, alpha: float):
     """Spectrum of |u|^{2 alpha} u_x, products formed on the padded grid."""
-    v = grid.fine(F)
-    vx = grid.fine(1j * grid.k * F)
-    return grid.coarse(np.abs(v) ** (2.0 * alpha) * vx)
+    v, vx = grid.fine(np.stack([F, grid.ik * F]))
+    return grid.coarse(_abs_power(v, 2.0 * alpha) * vx)
 
 
 def nonlinear_term(grid: Grid, u, alpha: float):
@@ -137,9 +148,10 @@ class Stepper:
 
     def step_spectrum(self, F):
         Nv = self.nonlinear(F)
-        a = self.E2 * F + self.Q * Nv
+        e2f = self.E2 * F
+        a = e2f + self.Q * Nv
         Na = self.nonlinear(a)
-        b = self.E2 * F + self.Q * Na
+        b = e2f + self.Q * Na
         Nb = self.nonlinear(b)
         c = self.E2 * a + self.Q * (2.0 * Nb - Nv)
         Nc = self.nonlinear(c)

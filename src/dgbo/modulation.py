@@ -31,17 +31,14 @@ class ModulationState:
     iterations: int
 
 
-def _frame(grid: Grid, u, lam, rho, alpha):
-    """v(y) = lam^{1/a} u(lam^{2/a} y + rho) on the reference grid."""
-    return lam ** (1.0 / alpha) * grid.resample_scaled(u, scale=lam ** (2.0 / alpha), shift=rho)
+def remainder(u, gs: GroundState, lam: float, rho: float):
+    """eta = v - Q with v(y) = lam^{1/a} u(lam^{2/a} y + rho) on the reference grid.
 
-
-def _rescaled_frame(grid: Grid, u, uprime, lam, rho, alpha):
-    """v and v_y = lam^{3/a} u'(lam^{2/a} y + rho) on the reference grid."""
-    s = lam ** (2.0 / alpha)
-    amp = lam ** (1.0 / alpha)
-    vy = amp * s * grid.resample_scaled(uprime, scale=s, shift=rho)
-    return _frame(grid, u, lam, rho, alpha), vy
+    One resample, no solve: at the (lam, rho) that ``decompose`` returns, or
+    that a stored track holds, this is the decomposition's remainder.
+    """
+    s = lam ** (2.0 / gs.alpha)
+    return lam ** (1.0 / gs.alpha) * gs.grid.resample_scaled(u, scale=s, shift=rho) - gs.values
 
 
 def _orthogonality(grid, eta, qp, chi0):
@@ -91,13 +88,15 @@ def decompose(
     for it in range(1, MAX_ITERS + 1):
         if lam <= 0:
             raise DecompositionError(f"scale parameter left (0, inf): lam={lam}")
-        v, vy = _rescaled_frame(grid, u, uprime, lam, rho, alpha)
-        eta = v - gs.values
+        eta = remainder(u, gs, lam, rho)
         g1, g2 = _orthogonality(grid, eta, qp, chi0)
         gn = max(abs(g1), abs(g2))
         if gn < tol:
             break
-        lam_v = (v + 2.0 * grid.x * vy) / alpha
+        # v_y = lam^{3/a} u'(lam^{2/a} y + rho), needed only for a Newton step
+        s = lam ** (2.0 / alpha)
+        vy = lam ** (1.0 / alpha) * s * grid.resample_scaled(uprime, scale=s, shift=rho)
+        lam_v = (eta + gs.values + 2.0 * grid.x * vy) / alpha
         d_lam = lam_v / lam
         d_rho_factor = lam ** (-2.0 / alpha)
         J = np.array(
@@ -116,8 +115,7 @@ def decompose(
             lam_try = lam + scale * step[0]
             rho_try = rho + scale * step[1]
             if lam_try > 0:
-                v_t = _frame(grid, u, lam_try, rho_try, alpha)
-                t1, t2 = _orthogonality(grid, v_t - gs.values, qp, chi0)
+                t1, t2 = _orthogonality(grid, remainder(u, gs, lam_try, rho_try), qp, chi0)
                 if max(abs(t1), abs(t2)) < max(gn, g_norm_prev):
                     break
             scale *= 0.5

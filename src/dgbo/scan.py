@@ -35,7 +35,7 @@ def build_initial_data(grid: Grid, gs, recipe: dict, rng):
         nz = recipe["noise"]
         band = nz.get("band", 0.25)
         amp = nz.get("amplitude", 1e-3)
-        F = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+        F = rng.standard_normal(len(grid.k)) + 1j * rng.standard_normal(len(grid.k))
         F[np.abs(grid.k) > band * grid.k_max] = 0.0
         F[0] = 0.0
         w = grid.field(F)

@@ -1,9 +1,11 @@
 """Periodic pseudo-spectral substrate.
 
 A field is a real numpy array of length ``grid.n`` sampled at the collocation
-points of a ``Grid``; its discrete Fourier coefficients follow the numpy FFT
-layout, which no module but this one sees. All fractional operators are
-diagonal Fourier multipliers:
+points of a ``Grid``; its discrete Fourier coefficients follow the numpy
+real-FFT layout, which no module but this one sees: the n//2 + 1 modes
+m = 0 .. n/2, the last one the Nyquist mode. Interior modes stand for the
+pair +-m, so the Parseval sums weight them twice. All fractional operators
+are diagonal Fourier multipliers:
 
     riesz       |k|^alpha          (the fractional derivative |D|^alpha)
     half_riesz  |k|^(alpha/2)
@@ -24,6 +26,7 @@ from .errors import ContractError, ResolutionError
 ALPHA_MIN = 1.0
 ALPHA_MAX = 2.0
 PAD = 2  # nonlinear products are formed on a grid PAD times finer
+EVALUATE_BLOCK = 1 << 20  # complex entries of the phase matrix Grid.evaluate forms at once
 
 MULTIPLIER_KINDS = ("riesz", "half_riesz", "dispersion", "semigroup")
 
@@ -52,7 +55,7 @@ def _exp_i_pi(a: float, q):
 class Grid:
     """Uniform periodic grid on [-L, L) with N points, N an even power of two.
 
-    x_j = -L + j*h with h = 2L/N, and wavenumbers k_m = pi*m/L in FFT order.
+    x_j = -L + j*h with h = 2L/N, and wavenumbers k_m = pi*m/L for m = 0 .. N/2.
     """
 
     def __init__(self, half_length: float, n_points: int):
@@ -71,16 +74,24 @@ class Grid:
 
     @cached_property
     def k(self):
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
+        return 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.h)
 
     @cached_property
     def ik(self):
         """The d/dx symbol i k with the Nyquist mode zeroed (read-only)."""
         ik = 1j * self.k
         # no real antisymmetric assignment exists for an odd symbol at Nyquist
-        ik[self.n // 2] = 0.0
+        ik[-1] = 0.0
         ik.flags.writeable = False
         return ik
+
+    @cached_property
+    def _parseval_weight(self):
+        """Full-spectrum modes per stored mode: 2 for the pair +-m, 1 at 0 and at Nyquist."""
+        w = np.full(len(self.k), 2.0)
+        w[0] = w[-1] = 1.0
+        w.flags.writeable = False
+        return w
 
     @property
     def k_max(self):
@@ -109,38 +120,49 @@ class Grid:
         return f
 
     def transform(self, f):
-        """Forward DFT of a real field."""
-        return np.fft.fft(self.check_field(f))
+        """Forward real DFT of a real field: the n//2 + 1 coefficients of modes 0 .. n/2."""
+        return np.fft.rfft(self.check_field(f))
 
     def field(self, F):
-        """The real field with coefficients F (the imaginary residue is dropped)."""
-        return np.fft.ifft(F).real
+        """The real field with coefficients F (imaginary parts at 0 and Nyquist are dropped)."""
+        return np.fft.irfft(F, self.n)
 
     def pad(self, F):
         """Coefficients of the same trigonometric interpolant on the PAD-times-finer grid.
 
-        The Nyquist coefficient goes to the negative side; the m/n factor keeps
-        the sampled values unchanged under numpy's 1/m inverse normalisation.
+        The coarse Nyquist mode is an interior mode of the fine grid, where it
+        stands for the pair +-n/2: it is halved, which splits it evenly over
+        both. The m/n factor keeps the sampled values unchanged under numpy's
+        1/m inverse normalisation. F may stack spectra along leading axes.
         """
         n, m = self.n, PAD * self.n
-        Fp = np.zeros(m, dtype=complex)
-        Fp[: n // 2] = F[: n // 2]
-        Fp[m - n // 2 :] = F[n // 2 :]
+        Fp = np.zeros(F.shape[:-1] + (m // 2 + 1,), dtype=complex)
+        Fp[..., : n // 2 + 1] = F
+        Fp[..., n // 2] *= 0.5
         Fp *= m / n
         return Fp
 
     def truncate(self, W):
-        """Inverse of ``pad``: keep the n lowest modes of m-point coefficients."""
-        n, m = self.n, len(W)
-        return np.concatenate([W[: n // 2], W[m - n // 2 :]]) * (n / m)
+        """Inverse of ``pad``: keep the modes 0 .. n/2 of m-point coefficients.
+
+        The pair +-n/2 folds back into this grid's Nyquist mode, so its entry
+        is doubled.
+        """
+        n, m = self.n, 2 * (W.shape[-1] - 1)
+        F = W[..., : n // 2 + 1] * (n / m)
+        F[..., n // 2] *= 2.0
+        return F
 
     def fine(self, F):
-        """Values on the PAD-times-finer grid of the interpolant with coefficients F."""
-        return self.field(self.pad(F))
+        """Values on the PAD-times-finer grid of the interpolant with coefficients F.
+
+        F may stack spectra along leading axes; each gives one row of values.
+        """
+        return np.fft.irfft(self.pad(F), PAD * self.n)
 
     def coarse(self, w):
         """Coefficients on this grid of values ``w`` on the PAD-times-finer grid."""
-        return self.truncate(np.fft.fft(w))
+        return self.truncate(np.fft.rfft(w))
 
     # -- multipliers --------------------------------------------------------
 
@@ -184,7 +206,9 @@ class Grid:
         """int ||D|^{alpha/2} f|^2 via Parseval."""
         _check_alpha(alpha)
         F = self.transform(f)
-        return self.h / self.n * float(np.sum(np.abs(self.k) ** alpha * np.abs(F) ** 2))
+        return self.h / self.n * float(
+            np.sum(self._parseval_weight * np.abs(self.k) ** alpha * np.abs(F) ** 2)
+        )
 
     def h_alpha_half_norm(self, f, alpha: float):
         """H^{alpha/2} norm sqrt(||f||^2 + |||D|^{alpha/2} f||^2)."""
@@ -192,7 +216,7 @@ class Grid:
 
     def spectral_tail_fraction(self, F, frac: float = 0.1):
         """Share of spectral energy carried by the top `frac` of |k|."""
-        p = np.abs(F) ** 2
+        p = self._parseval_weight * np.abs(F) ** 2
         total = float(np.sum(p))
         if total == 0.0:
             return 0.0
@@ -203,9 +227,7 @@ class Grid:
 
     def shift(self, f, delta: float):
         """f(x - delta) by exact Fourier phase."""
-        F = self.transform(f) * np.exp(-1j * self.k * delta)
-        F[self.n // 2] = F[self.n // 2].real  # keep conjugate symmetry at Nyquist
-        return self.field(F)
+        return self.field(self.transform(f) * np.exp(-1j * self.k * delta))
 
     def reflect(self, f):
         """f(-x) on the periodic grid."""
@@ -230,8 +252,10 @@ class Grid:
         """
         n = self.n
         m = np.arange(-(n // 2), n // 2)
-        F = np.fft.fftshift(self.transform(f))  # modes m = -N/2 .. N/2 - 1
-        F[0] = 0.0  # Nyquist
+        H = self.transform(f)
+        F = np.zeros(n, dtype=complex)  # modes m = -N/2 .. N/2 - 1, Nyquist left at 0
+        F[n // 2 :] = H[: n // 2]
+        F[1 : n // 2] = np.conj(H[n // 2 - 1 : 0 : -1])
         chirp = _exp_i_pi(scale / n, np.arange(n + 1) ** 2)  # t = 0 .. N
         chirp_m = chirp[np.abs(m)]
         # e^{i k_m (shift + L)} = (-1)^m e^{i pi m shift / L}
@@ -243,12 +267,21 @@ class Grid:
         return (chirp_m * conv).real / n
 
     def evaluate(self, f, points):
-        """Trigonometric interpolation of f at arbitrary points (dense, O(N*M))."""
+        """Trigonometric interpolation of f at arbitrary points (dense, O(N*M)).
+
+        The Nyquist coefficient is dropped. Points are taken in blocks of at
+        most EVALUATE_BLOCK phase entries, so whatever M and N the working
+        memory stays at a few arrays of EVALUATE_BLOCK entries (16 MiB each
+        as complex) on top of the input and output.
+        """
         pts = np.atleast_1d(np.asarray(points, dtype=float))
-        F = self.transform(f)
-        F[self.n // 2] = 0.0
-        phase = np.exp(1j * np.outer(pts + self.half_length, self.k))
-        vals = (phase @ (F / self.n)).real
+        F = (self._parseval_weight * self.transform(f))[:-1] / self.n
+        k = self.k[:-1]
+        rows = max(1, EVALUATE_BLOCK // len(k))
+        vals = np.empty(len(pts))
+        for i in range(0, len(pts), rows):
+            block = pts[i : i + rows] + self.half_length
+            vals[i : i + rows] = (np.exp(1j * np.outer(block, k)) @ F).real
         return vals if np.ndim(points) else float(vals[0])
 
     def fit_shift(self, f, g, guess: float | None = None):
@@ -266,7 +299,7 @@ class Grid:
             s = (j0 * self.h + self.half_length) % (2 * self.half_length) - self.half_length
         else:
             s = float(guess)
-        A = A / self.n
+        A = self._parseval_weight * A / self.n
         for _ in range(60):
             e = np.exp(1j * self.k * s)
             d1 = float(np.sum(1j * self.k * A * e).real)
@@ -296,7 +329,7 @@ def stable_kernel(alpha: float, grid: Grid, certify: bool = True):
     khat = np.exp(-np.abs(grid.k) ** alpha)
     # K_j = (1/2L) sum_m khat(k_m) e^{i k_m x_j}; the e^{-i pi m} grid phase
     # is (+1) at Nyquist since n/2 is even for n a power of two >= 4
-    phase = np.ones(n)
+    phase = np.ones(len(grid.k))
     phase[1::2] = -1.0
     K = grid.field(phase * khat) * (n / (2 * L))
     if certify:

@@ -4,13 +4,68 @@ import numpy as np
 from scipy.optimize import minimize
 
 
+def dense_dft(grid, f):
+    """O(N^2) reference DFT: all N modes in numpy's full FFT order."""
+    j = np.arange(grid.n)
+    return np.exp(-2j * np.pi * np.outer(j, j) / grid.n).T @ f
+
+
+def full_wavenumbers(grid):
+    """k_m = pi*m/L for the N modes of ``dense_dft``, negative half included."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
+
+
+def full_spectrum(grid, F):
+    """All N coefficients of a real field from its n//2 + 1 stored ones (conjugate symmetry)."""
+    return np.concatenate([F, np.conj(F[grid.n // 2 - 1 : 0 : -1])])
+
+
 def parseval_residual(grid, f):
-    """Relative defect of h*sum f^2 == (h^2/2L)*sum |F|^2."""
+    """Relative defect of h*sum f^2 == (h^2/2L)*sum |F|^2 over all N modes."""
     lhs = grid.h * float(np.sum(np.asarray(f) ** 2))
-    F = grid.transform(f)
+    F = full_spectrum(grid, grid.transform(f))
     rhs = grid.h**2 / (2 * grid.half_length) * float(np.sum(np.abs(F) ** 2))
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale
+
+
+def sobolev_seminorm_sq(grid, f, alpha):
+    """int ||D|^{alpha/2} f|^2 by Parseval over the dense DFT's N modes."""
+    F = dense_dft(grid, f)
+    return grid.h / grid.n * float(np.sum(np.abs(full_wavenumbers(grid)) ** alpha * np.abs(F) ** 2))
+
+
+def spectral_tail_fraction(grid, f, frac):
+    """Share of the dense DFT's energy at |k| >= (1 - frac) k_max."""
+    p = np.abs(dense_dft(grid, f)) ** 2
+    total = float(np.sum(p))
+    if total == 0.0:
+        return 0.0
+    return float(np.sum(p[np.abs(full_wavenumbers(grid)) >= (1.0 - frac) * grid.k_max])) / total
+
+
+def fit_shift(grid, f, g):
+    """Maximizer of the correlation of f and g, Newton over the dense DFT's N modes.
+
+    Starts, like ``Grid.fit_shift``, from the best grid offset.
+    """
+    k = full_wavenumbers(grid)
+    A = dense_dft(grid, f) * np.conj(dense_dft(grid, g))
+    j0 = int(np.argmax(np.fft.ifft(A).real))
+    L = grid.half_length
+    s = (j0 * grid.h + L) % (2 * L) - L
+    A = A / grid.n
+    for _ in range(60):
+        e = np.exp(1j * k * s)
+        d1 = float(np.sum(1j * k * A * e).real)
+        d2 = float(np.sum(-(k**2) * A * e).real)
+        if d2 == 0.0:
+            break
+        step = d1 / d2
+        s -= step
+        if abs(step) < 1e-14 * max(1.0, abs(s)):
+            break
+    return s
 
 
 def periodized_poisson_kernel(grid):

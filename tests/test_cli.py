@@ -1,21 +1,30 @@
 import gc
 import json
 import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from dgbo import modulation
 from dgbo.artifacts import (
     read_field,
     read_ground_state,
     read_run,
+    read_track,
     write_field,
     write_ground_state,
     write_run,
+    write_track,
 )
 from dgbo.cli import _apply_config_defaults, build_parser, main
-from dgbo.dynamics import EvolutionConfig, evolve
+from dgbo.dynamics import Diagnostics, EvolutionConfig, RunRecord, evolve
+from dgbo.ground_state import GroundState
+from dgbo.modulation import ModulationTrack
 from dgbo.spectral import Grid
 
 from conftest import ground_state_for, COMPACT
@@ -75,6 +84,94 @@ class TestRoundTrips:
         assert len(samples) == len(rec.samples)
         assert len(states) == len(rec.states)
         assert samples[-1].mass == rec.samples[-1].mass  # %.17g is lossless
+
+
+def _files(root):
+    """Relative path -> bytes of every file under root."""
+    out = {}
+    for dirpath, _dirs, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+finite = st.floats(-1e3, 1e3)
+grids = st.builds(Grid, st.floats(0.5, 100.0), st.sampled_from([2, 4, 16, 64]))
+
+
+def fields_on(grid):
+    return hnp.arrays(float, grid.n, elements=finite)
+
+
+class TestByteStableRoundTrips:
+    """Write, read and write again: the second write reproduces every byte."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_ground_state(self, data):
+        grid = data.draw(grids)
+        gs = GroundState(
+            alpha=data.draw(st.floats(1.0, 2.0)), grid=grid, values=data.draw(fields_on(grid)),
+            iterations=data.draw(st.integers(1, 2000)), converged=data.draw(st.booleans()),
+            residual=data.draw(finite), sup_diff=data.draw(finite),
+            pohozaev_residuals=tuple(data.draw(st.lists(finite, min_size=3, max_size=3))),
+            energy_residual=data.draw(finite),
+        )
+        with tempfile.TemporaryDirectory() as d1, tempfile.TemporaryDirectory() as d2:
+            write_ground_state(os.path.join(d1, "gs"), gs)
+            write_ground_state(os.path.join(d2, "gs"), read_ground_state(os.path.join(d1, "gs")))
+            assert sorted(_files(d1)) == ["gs.cert.json", "gs.f64", "gs.json"]
+            assert _files(d1) == _files(d2)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_run_directory(self, data):
+        grid = data.draw(grids)
+        cfg = EvolutionConfig(
+            alpha=data.draw(st.floats(1.0, 2.0)), dt=data.draw(st.floats(1e-6, 1.0)),
+            t_end=data.draw(st.floats(1e-3, 1e3)),
+            sign=data.draw(st.sampled_from(["focusing", "defocusing"])),
+            checkpoint_every=data.draw(st.integers(1, 1000)), store_states=True,
+        )
+        samples = [Diagnostics(*row) for row in data.draw(
+            st.lists(st.lists(finite, min_size=6, max_size=6), min_size=1, max_size=4))]
+        states = [(data.draw(finite), data.draw(fields_on(grid)))
+                  for _ in range(data.draw(st.integers(0, 3)))]
+        rec = RunRecord(
+            config=cfg, grid=grid, samples=samples, states=states,
+            final_state=data.draw(st.none() | fields_on(grid)), final_t=data.draw(finite),
+            status=data.draw(st.sampled_from(["completed", "diverged", "resolution_lost"])),
+            status_t=data.draw(st.none() | finite),
+        )
+        with tempfile.TemporaryDirectory() as d1, tempfile.TemporaryDirectory() as d2:
+            write_run(d1, rec)
+            header, samples2, states2, _ = read_run(d1)
+            final = None
+            if os.path.exists(os.path.join(d1, "final.f64")):
+                final = read_field(os.path.join(d1, "final"))[1]
+            g = header["grid"]
+            write_run(d2, RunRecord(
+                config=EvolutionConfig(**header["config"]),
+                grid=Grid(g["half_length"], g["n_points"]), samples=samples2, states=states2,
+                final_state=final, final_t=header["final_t"],
+                status=header["status"], status_t=header["status_t"],
+            ))
+            assert _files(d1) == _files(d2)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        *[hnp.arrays(float, n, elements=finite) for _ in range(9)])),
+        finite, st.booleans(), st.none() | finite)
+    def test_track(self, columns, fitted_c, truncated, truncated_at):
+        tr = ModulationTrack(1.5, *columns, fitted_c=fitted_c, truncated=truncated,
+                             truncated_at=truncated_at)
+        with tempfile.TemporaryDirectory() as d1, tempfile.TemporaryDirectory() as d2:
+            write_track(os.path.join(d1, "track"), tr)
+            write_track(os.path.join(d2, "track"), read_track(os.path.join(d1, "track")))
+            assert sorted(_files(d1)) == ["track.csv", "track.gp", "track.json"]
+            assert _files(d1) == _files(d2)
 
 
 class TestCommands:
@@ -193,6 +290,41 @@ class TestCommands:
                    "--out", str(tmp_path / "mono.json")])
         assert rc == 2
         assert not os.path.exists(str(tmp_path / "mono.json"))
+
+
+    def test_monotonicity_rebuilds_remainders_without_decompose(
+            self, artifacts_dir, tmp_path, monkeypatch):
+        gs, spec = str(artifacts_dir / "gs"), str(artifacts_dir / "spec")
+        run, track_base = str(tmp_path / "run"), str(tmp_path / "track")
+        assert main(["evolve", "--state", gs, "--t-end", "0.02", "--dt", "2e-4",
+                     "--checkpoint-every", "50",
+                     "--perturbation", '{"bump": {"amplitude": 0.01, "width": 2.0}}',
+                     "--out", run]) == 0
+        assert main(["modulate", "--run", run, "--state", gs, "--chi0", spec,
+                     "--out", track_base]) == 0
+
+        def no_decompose(*args, **kwargs):
+            raise AssertionError("the monotonicity stage decomposed a frame")
+
+        monkeypatch.setattr(modulation, "decompose", no_decompose)
+        out = str(tmp_path / "mono.json")
+        assert main(["monotonicity", "--run", run, "--track", track_base,
+                     "--x0", "10", "--r", "1.5", "--A", "10",
+                     "--state", gs, "--chi0", spec, "--out", out]) == 0
+        with open(out) as fh:
+            assert [rep["check"] for rep in json.load(fh)["reports"]] == ["right", "left", "eta"]
+
+    def test_modulate_without_a_decomposable_frame_exits_3(self, artifacts_dir, tmp_path):
+        # 0.3 Q is outside the closeness ceiling at every frame: the observer
+        # never enters the soliton tube, so no track exists
+        gs, spec = str(artifacts_dir / "gs"), str(artifacts_dir / "spec")
+        run = str(tmp_path / "run")
+        assert main(["evolve", "--state", gs, "--t-end", "0.002", "--dt", "1e-3",
+                     "--checkpoint-every", "1", "--perturbation", '{"scale": 0.3}',
+                     "--out", run]) == 0
+        assert main(["modulate", "--run", run, "--state", gs, "--chi0", spec,
+                     "--out", str(tmp_path / "track")]) == 3
+        assert not os.path.exists(str(tmp_path / "track.csv"))
 
 
 class TestBlowupScan:

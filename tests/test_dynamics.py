@@ -13,7 +13,7 @@ from dgbo import (
     flow_stepper,
     nonlinear_term,
 )
-from dgbo.dynamics import default_dt, rescaled_config
+from dgbo.dynamics import _padded_flux, default_dt, rescaled_config
 from dgbo.errors import ContractError
 from dgbo.ground_state import gkdv_profile
 
@@ -37,6 +37,17 @@ class TestNonlinearTerm:
         want = -(q**5) * np.tanh(2.0 * g.x)
         got = nonlinear_term(g, q, 2.0)
         assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_integer_power_flux_matches_float_power(self, alpha, rng):
+        # signed data, so that |v| and v differ where the odd power 3 is taken
+        g = Grid(30.0, 256)
+        u = np.exp(-(g.x**2) / 8.0) * (1.0 + 0.3 * np.cos(1.3 * g.x)) - 0.2
+        F = g.transform(u + 0.01 * rng.standard_normal(g.n))
+        v, vx = g.fine(F), g.fine(g.ik * F)
+        want = g.coarse(np.abs(v) ** (2.0 * alpha) * vx)
+        got = _padded_flux(g, F, alpha)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestConfig:

@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dgbo
+from dgbo import spectral
 from dgbo import Grid, stable_kernel
 from dgbo.errors import ContractError, ResolutionError
 from dgbo.ground_state import gkdv_profile
-from oracles import parseval_residual, periodized_gauss_kernel, periodized_poisson_kernel
-
-
-def dense_dft(grid, f):
-    """O(N^2) reference DFT."""
-    j = np.arange(grid.n)
-    return np.exp(-2j * np.pi * np.outer(j, j) / grid.n).T @ f
+import oracles
+from oracles import (
+    dense_dft,
+    full_wavenumbers,
+    parseval_residual,
+    periodized_gauss_kernel,
+    periodized_poisson_kernel,
+)
 
 
 @pytest.mark.parametrize("bad", [(0.0, 64), (-1.0, 64), (10.0, 63), (10.0, 96), (10.0, 0)])
@@ -30,9 +32,10 @@ def test_grid_geometry():
     assert g.h == pytest.approx(100.0 / 128)
     assert g.x[0] == -50.0
     assert g.x[64] == 0.0
-    # wavenumbers are pi*m/L, antisymmetric except Nyquist
+    # wavenumbers are pi*m/L for m = 0 .. N/2; the negative half is implied
     assert g.k[1] == pytest.approx(np.pi / 50.0)
-    assert np.allclose(g.k[1:64], -g.k[-1:-64:-1])
+    assert np.allclose(g.k, np.pi * np.arange(65) / 50.0)
+    assert g.k[-1] == g.k_max
 
 
 def test_transform_zero():
@@ -44,13 +47,13 @@ def test_transform_single_mode():
     g = Grid(30.0, 64)
     F = g.transform(np.cos(np.pi * g.x / g.half_length))
     nonzero = np.where(np.abs(F) > 1e-10)[0]
-    assert set(nonzero) == {1, 63}
+    assert set(nonzero) == {1}
 
 
 def test_roundtrip_against_dense_dft(rng):
     g = Grid(25.0, 256)
     f = rng.standard_normal(256)
-    assert np.max(np.abs(g.transform(f) - dense_dft(g, f))) < 1e-10
+    assert np.max(np.abs(g.transform(f) - dense_dft(g, f)[: g.n // 2 + 1])) < 1e-10
     assert np.max(np.abs(g.field(g.transform(f)) - f)) < 1e-12
 
 
@@ -70,7 +73,7 @@ def test_pad_truncate_roundtrip(f):
     Fp = g.pad(F)
     assert np.array_equal(g.truncate(Fp), F)
     # the padded interpolant takes the original values on the even fine points
-    err = np.max(np.abs(np.fft.ifft(Fp)[::2] - np.fft.ifft(F)))
+    err = np.max(np.abs(np.fft.irfft(Fp, 2 * g.n)[::2] - np.fft.irfft(F, g.n)))
     assert err <= 1e-12 * (1.0 + np.max(np.abs(f)))
 
 
@@ -114,7 +117,7 @@ class TestMultipliers:
         g = Grid(30.0, 512)
         f = np.exp(-(g.x**2) / 4.0)
         F = dense_dft(g, f)
-        sym = np.abs(g.k) ** 1.5
+        sym = np.abs(full_wavenumbers(g)) ** 1.5
         j = np.arange(g.n)
         ref = (np.exp(2j * np.pi * np.outer(j, j) / g.n) @ (sym * F)).real / g.n
         out = g.apply_multiplier(f, 1.5, "riesz")
@@ -151,8 +154,8 @@ class TestMultipliers:
         g = Grid(15.0, 128)
         m = g.multiplier(1.5, "dispersion")
         assert np.max(np.abs(m.real)) == 0.0
-        assert m[g.n // 2] == 0.0
-        assert np.allclose(m[1:64], -m[-1:-64:-1])
+        assert m[-1] == 0.0  # Nyquist
+        assert np.allclose(m[:-1], 1j * g.k[:-1] * np.abs(g.k[:-1]) ** 1.5)
 
 
 class TestNorms:
@@ -282,3 +285,56 @@ def test_parseval_and_roundtrip_on_random_grids(half_length, f):
     g = Grid(half_length, len(f))
     assert parseval_residual(g, f) < 1e-12
     assert np.max(np.abs(g.field(g.transform(f)) - f)) <= 1e-12 * (1.0 + np.max(np.abs(f)))
+
+
+def test_evaluate_in_blocks_equals_one_block(monkeypatch):
+    g = Grid(30.0, 256)
+    f = np.exp(-((g.x - 2.0) ** 2) / 9.0) * np.cos(0.8 * g.x)
+    pts = np.linspace(-45.0, 45.0, 301)
+    whole = g.evaluate(f, pts)
+    monkeypatch.setattr(spectral, "EVALUATE_BLOCK", 7 * len(g.k))  # 7 points per block
+    blocked = g.evaluate(f, pts)
+    assert np.max(np.abs(blocked - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+
+# The stored half spectrum counts each interior mode once for the pair +-m:
+# the Parseval sums below must weight it twice to match the full N-mode sums.
+random_grid_field = st.tuples(
+    st.floats(0.5, 100.0),
+    st.sampled_from([4, 16, 64, 256]).flatmap(
+        lambda n: hnp.arrays(float, n, elements=st.floats(-1e3, 1e3))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_grid_field, st.floats(1.0, 2.0))
+def test_sobolev_seminorm_matches_full_spectrum(grid_field, alpha):
+    half_length, f = grid_field
+    g = Grid(half_length, len(f))
+    want = oracles.sobolev_seminorm_sq(g, f, alpha)
+    bound = g.k_max**alpha * g.inner(f, f)  # the seminorm's ceiling sets its roundoff
+    assert abs(g.sobolev_seminorm_sq(f, alpha) - want) <= 1e-12 * bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_grid_field, st.floats(0.05, 0.5))
+def test_spectral_tail_fraction_matches_full_spectrum(grid_field, frac):
+    half_length, f = grid_field
+    g = Grid(half_length, len(f))
+    want = oracles.spectral_tail_fraction(g, f, frac)
+    assert abs(g.spectral_tail_fraction(g.transform(f), frac) - want) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(5.0, 100.0), st.sampled_from([16, 64, 256]),
+       hnp.arrays(float, 7, elements=st.floats(-1.0, 1.0)), st.floats(-0.4, 0.4))
+def test_fit_shift_matches_full_spectrum(half_length, n, coefs, shift_frac):
+    # three low modes plus a Nyquist component, which the weights single out
+    g = Grid(half_length, n)
+    F = np.zeros(n // 2 + 1, dtype=complex)
+    F[1:4] = coefs[:3] + 1j * coefs[3:6]
+    F[-1] = 0.5 + coefs[6]
+    f = np.fft.irfft(F, n) * n
+    shifted = g.shift(f, shift_frac * half_length)
+    want = oracles.fit_shift(g, shifted, f)
+    assert abs(g.fit_shift(shifted, f) - want) <= 1e-12 * max(1.0, abs(want))
