@@ -1,15 +1,18 @@
 """The operator L = |D|^alpha + 1 - Q^{2 alpha} around a ground state.
 
-Dense collocation assembly (|D|^alpha is a symmetric circulant), full
-eigendecomposition, structural certification (a single negative eigenvalue
-with an even positive eigenfunction; a one-dimensional near-kernel carried by
-Q'), coercivity probes, and evolution of the associated flow w_t = dx(L w).
+Dense collocation assembly (|D|^alpha is a symmetric circulant), one full
+eigendecomposition by LAPACK's divide-and-conquer solver (``numpy.linalg.eigh``,
+Cuppen's method, which suits the clustered continuum of L), structural
+certification (a single negative eigenvalue with an even positive
+eigenfunction; a one-dimensional near-kernel carried by Q'), coercivity probes
+whose minimum over the Q-orthogonal sphere is the smallest root of a secular
+equation on that same eigendecomposition, and evolution of the associated
+flow w_t = dx(L w).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .dynamics import Stepper
 from .errors import CapacityError, ContractError
@@ -17,14 +20,19 @@ from .ground_state import GroundState
 from .spectral import Grid
 
 DENSE_N_LIMIT = 4096
+COERCIVITY_BLOCK = 64  # random trial fields per stacked transform in coercivity_probe
+
+
+def _potential(gs: GroundState):
+    """Q^{2 alpha}, the multiplication part of L."""
+    return np.abs(gs.values) ** (2.0 * gs.alpha)
 
 
 def apply_operator(gs: GroundState, v):
     """L v = |D|^alpha v + v - Q^{2 alpha} v, applied spectrally/pointwise."""
     grid = gs.grid
     v = grid.check_field(v)
-    pot = np.abs(gs.values) ** (2.0 * gs.alpha)
-    return grid.apply_multiplier(v, gs.alpha, "riesz") + v - pot * v
+    return grid.apply_multiplier(v, gs.alpha, "riesz") + v - _potential(gs) * v
 
 
 @dataclass
@@ -36,7 +44,12 @@ class LinearizedOperator:
 
 
 def assemble(gs: GroundState) -> LinearizedOperator:
-    """Dense symmetric N x N collocation matrix of L (N <= 4096)."""
+    """Dense symmetric N x N collocation matrix of L (N <= 4096).
+
+    The circulant part is symmetrized through its column (the average of col
+    and its reflection) and the diagonal is written in place, so the only
+    N x N arrays formed are the matrix and its int32 index.
+    """
     grid = gs.grid
     n = grid.n
     if n > DENSE_N_LIMIT:
@@ -45,9 +58,10 @@ def assemble(gs: GroundState) -> LinearizedOperator:
             "use apply_operator for matrix-free application"
         )
     col = grid.field(grid.multiplier(gs.alpha, "riesz"))
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    mat = col[idx] + np.eye(n) - np.diag(np.abs(gs.values) ** (2.0 * gs.alpha))
-    mat = 0.5 * (mat + mat.T)
+    col = 0.5 * (col + grid.reflect(col))
+    i = np.arange(n, dtype=np.int32)
+    mat = col[(i[:, None] - i) % n]
+    mat.flat[:: n + 1] = (col[0] + 1.0) - _potential(gs)
     return LinearizedOperator(alpha=gs.alpha, grid=grid, gs=gs, matrix=mat)
 
 
@@ -56,6 +70,7 @@ class SpectrumReport:
     alpha: float
     grid: Grid
     eigenvalues: np.ndarray
+    q_weights: np.ndarray            # (v_i . Q)^2 / |Q|^2 per eigenvector v_i: Q's spectral measure
     mu0: float
     chi0: np.ndarray                 # unit L2 norm, sign-fixed positive
     near_kernel: list                # (eigenvalue, eigenvector) with |ev| <= kernel_tol
@@ -72,6 +87,11 @@ class SpectrumReport:
 def spectrum(op: LinearizedOperator, kernel_tol_rel: float = 1e-6) -> SpectrumReport:
     """Full symmetric eigendecomposition with structural certification.
 
+    One divide-and-conquer solve (LAPACK ``syevd`` through ``numpy.linalg.eigh``)
+    gives every eigenpair. Besides the certified modes, only the spectral
+    measure of Q (``q_weights``) is kept from the eigenvectors; it is all that
+    ``coercivity_probe`` needs.
+
     Violations of the expected structure (wrong negative count, wrong
     near-kernel dimension, non-even or sign-changing ground eigenfunction,
     poor Q' match) are reported in ``notes`` with ``structure_ok=False``;
@@ -81,7 +101,7 @@ def spectrum(op: LinearizedOperator, kernel_tol_rel: float = 1e-6) -> SpectrumRe
     instead, with a note.
     """
     grid = op.grid
-    evals, evecs = sla.eigh(op.matrix)
+    evals, evecs = np.linalg.eigh(op.matrix)
     norm = float(np.max(np.abs(evals)))
     ktol = kernel_tol_rel * norm
     notes = []
@@ -138,10 +158,14 @@ def spectrum(op: LinearizedOperator, kernel_tol_rel: float = 1e-6) -> SpectrumRe
         v = evecs[:, i]
         resid = max(resid, float(np.max(np.abs(op.matrix @ v - evals[i] * v))))
 
+    q = op.gs.values
+    q_weights = (q @ evecs) ** 2 / float(np.dot(q, q))
+
     return SpectrumReport(
         alpha=op.alpha,
         grid=grid,
         eigenvalues=evals,
+        q_weights=q_weights,
         mu0=mu0,
         chi0=chi0,
         near_kernel=near_kernel,
@@ -161,11 +185,34 @@ class CoercivityReport:
     mu_est: float                    # min (Lv,v)/||v||_H1^2 over v orthogonal to {chi0, Q'}
     min_q_orthogonal: float          # min eigenvalue of L restricted orthogonal to Q
     violation: bool
-    trials: int
+    trials: int                      # random trial fields that entered mu_est
 
 
-def _h1_norm_sq(grid: Grid, v):
-    return grid.inner(v, v) + grid.sobolev_seminorm_sq(v, 2.0)
+def secular_min(eigenvalues, weights) -> float:
+    """Smallest eigenvalue of a symmetric matrix compressed to the complement of a vector q.
+
+    ``eigenvalues`` ascend and ``weights`` are w_i = (v_i . q)^2 / |q|^2 over
+    the eigenvectors v_i. The compressed eigenvalues that are not eigenvalues
+    of the matrix are the roots of the secular function
+    f(mu) = sum_i w_i / (lambda_i - mu) (Golub, SIAM Rev. 15, 1973), and by
+    Cauchy interlacing the smallest lies in [lambda_0, lambda_1]. There f is
+    increasing, and bisection on its sign closes on the answer to the last
+    bit: on the root if f changes sign; on lambda_0 if w_0 = 0 (f > 0, v_0 is
+    orthogonal to q); on lambda_1 if f < 0 throughout (then w_1 = 0 and v_1
+    is orthogonal to q). Inside the bracket lambda_0 < mu < lambda_1, so no
+    term divides by zero.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    lo, hi = float(lam[0]), float(lam[1])
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if np.sum(w / (lam - mid)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def coercivity_probe(
@@ -178,43 +225,45 @@ def coercivity_probe(
     """Probe the two quadratic-form statements attached to L.
 
     Randomized smooth fields projected orthogonal to {chi0, Q'} should give a
-    strictly positive H1-relative quotient; the exact minimum of (Lv,v) over
-    the Q-orthogonal unit sphere (a projected eigenvalue problem) should sit
-    at zero from above, up to discretization.
+    strictly positive H1-relative quotient; they are evaluated in stacks of at
+    most COERCIVITY_BLOCK, one transform per stack. The exact minimum of
+    (Lv,v) over the Q-orthogonal unit sphere, the smallest root of the secular
+    equation on the spectrum's eigenvalues and ``q_weights`` (``secular_min``),
+    should sit at zero from above, up to discretization.
     """
     rng = np.random.default_rng(1) if rng is None else rng
     grid = op.grid
     qp = op.gs.derivative()
     qp = qp / grid.norm_l2(qp)
     chi0 = report.chi0
-    mu_est = np.inf
-    for _ in range(trials):
-        width = rng.uniform(0.5, grid.half_length / 4.0)
-        center = rng.uniform(-grid.half_length / 2.0, grid.half_length / 2.0)
-        freq = rng.uniform(0.0, 2.0)
-        v = np.exp(-(((grid.x - center) / width) ** 2)) * np.cos(freq * grid.x + rng.uniform(0, 7))
-        v = v - grid.inner(v, chi0) * chi0 - grid.inner(v, qp) * qp
-        nrm = _h1_norm_sq(grid, v)
-        if nrm < 1e-12:
-            continue
-        quot = grid.inner(apply_operator(op.gs, v), v) / nrm
-        mu_est = min(mu_est, quot)
+    pot = _potential(op.gs)
+    L = grid.half_length
+    mu_est, used = np.inf, 0
+    for start in range(0, trials, COERCIVITY_BLOCK):
+        # rows are trials; per trial the draws come in the order width,
+        # center, frequency, phase, as rng.uniform(low, high) = low + (high - low) * u
+        u = rng.random((min(COERCIVITY_BLOCK, trials - start), 4)).T[:, :, None]
+        width = 0.5 + (L / 4.0 - 0.5) * u[0]
+        center = -L / 2.0 + L * u[1]
+        v = np.exp(-(((grid.x - center) / width) ** 2)) * np.cos(2.0 * u[2] * grid.x + 7.0 * u[3])
+        v = v - grid.h * (v @ chi0)[:, None] * chi0 - grid.h * (v @ qp)[:, None] * qp
+        # (Lv, v) and ||v||_H1^2 by Parseval from one stacked transform
+        F = grid.transform(v)
+        mass = grid.h * np.sum(v * v, axis=-1)
+        form = grid.seminorm_sq_of_spectrum(F, op.alpha) + mass
+        form -= grid.h * np.sum(pot * v * v, axis=-1)
+        h1 = mass + grid.seminorm_sq_of_spectrum(F, 2.0)
+        ok = h1 >= 1e-12
+        if np.any(ok):
+            mu_est = min(mu_est, float(np.min(form[ok] / h1[ok])))
+            used += int(np.sum(ok))
 
-    # exact minimum of (Lv,v)/||v||^2 restricted orthogonal to Q
-    q = op.gs.values / grid.norm_l2(op.gs.values)
-    proj = np.eye(grid.n) - grid.h * np.outer(q, q)
-    pm = proj @ op.matrix @ proj
-    pm = 0.5 * (pm + pm.T)
-    evals = sla.eigh(pm, eigvals_only=True)
-    # drop the artificial zero introduced by the projector direction itself
-    min_qo = float(np.sort(evals)[0])
-    if abs(min_qo) < 1e-12:
-        min_qo = float(np.sort(evals)[1])
+    min_qo = secular_min(report.eigenvalues, report.q_weights)
     return CoercivityReport(
         mu_est=float(mu_est),
         min_q_orthogonal=min_qo,
         violation=bool(mu_est < -tol or min_qo < -1e-4 * max(1.0, abs(report.mu0))),
-        trials=trials,
+        trials=used,
     )
 
 
@@ -264,7 +313,7 @@ def evolve_linearized(
     sym = grid.multiplier(gs.alpha, "dispersion") + grid.ik
     # the potential stage -dx(Q^{2 alpha} w), products on the padded grid;
     # without it the step is the exact free dispersive group
-    pot = np.abs(gs.values) ** (2.0 * gs.alpha) if include_potential else np.zeros(grid.n)
+    pot = _potential(gs) if include_potential else np.zeros(grid.n)
     pot_fine = grid.fine(grid.transform(pot))
 
     def potential_term(F):

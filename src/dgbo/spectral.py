@@ -112,16 +112,23 @@ class Grid:
 
     # -- transforms ---------------------------------------------------------
 
-    def check_field(self, f):
-        """A real field on this grid: real fields in, real fields out."""
+    def check_field(self, f, stacked: bool = False):
+        """A real field on this grid: real fields in, real fields out.
+
+        With ``stacked`` the fields may also be stacked along leading axes.
+        """
         f = np.asarray(f)
-        if f.shape != (self.n,) or np.iscomplexobj(f):
+        shape_ok = f.shape[-1:] == (self.n,) if stacked else f.shape == (self.n,)
+        if not shape_ok or np.iscomplexobj(f):
             raise ContractError(f"need a real field of length {self.n}, got {f.dtype} {f.shape}")
         return f
 
     def transform(self, f):
-        """Forward real DFT of a real field: the n//2 + 1 coefficients of modes 0 .. n/2."""
-        return np.fft.rfft(self.check_field(f))
+        """Forward real DFT of a real field: the n//2 + 1 coefficients of modes 0 .. n/2.
+
+        f may stack fields along leading axes; each row gives one spectrum.
+        """
+        return np.fft.rfft(self.check_field(f, stacked=True))
 
     def field(self, F):
         """The real field with coefficients F (imaginary parts at 0 and Nyquist are dropped)."""
@@ -204,10 +211,16 @@ class Grid:
 
     def sobolev_seminorm_sq(self, f, alpha: float):
         """int ||D|^{alpha/2} f|^2 via Parseval."""
+        return float(self.seminorm_sq_of_spectrum(self.transform(f), alpha))
+
+    def seminorm_sq_of_spectrum(self, F, alpha: float):
+        """int ||D|^{alpha/2} f|^2 from the coefficients F of f, by Parseval.
+
+        F may stack spectra along leading axes; the result has one entry per row.
+        """
         _check_alpha(alpha)
-        F = self.transform(f)
-        return self.h / self.n * float(
-            np.sum(self._parseval_weight * np.abs(self.k) ** alpha * np.abs(F) ** 2)
+        return self.h / self.n * np.sum(
+            self._parseval_weight * np.abs(self.k) ** alpha * np.abs(F) ** 2, axis=-1
         )
 
     def h_alpha_half_norm(self, f, alpha: float):

@@ -1,6 +1,7 @@
 """Slow or closed-form references that only the tests compare against."""
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.optimize import minimize
 
 
@@ -119,3 +120,22 @@ def scan_decompose(u, gs, chi0, lam_window=(0.7, 1.4), rho_halfwidth=5.0, n_coar
         options={"xatol": 1e-10, "fatol": 1e-24, "maxiter": 2000},
     )
     return float(res.x[0]), float(res.x[1])
+
+
+def q_orthogonal_min(matrix, q):
+    """Smallest eigenvalue of a symmetric matrix compressed to the complement of q.
+
+    A Householder reflection H = I - 2 v v^T maps q/|q| to a multiple of e_0,
+    so H A H without its first row and column is A on q's orthogonal
+    complement. Every eigenvalue of that (N-1) x (N-1) block counts: no
+    direction is dropped as artificial.
+    """
+    A = np.asarray(matrix, dtype=float)
+    u = np.asarray(q, dtype=float) / np.linalg.norm(q)
+    v = u.copy()
+    v[0] += np.copysign(1.0, u[0])
+    v /= np.linalg.norm(v)
+    Av = A @ v
+    B = A - 2.0 * np.outer(v, Av) - 2.0 * np.outer(Av, v) + 4.0 * float(v @ Av) * np.outer(v, v)
+    B = B[1:, 1:]
+    return float(sla.eigvalsh(0.5 * (B + B.T))[0])

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dgbo import (
     Grid,
@@ -13,8 +17,10 @@ from dgbo import (
 )
 from dgbo.errors import CapacityError
 from dgbo.ground_state import scaling_generator
+from dgbo.linearized import secular_min
 
-from conftest import ground_state_for, spectrum_for
+from conftest import COMPACT, ground_state_for, spectrum_for
+from oracles import q_orthogonal_min
 
 
 class TestAssemble:
@@ -27,6 +33,20 @@ class TestAssemble:
             a = op.matrix @ v
             b = apply_operator(gs2_compact, v)
             assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.9])
+    def test_symmetry_and_diagonal_pinned(self, alpha):
+        gs = ground_state_for(alpha, COMPACT)
+        g, n = gs.grid, gs.grid.n
+        mat = assemble(gs).matrix
+        assert np.array_equal(mat, mat.T)
+        col = g.field(g.multiplier(alpha, "riesz"))
+        pot = np.abs(gs.values) ** (2.0 * alpha)
+        assert np.array_equal(np.diag(mat), (col[0] + 1.0) - pot)
+        # the dense formula: circulant plus identity minus potential, symmetrized
+        idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+        ref = col[idx] + np.eye(n) - np.diag(pot)
+        assert np.array_equal(mat, 0.5 * (ref + ref.T))
 
     def test_capacity_error(self):
         gs = ground_state_for(1.5)  # N = 32768 certification grid
@@ -75,6 +95,16 @@ class TestSpectrum:
         cos = abs(g.inner(chi, spec2_compact.chi0))
         assert cos > 1.0 - 1e-9
 
+    def test_eigenvalues_against_mrrr(self, gs2_compact, spec2_compact):
+        ref = sla.eigh(assemble(gs2_compact).matrix, eigvals_only=True)
+        err = np.max(np.abs(spec2_compact.eigenvalues - ref))
+        assert err < 1e-10 * np.max(np.abs(ref))
+
+    def test_q_weights_are_a_probability_measure(self, spec2_compact):
+        w = spec2_compact.q_weights
+        assert w.shape == spec2_compact.eigenvalues.shape
+        assert np.min(w) >= 0.0 and abs(np.sum(w) - 1.0) < 1e-12
+
     def test_mu0_against_doubled_resolution(self, spec2_compact):
         fine = spectrum_for(2.0, Grid(50.0, 2048))
         assert abs(spec2_compact.mu0 - fine.mu0) < 1e-4 * abs(fine.mu0)
@@ -95,6 +125,56 @@ class TestCoercivity:
         # the infimum over the Q-orthogonal sphere sits at zero (attained
         # along the scaling direction), up to discretization
         assert abs(rep.min_q_orthogonal) < 1e-4 * abs(spec2_compact.mu0)
+        assert rep.trials == 200
+
+    def test_blocked_trials_match_one_by_one(self, gs2_compact, spec2_compact):
+        # the trial loop as it ran one field at a time, drawing in the same order
+        g = gs2_compact.grid
+        qp = gs2_compact.derivative()
+        qp = qp / g.norm_l2(qp)
+        chi0 = spec2_compact.chi0
+        rng = np.random.default_rng(7)
+        quots = []
+        for _ in range(150):
+            width = rng.uniform(0.5, g.half_length / 4.0)
+            center = rng.uniform(-g.half_length / 2.0, g.half_length / 2.0)
+            freq = rng.uniform(0.0, 2.0)
+            v = np.exp(-(((g.x - center) / width) ** 2)) * np.cos(freq * g.x + rng.uniform(0, 7))
+            v = v - g.inner(v, chi0) * chi0 - g.inner(v, qp) * qp
+            nrm = g.inner(v, v) + g.sobolev_seminorm_sq(v, 2.0)
+            quots.append(g.inner(apply_operator(gs2_compact, v), v) / nrm)
+        rep = coercivity_probe(assemble(gs2_compact), spec2_compact, trials=150,
+                               rng=np.random.default_rng(7))
+        assert rep.trials == 150
+        assert rep.mu_est == pytest.approx(min(quots), rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [1.9, 1.95, 2.0])
+    def test_q_orthogonal_min_against_householder_oracle(self, alpha):
+        gs = ground_state_for(alpha, COMPACT)
+        op = assemble(gs)
+        rep = coercivity_probe(op, spectrum_for(alpha, COMPACT), trials=1)
+        assert abs(rep.min_q_orthogonal - q_orthogonal_min(op.matrix, gs.values)) < 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+        hnp.arrays(float, n, elements=st.floats(-10.0, 10.0)),
+        hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)),
+        hnp.arrays(float, (n, n), elements=st.floats(-1.0, 1.0)),
+        st.sampled_from([None, 0, 1]),
+    )))
+    def test_secular_root_is_the_compressed_minimum(self, case):
+        # q = basis @ c; zeroing c[0] or c[1] makes v_0 or v_1 orthogonal to q
+        lam, c, m, zero = case
+        if zero is not None:
+            c[zero] = 0.0
+        assume(np.linalg.norm(c) > 1e-3)
+        basis = np.linalg.qr(m)[0]
+        a = (basis * lam) @ basis.T
+        a = 0.5 * (a + a.T)
+        q = basis @ c
+        evals, evecs = np.linalg.eigh(a)
+        got = secular_min(evals, (q @ evecs) ** 2 / float(q @ q))
+        assert abs(got - q_orthogonal_min(a, q)) <= 1e-10 * max(1.0, float(np.max(np.abs(lam))))
 
 
 class TestLinearizedFlow:

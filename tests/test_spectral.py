@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +80,20 @@ def test_pad_truncate_roundtrip(f):
     assert err <= 1e-12 * (1.0 + np.max(np.abs(f)))
 
 
+def test_stacked_transform_and_seminorm_match_rows(rng):
+    g = Grid(15.0, 64)
+    f = rng.standard_normal((3, 64))
+    F = g.transform(f)
+    for row, Frow in zip(f, F):
+        assert np.array_equal(Frow, g.transform(row))
+    s = g.seminorm_sq_of_spectrum(F, 1.5)
+    assert s.shape == (3,)
+    for row, srow in zip(f, s):
+        assert srow == g.sobolev_seminorm_sq(row, 1.5)
+    with pytest.raises(ContractError):
+        g.transform(np.zeros((3, 65)))
+
+
 def test_length_mismatch():
     g = Grid(10.0, 64)
     with pytest.raises(ContractError):
@@ -99,6 +116,21 @@ def test_fourier_layout_lives_in_spectral():
     users = [p.name for p in sorted(src.glob("*.py"))
              if p.name != "spectral.py" and "np.fft" in p.read_text()]
     assert users == []
+
+
+def test_import_leaves_scipy_linalg_out():
+    # the package needs no scipy.linalg, so no process start should pay for
+    # importing it
+    src = Path(dgbo.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dgbo; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert res.stdout.strip() == "[]"
 
 
 class TestMultipliers:
