@@ -13,6 +13,7 @@ from .dynamics import (
     conserved,
     default_dt,
     evolve,
+    evolve_batch,
     flow_stepper,
     nonlinear_term,
 )

@@ -4,7 +4,9 @@ The linear group exp(i t k |k|^alpha) is applied exactly in Fourier space;
 the nonlinear term is advanced with the four-stage exponential integrator of
 Cox & Matthews, coefficients evaluated by contour averaging (Kassam &
 Trefethen). Products are formed on a padded grid and a smooth exponential
-high-k filter is applied once per step.
+high-k filter is applied once per step. ``evolve_batch`` advances runs that
+share a config but for t_end as one stack of spectra, each row with the bits
+it would have alone.
 """
 
 from dataclasses import dataclass, field, replace
@@ -100,22 +102,37 @@ def conserved(grid: Grid, u, alpha: float, t: float = 0.0) -> Diagnostics:
     )
 
 
-def _abs_power(v, p: float):
-    """|v|^p, by multiplication when p = 2 alpha is an integer (2, 3 or 4)."""
+def _abs_power_into(v, p: float):
+    """|v|^p, by multiplication when p = 2 alpha is an integer (2, 3 or 4).
+
+    v is overwritten where it can hold the result; the result is returned.
+    """
     if p == 4.0:
-        v2 = v * v
-        return v2 * v2
-    if p == 3.0:
-        return np.abs(v) * v * v
+        v *= v
+        v *= v
+        return v
     if p == 2.0:
-        return v * v
-    return np.abs(v) ** p
+        v *= v
+        return v
+    r = np.abs(v)
+    if p == 3.0:
+        r *= v
+        r *= v
+    else:
+        r **= p
+    return r
 
 
-def _padded_flux(grid: Grid, F, alpha: float):
-    """Spectrum of |u|^{2 alpha} u_x, products formed on the padded grid."""
-    v, vx = grid.fine(np.stack([F, grid.ik * F]))
-    return grid.coarse(_abs_power(v, 2.0 * alpha) * vx)
+def _padded_flux(grid: Grid, F, alpha: float, weight=None):
+    """Spectrum of |u|^{2 alpha} u_x, products formed in place on the padded grid.
+
+    F may stack spectra along leading axes. ``weight``, from
+    ``grid.truncation``, folds a multiplier into the truncation.
+    """
+    v, vx = grid.fine_pair(F)
+    w = _abs_power_into(v, 2.0 * alpha)
+    w *= vx
+    return grid.coarse(w, weight)
 
 
 def nonlinear_term(grid: Grid, u, alpha: float):
@@ -162,15 +179,19 @@ class Stepper:
 
 
 def flow_stepper(grid: Grid, cfg: EvolutionConfig) -> Stepper:
-    """The ETDRK4 update of the dgBO flow for a fixed (grid, config)."""
+    """The ETDRK4 update of the dgBO flow for a fixed (grid, config).
+
+    The update acts on one spectrum or on a stack of them, row by row.
+    """
     sym = grid.multiplier(cfg.alpha, "dispersion") + cfg.frame_speed * grid.ik
     nl_sign = -1.0 if cfg.sign == "focusing" else +1.0
+    # -sign times the flux, its zero mode pinned to the exact value 0 (the
+    # flux is a perfect derivative), folded into the truncation's multiply
+    weight = grid.truncation(nl_sign * (grid.k != 0.0))
 
     def nonlinear(F):
         """Spectrum of -sign * |u|^{2a} u_x, zero mode pinned to its exact value 0."""
-        W = _padded_flux(grid, F, cfg.alpha)
-        W[0] = 0.0  # the flux is a perfect derivative: its mean vanishes identically
-        return nl_sign * W
+        return _padded_flux(grid, F, cfg.alpha, weight)
 
     filt = None
     if cfg.filter_strength > 0.0:
@@ -179,45 +200,79 @@ def flow_stepper(grid: Grid, cfg: EvolutionConfig) -> Stepper:
     return Stepper(sym, cfg.dt, nonlinear, filt)
 
 
+def _checkpoint(grid: Grid, F, t: float, rec: RunRecord, observer) -> bool:
+    """Diagnostics, status checks and observer of one run at time t; True when it stops."""
+    cfg = rec.config
+    u = grid.field(F)
+    d = conserved(grid, u, cfg.alpha, t=t)
+    rec.samples.append(d)
+    if cfg.store_states:
+        rec.states.append((t, u.copy()))
+    rec.final_state, rec.final_t = u, t
+    if not d.is_finite() or d.linf > cfg.linf_ceiling:
+        rec.status, rec.status_t = STATUS_DIVERGED, t
+    elif grid.spectral_tail_fraction(F) > cfg.tail_energy_limit:
+        rec.status, rec.status_t = STATUS_RESOLUTION_LOST, t
+    else:
+        return observer is not None and bool(observer(t, u, rec))
+    return True
+
+
+def evolve_batch(grid: Grid, u0s, cfgs, observers=None) -> list[RunRecord]:
+    """Evolve several runs as one stack of spectra; one RunRecord per run.
+
+    The configs must agree in everything but ``t_end`` (ContractError
+    otherwise), so that one stepper advances every row. Each run keeps its
+    own checkpoints, status checks and observer, exactly as ``evolve`` would
+    give it alone, and leaves the stack when it stops or reaches its t_end.
+    """
+    u0s = [grid.check_field(u) for u in u0s]
+    cfgs = list(cfgs)
+    observers = [None] * len(u0s) if observers is None else list(observers)
+    if not len(cfgs) == len(observers) == len(u0s):
+        raise ContractError("need one config and one observer entry per initial field")
+    if not u0s:
+        return []
+    cfg = cfgs[0]
+    if any(replace(c, t_end=cfg.t_end) != cfg for c in cfgs):
+        raise ContractError("the runs of one batch may differ only in t_end")
+    st = flow_stepper(grid, cfg)
+    recs = [RunRecord(config=c, grid=grid) for c in cfgs]
+    n_steps = [int(round(c.t_end / c.dt)) for c in cfgs]
+    for rec, u0 in zip(recs, u0s):
+        rec.samples.append(conserved(grid, u0, cfg.alpha, t=0.0))
+        if cfg.store_states:
+            rec.states.append((0.0, u0.copy()))
+    F = grid.transform(np.stack(u0s))
+    for r in range(len(recs)):
+        if n_steps[r] == 0:
+            recs[r].final_state = grid.field(F[r])
+    live = [r for r in range(len(recs)) if n_steps[r] > 0]  # the run of each row of F
+    F = F[live]
+    i = 0
+    while live:
+        i += 1
+        F = st.step_spectrum(F)
+        keep = []
+        for j, r in enumerate(live):
+            if i % cfg.checkpoint_every == 0 or i == n_steps[r]:
+                if _checkpoint(grid, F[j], i * cfg.dt, recs[r], observers[r]) or i == n_steps[r]:
+                    continue  # the run stopped here or reached its t_end
+            keep.append(j)
+        if len(keep) < len(live):
+            F = F[keep]
+            live = [live[j] for j in keep]
+    return recs
+
+
 def evolve(grid: Grid, u0, cfg: EvolutionConfig, observer=None) -> RunRecord:
     """Run to t_end or a divergence/resolution flag, sampling diagnostics.
 
     ``observer(t, u, record)`` is called at every checkpoint and may return
-    True to stop the run early (recorded as completed at that time).
+    True to stop the run early (recorded as completed at that time). This is
+    the one-run case of ``evolve_batch``.
     """
-    u0 = grid.check_field(u0)
-    st = flow_stepper(grid, cfg)
-    rec = RunRecord(config=cfg, grid=grid)
-    F = grid.transform(u0)
-    rec.samples.append(conserved(grid, u0, cfg.alpha, t=0.0))
-    if cfg.store_states:
-        rec.states.append((0.0, u0.copy()))
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    for i in range(1, n_steps + 1):
-        F = st.step_spectrum(F)
-        if i % cfg.checkpoint_every == 0 or i == n_steps:
-            t = i * cfg.dt
-            u = grid.field(F)
-            d = conserved(grid, u, cfg.alpha, t=t)
-            rec.samples.append(d)
-            if cfg.store_states:
-                rec.states.append((t, u.copy()))
-            if not d.is_finite() or d.linf > cfg.linf_ceiling:
-                rec.status = STATUS_DIVERGED
-                rec.status_t = t
-                rec.final_state, rec.final_t = u, t
-                return rec
-            if grid.spectral_tail_fraction(F) > cfg.tail_energy_limit:
-                rec.status = STATUS_RESOLUTION_LOST
-                rec.status_t = t
-                rec.final_state, rec.final_t = u, t
-                return rec
-            if observer is not None and observer(t, u, rec):
-                rec.final_state, rec.final_t = u, t
-                return rec
-    rec.final_state = grid.field(F)
-    rec.final_t = n_steps * cfg.dt
-    return rec
+    return evolve_batch(grid, [u0], [cfg], [observer])[0]
 
 
 def rescaled_config(cfg: EvolutionConfig, lam0: float) -> EvolutionConfig:

@@ -85,11 +85,13 @@ def decompose(
     scale_floor = grid.norm_l2(u) * max(grid.norm_l2(qp), grid.norm_l2(chi0))
     tol = max(1e-12, 1e-14 * scale_floor)
     g_norm_prev = np.inf
+    eta = None  # the remainder at (lam, rho), when the line search already formed it
     for it in range(1, MAX_ITERS + 1):
         if lam <= 0:
             raise DecompositionError(f"scale parameter left (0, inf): lam={lam}")
-        eta = remainder(u, gs, lam, rho)
-        g1, g2 = _orthogonality(grid, eta, qp, chi0)
+        if eta is None:
+            eta = remainder(u, gs, lam, rho)
+            g1, g2 = _orthogonality(grid, eta, qp, chi0)
         gn = max(abs(g1), abs(g2))
         if gn < tol:
             break
@@ -109,14 +111,18 @@ def decompose(
             step = np.linalg.solve(J, -np.array([g1, g2]))
         except np.linalg.LinAlgError as exc:
             raise DecompositionError(f"singular modulation Jacobian: {exc}") from exc
-        # damped update: halve until the residual does not grow
+        # damped update: halve until the residual does not grow; the accepted
+        # trial's remainder and residuals carry over to the next iteration
         scale = 1.0
+        eta = None
         for _ in range(8):
             lam_try = lam + scale * step[0]
             rho_try = rho + scale * step[1]
             if lam_try > 0:
-                t1, t2 = _orthogonality(grid, remainder(u, gs, lam_try, rho_try), qp, chi0)
+                trial = remainder(u, gs, lam_try, rho_try)
+                t1, t2 = _orthogonality(grid, trial, qp, chi0)
                 if max(abs(t1), abs(t2)) < max(gn, g_norm_prev):
+                    eta, g1, g2 = trial, t1, t2
                     break
             scale *= 0.5
         lam, rho = lam + scale * step[0], rho + scale * step[1]

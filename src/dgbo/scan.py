@@ -13,7 +13,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .artifacts import write_csv, write_json, write_plot_script
-from .dynamics import EvolutionConfig, conserved, evolve
+from .dynamics import EvolutionConfig, conserved, evolve_batch
 from .errors import ClosenessError, DecompositionError
 from .ground_state import continuation_ladder
 from .linearized import assemble, spectrum
@@ -70,6 +70,41 @@ class ScanRow:
 SCAN_COLUMNS = tuple(f.name for f in fields(ScanRow))
 
 
+class _RowWatch:
+    """The divergence indicators of one scan row, as an ``evolve`` observer.
+
+    While the row stays in the modulation tube, each checkpoint is decomposed
+    (warm-started from the previous one) and lambda is recorded; the row
+    trips on lambda below ``lam_stop`` or on H^{alpha/2} growth beyond
+    ``sobolev_trip``.
+    """
+
+    def __init__(self, gs, chi0, u0, d0, lam_stop, sobolev_trip):
+        self.gs, self.chi0, self.d0 = gs, chi0, d0
+        self.lam_stop, self.sobolev_trip = lam_stop, sobolev_trip
+        self.guess = (1.0, float(gs.grid.x[int(np.argmax(np.abs(u0)))]))
+        self.lam_hist = []
+        self.trip_time, self.trip_reason = None, ""
+        self.inside, self.exit_t = True, None
+
+    def __call__(self, t, u, rec):
+        if self.inside:
+            try:
+                st = decompose(u, self.gs, self.chi0, guess=self.guess)
+                self.guess = (st.lam, st.rho)
+                self.lam_hist.append(st.lam)
+                if st.lam < self.lam_stop:
+                    self.trip_time, self.trip_reason = t, "lambda_contraction"
+                    return True
+            except (DecompositionError, ClosenessError):
+                self.inside, self.exit_t = False, t
+        d = rec.samples[-1]
+        if d.sobolev_norm > self.sobolev_trip * self.d0.sobolev_norm:
+            self.trip_time, self.trip_reason = t, "sobolev_growth"
+            return True
+        return False
+
+
 def blowup_scan(
     alpha: float,
     amplitudes,
@@ -103,45 +138,27 @@ def blowup_scan(
     # below which an energy sign is not certifiable on this grid
     energy_floor = 10.0 * abs(conserved(grid, gs.values, alpha).energy) + 1e-12
     rng = np.random.default_rng(rng_seed)
-    rows = []
+    starts, cfgs, watches = [], [], []
     for a in amplitudes:
         u0 = build_initial_data(grid, gs, {"scale": a, **(perturbation or {})}, rng)
-        b = beta_fn(u0, gs)
         d0 = conserved(grid, u0, alpha)
         supercritical = d0.energy < -energy_floor
-        cfg = EvolutionConfig(
+        starts.append((a, u0, d0, supercritical))
+        cfgs.append(EvolutionConfig(
             alpha=alpha,
             dt=dt,
             t_end=t_end_super if supercritical else t_end_bounded,
             frame_speed=1.0,
             checkpoint_every=checkpoint_every,
-        )
-        lam_hist = []
-        trip = {"time": None, "reason": ""}
-        tube = {"inside": True, "exit_t": None}
-        guess = [(1.0, float(grid.x[int(np.argmax(np.abs(u0)))]))]
-
-        def observer(t, u, rec):
-            if tube["inside"]:
-                try:
-                    st = decompose(u, gs, chi0, guess=guess[0])
-                    guess[0] = (st.lam, st.rho)
-                    lam_hist.append((t, st.lam))
-                    if st.lam < lam_stop:
-                        trip.update(time=t, reason="lambda_contraction")
-                        return True
-                except (DecompositionError, ClosenessError):
-                    tube.update(inside=False, exit_t=t)
-            d = rec.samples[-1]
-            if d.sobolev_norm > sobolev_trip * d0.sobolev_norm:
-                trip.update(time=t, reason="sobolev_growth")
-                return True
-            return False
-
-        rec = evolve(grid, u0, cfg, observer=observer)
-        if rec.status != "completed" and trip["time"] is None:
-            trip.update(time=rec.status_t, reason=rec.status)
-        lam_vals = np.array([l for _, l in lam_hist]) if lam_hist else np.array([1.0])
+        ))
+        watches.append(_RowWatch(gs, chi0, u0, d0, lam_stop, sobolev_trip))
+    recs = evolve_batch(grid, [u0 for _, u0, _, _ in starts], cfgs, watches)
+    rows = []
+    for (a, u0, d0, supercritical), rec, w in zip(starts, recs, watches):
+        b = beta_fn(u0, gs)
+        if rec.status != "completed" and w.trip_time is None:
+            w.trip_time, w.trip_reason = rec.status_t, rec.status
+        lam_vals = np.array(w.lam_hist) if w.lam_hist else np.array([1.0])
         lam_min = float(np.min(lam_vals))
         monotone = bool(
             np.all(np.diff(lam_vals) <= 5e-3 * lam_vals[:-1]) and lam_vals[-1] <= lam_vals[0]
@@ -159,10 +176,10 @@ def blowup_scan(
                 lambda_monotone=monotone,
                 sobolev_growth=float(np.max(sob) / sob[0]),
                 linf_growth=float(np.max(linf) / linf[0]),
-                trip_time=trip["time"],
-                trip_reason=trip["reason"],
-                tripped=trip["time"] is not None,
-                tube_exit_t=tube["exit_t"],
+                trip_time=w.trip_time,
+                trip_reason=w.trip_reason,
+                tripped=w.trip_time is not None,
+                tube_exit_t=w.exit_t,
                 sign_relation_ok=bool(b > 0.0 if supercritical else True),
             )
         )

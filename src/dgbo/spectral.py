@@ -134,6 +134,32 @@ class Grid:
         """The real field with coefficients F (imaginary parts at 0 and Nyquist are dropped)."""
         return np.fft.irfft(F, self.n)
 
+    @cached_property
+    def _pad_weight(self):
+        """``pad``'s scaling as one multiply: m/n, halved at the coarse Nyquist mode.
+
+        Both factors are powers of two, so the product is exact.
+        """
+        w = np.full(len(self.k), float(PAD))
+        w[-1] *= 0.5
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def _pad_derivative_weight(self):
+        """``_pad_weight`` times the d/dx symbol ik."""
+        w = self.ik * self._pad_weight
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def _truncate_weight(self):
+        """``truncate``'s scaling as one multiply: n/m, doubled at this grid's Nyquist mode."""
+        w = np.full(len(self.k), 1.0 / PAD)
+        w[-1] *= 2.0
+        w.flags.writeable = False
+        return w
+
     def pad(self, F):
         """Coefficients of the same trigonometric interpolant on the PAD-times-finer grid.
 
@@ -142,34 +168,52 @@ class Grid:
         both. The m/n factor keeps the sampled values unchanged under numpy's
         1/m inverse normalisation. F may stack spectra along leading axes.
         """
-        n, m = self.n, PAD * self.n
+        m = PAD * self.n
         Fp = np.zeros(F.shape[:-1] + (m // 2 + 1,), dtype=complex)
-        Fp[..., : n // 2 + 1] = F
-        Fp[..., n // 2] *= 0.5
-        Fp *= m / n
+        np.multiply(F, self._pad_weight, out=Fp[..., : self.n // 2 + 1])
         return Fp
 
     def truncate(self, W):
-        """Inverse of ``pad``: keep the modes 0 .. n/2 of m-point coefficients.
+        """Inverse of ``pad``: keep the modes 0 .. n/2 of PAD*n-point coefficients.
 
         The pair +-n/2 folds back into this grid's Nyquist mode, so its entry
         is doubled.
         """
-        n, m = self.n, 2 * (W.shape[-1] - 1)
-        F = W[..., : n // 2 + 1] * (n / m)
-        F[..., n // 2] *= 2.0
-        return F
+        return W[..., : self.n // 2 + 1] * self._truncate_weight
+
+    def truncation(self, symbol):
+        """``truncate``'s scaling times a multiplier ``symbol``, for ``coarse(w, weight)``."""
+        return self._truncate_weight * symbol
 
     def fine(self, F):
         """Values on the PAD-times-finer grid of the interpolant with coefficients F.
 
         F may stack spectra along leading axes; each gives one row of values.
+        ``irfft`` zero-pads the weighted coefficients itself, which gives the
+        same bits as transforming ``pad(F)``.
         """
-        return np.fft.irfft(self.pad(F), PAD * self.n)
+        return np.fft.irfft(F * self._pad_weight, PAD * self.n)
 
-    def coarse(self, w):
-        """Coefficients on this grid of values ``w`` on the PAD-times-finer grid."""
-        return self.truncate(np.fft.rfft(w))
+    def fine_pair(self, F):
+        """Values of u and u_x on the PAD-times-finer grid, in one inverse transform.
+
+        F holds u's coefficients, possibly stacked along leading axes; the
+        result stacks the values of u and of u_x along a new leading axis.
+        """
+        S = np.empty((2,) + F.shape, dtype=complex)
+        np.multiply(F, self._pad_weight, out=S[0])
+        np.multiply(F, self._pad_derivative_weight, out=S[1])
+        return np.fft.irfft(S, PAD * self.n)
+
+    def coarse(self, w, weight=None):
+        """Coefficients on this grid of values ``w`` on the PAD-times-finer grid.
+
+        ``weight``, from ``truncation``, folds a multiplier into truncate's
+        scaling, applied in place on the transform's output.
+        """
+        W = np.fft.rfft(w)[..., : self.n // 2 + 1]
+        W *= self._truncate_weight if weight is None else weight
+        return W
 
     # -- multipliers --------------------------------------------------------
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from dgbo import (
     Stepper,
     conserved,
     evolve,
+    evolve_batch,
     flow_stepper,
     nonlinear_term,
 )
@@ -104,6 +107,26 @@ class TestStep:
         F0 = g.transform(u)
         assert flow_stepper(g, cfg).step_spectrum(F0)[0] == F0[0]
 
+    def test_stacked_step_matches_rows(self, rng):
+        # the zero-mode pin acts on mode 0 of every row, not on row 0
+        g = Grid(30.0, 256)
+        U = np.stack([np.exp(-(g.x**2) / 4.0) + 0.3, 0.8 * np.exp(-((g.x - 3.0) ** 2))])
+        U = U + 0.01 * rng.standard_normal(U.shape)
+        st = flow_stepper(g, soliton_cfg(dt=1e-3))
+        stacked = st.step_spectrum(g.transform(U))
+        for row, u in zip(stacked, U):
+            assert np.array_equal(row, st.step_spectrum(g.transform(u)))
+
+    def test_flux_result_survives_the_next_call(self, rng):
+        g = Grid(30.0, 256)
+        st = flow_stepper(g, soliton_cfg())
+        F1 = g.transform(np.exp(-(g.x**2) / 4.0))
+        W1 = st.nonlinear(F1)
+        kept = W1.copy()
+        st.nonlinear(g.transform(rng.standard_normal((3, g.n))))
+        st.nonlinear(F1)
+        assert np.array_equal(W1, kept)
+
     def test_linear_regime_matches_exact_propagator(self):
         g = Grid(30.0, 256)
         cfg = EvolutionConfig(alpha=1.5, dt=1e-3, t_end=1.0, filter_strength=0.0)
@@ -172,6 +195,75 @@ class TestEvolve:
         cfg = EvolutionConfig(alpha=2.0, dt=2e-4, t_end=1.0, checkpoint_every=50)
         rec = evolve(g, gs2_compact.values, cfg, observer=lambda t, u, r: t >= 0.02)
         assert rec.final_t < 0.05
+
+
+DIAGNOSTIC_COLUMNS = ("t", "mass", "energy", "mean", "sobolev_norm", "linf")
+
+
+def assert_same_record(a, b):
+    assert (a.status, a.status_t, a.final_t) == (b.status, b.status_t, b.final_t)
+    assert np.array_equal(a.final_state, b.final_state)
+    for name in DIAGNOSTIC_COLUMNS:
+        assert np.array_equal(a.column(name), b.column(name)), name
+    assert [t for t, _ in a.states] == [t for t, _ in b.states]
+    assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(a.states, b.states))
+
+
+class TestEvolveBatch:
+    @settings(max_examples=30, deadline=None)
+    @given(coefs=hnp.arrays(float, (3, 8), elements=st.floats(-1.0, 1.0)),
+           amplitudes=st.lists(st.floats(0.2, 3.0), min_size=3, max_size=3),
+           steps=st.lists(st.integers(1, 40), min_size=3, max_size=3),
+           stop_at=st.integers(1, 40),
+           alpha=st.sampled_from([1.5, 1.9, 2.0]),
+           sign=st.sampled_from(["focusing", "defocusing"]),
+           frame_speed=st.sampled_from([0.0, 1.0]),
+           filter_strength=st.sampled_from([0.0, 1.0]),
+           checkpoint_every=st.sampled_from([1, 4, 7]),
+           store_states=st.booleans())
+    def test_rows_match_one_row_runs(self, coefs, amplitudes, steps, stop_at, alpha, sign,
+                                     frame_speed, filter_strength, checkpoint_every,
+                                     store_states):
+        # rows of unequal t_end; row 0 has an observer that stops it, and the
+        # large amplitudes cross linf_ceiling and diverge
+        g = Grid(20.0, 128)
+        dt = 1e-3
+        u0s = []
+        for c, amp in zip(coefs, amplitudes):
+            F = np.zeros(g.n // 2 + 1, dtype=complex)
+            F[1:5] = c[:4] + 1j * c[4:]
+            u0s.append(amp * np.exp(-(g.x**2) / 4.0) + np.fft.irfft(F, g.n) * (g.n / 8))
+        cfgs = [EvolutionConfig(alpha=alpha, dt=dt, t_end=n * dt, sign=sign,
+                                frame_speed=frame_speed, filter_strength=filter_strength,
+                                checkpoint_every=checkpoint_every, linf_ceiling=4.0,
+                                store_states=store_states)
+                for n in steps]
+
+        def stop(t, u, rec):
+            return t >= stop_at * dt
+
+        batch = evolve_batch(g, u0s, cfgs, [stop, None, None])
+        for r, (u0, cfg) in enumerate(zip(u0s, cfgs)):
+            alone = evolve(g, u0, cfg, observer=stop if r == 0 else None)
+            assert_same_record(batch[r], alone)
+            assert batch[r].config is cfg
+
+    def test_mismatched_configs_rejected(self):
+        g = Grid(20.0, 128)
+        u0 = np.exp(-(g.x**2))
+        base = EvolutionConfig(alpha=2.0, dt=1e-3, t_end=0.01)
+        for other in (dict(alpha=1.9), dict(dt=2e-3), dict(sign="defocusing"),
+                      dict(filter_strength=0.0), dict(frame_speed=1.0),
+                      dict(checkpoint_every=5), dict(store_states=True)):
+            with pytest.raises(ContractError):
+                evolve_batch(g, [u0, u0], [base, replace(base, **other)])
+        with pytest.raises(ContractError):
+            evolve_batch(g, [u0, u0], [base])
+        with pytest.raises(ContractError):
+            evolve_batch(g, [u0], [base], [None, None])
+        # t_end alone may differ
+        recs = evolve_batch(g, [u0, u0], [base, replace(base, t_end=0.02)])
+        assert [r.final_t for r in recs] == pytest.approx([0.01, 0.02])
 
 
 class TestOrderAndSymmetry:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgbo import EvolutionConfig, beta, conserved, decompose, evolve, renormalize, track
+from dgbo import EvolutionConfig, Grid, beta, conserved, decompose, evolve, renormalize, track
 from dgbo.errors import ClosenessError, ContractError
 from dgbo.ground_state import gkdv_profile
 
@@ -48,6 +48,23 @@ class TestDecompose:
         assert abs(st.lam - lam0) < 1e-7
         assert abs(st.rho - x0) < 1e-7
         assert st.eta_l2 < 1e-7
+
+    def test_accepted_trial_frame_is_reused(self, frame, monkeypatch):
+        # one resample for the first frame, then per Newton step one for v_y
+        # and one for the accepted trial, whose remainder the next iteration
+        # reuses; re-forming it at the top would cost 13 here
+        gs, chi0 = frame
+        calls = []
+        resample = Grid.resample_scaled
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return resample(self, *args, **kwargs)
+
+        monkeypatch.setattr(Grid, "resample_scaled", counted)
+        st = decompose(make_soliton(gs, 1.1, 2.5), gs, chi0)
+        assert st.iterations == 5
+        assert len(calls) == 1 + 2 * (st.iterations - 1) == 9
 
     @pytest.mark.parametrize("lam0,x0", [(0.5, 3.0), (1.5, 7.0), (2.0, -2.0)])
     def test_covariance_extreme_scales(self, frame, lam0, x0):

@@ -9,3 +9,13 @@ def test_supercritical_row_trips_on_contraction_inside_the_tube():
     assert row.trip_reason == "lambda_contraction"
     assert 2.0 < row.trip_time < 2.4
     assert row.tube_exit_t is None
+
+
+def test_batched_rows_match_single_amplitude_scans():
+    # the rows of one scan are stepped as one stack; each must come out as
+    # the same row a scan of its amplitude alone gives (bounded, tube exit,
+    # Sobolev and lambda trips of unequal lifetimes)
+    amplitudes = [0.9, 1.0, 1.06, 1.08]
+    rows, _ = blowup_scan(2.0, amplitudes, t_end_bounded=0.5)
+    single = [blowup_scan(2.0, [a], t_end_bounded=0.5)[0][0] for a in amplitudes]
+    assert sorted(rows, key=lambda r: r.amplitude) == single

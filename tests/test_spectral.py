@@ -80,6 +80,25 @@ def test_pad_truncate_roundtrip(f):
     assert err <= 1e-12 * (1.0 + np.max(np.abs(f)))
 
 
+def test_fine_and_coarse_match_pad_and_truncate(rng):
+    # the one-multiply weights give the bits of the explicit pad and truncate,
+    # row by row on stacked spectra
+    g = Grid(15.0, 64)
+    F = g.transform(rng.standard_normal((3, 64)))
+    fine = g.fine(F)
+    assert np.array_equal(fine, np.fft.irfft(g.pad(F), 2 * g.n))
+    u, ux = g.fine_pair(F)
+    assert np.array_equal(u, fine)
+    assert np.array_equal(ux, g.fine(g.ik * F))
+    w = rng.standard_normal((3, 2 * g.n))
+    W = g.coarse(w)
+    assert np.array_equal(W, g.truncate(np.fft.rfft(w)))
+    symbol = -1.0 * (g.k != 0.0)
+    assert np.array_equal(g.coarse(w, g.truncation(symbol)), symbol * W)
+    for row, Wrow in zip(w, W):
+        assert np.array_equal(g.coarse(row), Wrow)
+
+
 def test_stacked_transform_and_seminorm_match_rows(rng):
     g = Grid(15.0, 64)
     f = rng.standard_normal((3, 64))
