@@ -11,11 +11,9 @@ from .dynamics import (
     RunRecord,
     Stepper,
     conserved,
-    default_dt,
     evolve,
     evolve_batch,
     flow_stepper,
-    nonlinear_term,
 )
 from .ground_state import (
     GNReport,
@@ -37,7 +35,6 @@ from .linearized import (
     assemble,
     coercivity_probe,
     evolve_linearized,
-    linearized_rhs,
     spectrum,
 )
 from .modulation import (

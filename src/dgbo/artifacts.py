@@ -22,6 +22,7 @@ from .monotonicity import WINDOW_FRACTION
 from .spectral import Grid
 
 FLOAT_FMT = "%.17g"
+SPECTRUM_EIGS = 64  # lowest eigenvalues a spectrum artifact lists
 
 
 def _cell(v):
@@ -224,7 +225,7 @@ def read_run(run_dir):
 # -- spectrum -------------------------------------------------------------------
 
 
-def write_spectrum(base, report: SpectrumReport, n_eigs: int = 64):
+def write_spectrum(base, report: SpectrumReport):
     write_field(base + ".chi0", report.grid, report.chi0, kind="chi0", alpha=report.alpha)
     for i, (ev, vec) in enumerate(report.near_kernel):
         write_field(base + f".kernel{i}", report.grid, vec, kind="near_kernel", eigenvalue=ev)
@@ -235,7 +236,7 @@ def write_spectrum(base, report: SpectrumReport, n_eigs: int = 64):
             "alpha": report.alpha,
             "grid": report.grid,
             "mu0": report.mu0,
-            "lowest_eigenvalues": report.eigenvalues[:n_eigs],
+            "lowest_eigenvalues": report.eigenvalues[:SPECTRUM_EIGS],
             "kernel_tol": report.kernel_tol,
             "near_kernel_eigenvalues": [ev for ev, _ in report.near_kernel],
             "essential_edge_estimate": report.essential_edge_estimate,

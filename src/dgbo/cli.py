@@ -69,6 +69,15 @@ EXIT_DIVERGENCE = 5
 # -- subcommand implementations ---------------------------------------------------
 
 
+def _read_state_and_chi0(state, chi0):
+    """A ground state and a chi0 of the same grid (ConfigError otherwise)."""
+    gs = read_ground_state(state)
+    cgrid, chi0_values = read_chi0(chi0)
+    if cgrid != gs.grid:
+        raise ConfigError("chi0 grid does not match ground-state grid")
+    return gs, chi0_values
+
+
 def _cmd_ground_state(args):
     grid = Grid(args.half_length, args.n)
     if args.continue_from:
@@ -92,7 +101,7 @@ def _cmd_evolve(args):
     u0 = build_initial_data(grid, gs, pert, rng)
     cfg = EvolutionConfig(
         alpha=gs.alpha,
-        dt=args.dt if args.dt else 1e-4,
+        dt=args.dt,
         t_end=args.t_end,
         sign=args.sign,
         frame_speed=args.frame_speed,
@@ -124,10 +133,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_modulate(args):
-    gs = read_ground_state(args.state)
-    cgrid, chi0 = read_chi0(args.chi0)
-    if cgrid != gs.grid:
-        raise ConfigError("chi0 grid does not match ground-state grid")
+    gs, chi0 = _read_state_and_chi0(args.state, args.chi0)
     _header, _samples, states, grid = read_run(args.run)
     if not states:
         raise ConfigError(f"run directory {args.run} holds no checkpointed states")
@@ -163,10 +169,9 @@ def _cmd_monotonicity(args):
                for rep in sided]
     if args.state and args.chi0:
         # the remainders at the stored (lambda, rho): one resample per frame
-        gs = read_ground_state(args.state)
-        cgrid, _ = read_chi0(args.chi0)
-        if gs.grid != grid or cgrid != grid:
-            raise ConfigError("ground-state or chi0 grid does not match the run grid")
+        gs, _ = _read_state_and_chi0(args.state, args.chi0)
+        if gs.grid != grid:
+            raise ConfigError("ground-state grid does not match the run grid")
         tr = replace(tr, eta_fields=[remainder(u, gs, lam, rho)
                                      for u, lam, rho in zip(fields, tr.lam, tr.rho)])
         for x0 in x0_list:
@@ -202,9 +207,8 @@ def _cmd_blowup_scan(args):
 
 
 def _cmd_liouville_probe(args):
-    gs = read_ground_state(args.state)
+    gs, chi0 = _read_state_and_chi0(args.state, args.chi0)
     grid = gs.grid
-    _, chi0 = read_chi0(args.chi0)
     qp = gs.derivative()
     w0 = np.exp(-(((grid.x - args.offset) / args.width) ** 2))
     for basis in (chi0 / grid.norm_l2(chi0), qp / grid.norm_l2(qp)):
@@ -285,7 +289,7 @@ def build_parser():
     e = sub.add_parser("evolve", help="time-integrate from a perturbed ground state")
     e.add_argument("--state", required=True)
     e.add_argument("--t-end", type=float, default=1.0)
-    e.add_argument("--dt", type=float, default=None)
+    e.add_argument("--dt", type=float, default=1e-4)
     e.add_argument("--sign", choices=["focusing", "defocusing"], default="focusing")
     e.add_argument("--frame-speed", type=float, default=0.0)
     e.add_argument("--checkpoint-every", type=int, default=100)

@@ -21,6 +21,7 @@ STATUS_DIVERGED = "diverged"
 STATUS_RESOLUTION_LOST = "resolution_lost"
 
 N_CONTOUR = 32     # contour points of the ETDRK4 coefficient averages
+TAIL_ENERGY_LIMIT = 1e-6  # spectral tail fraction beyond which a run has lost resolution
 
 
 @dataclass
@@ -33,7 +34,6 @@ class EvolutionConfig:
     checkpoint_every: int = 100
     frame_speed: float = 0.0        # observe in x - frame_speed * t
     linf_ceiling: float = 1e4
-    tail_energy_limit: float = 1e-6
     store_states: bool = False
 
     def __post_init__(self):
@@ -48,11 +48,6 @@ class EvolutionConfig:
     def stability_margin(self, grid: Grid) -> float:
         """dt * kmax^(alpha+1): linear phase rotation per step (recorded, not enforced)."""
         return self.dt * grid.k_max ** (self.alpha + 1.0)
-
-
-def default_dt(grid: Grid, alpha: float) -> float:
-    """0.2 h^(alpha+1) / pi^alpha; conservative linear-phase heuristic."""
-    return 0.2 * grid.h ** (alpha + 1.0) / np.pi**alpha
 
 
 @dataclass
@@ -123,22 +118,17 @@ def _abs_power_into(v, p: float):
     return r
 
 
-def _padded_flux(grid: Grid, F, alpha: float, weight=None):
-    """Spectrum of |u|^{2 alpha} u_x, products formed in place on the padded grid.
+def _padded_flux(grid: Grid, F, alpha: float, weight):
+    """Spectrum of |u|^{2 alpha} u_x times a multiplier, products formed in
+    place on the padded grid.
 
     F may stack spectra along leading axes. ``weight``, from
-    ``grid.truncation``, folds a multiplier into the truncation.
+    ``grid.truncation``, folds the multiplier into the truncation.
     """
     v, vx = grid.fine_pair(F)
     w = _abs_power_into(v, 2.0 * alpha)
     w *= vx
     return grid.coarse(w, weight)
-
-
-def nonlinear_term(grid: Grid, u, alpha: float):
-    """|u|^{2 alpha} u_x with spectral d/dx, products on the padded grid."""
-    _check_alpha(alpha)
-    return grid.field(_padded_flux(grid, grid.transform(u), alpha))
 
 
 class Stepper:
@@ -211,7 +201,7 @@ def _checkpoint(grid: Grid, F, t: float, rec: RunRecord, observer) -> bool:
     rec.final_state, rec.final_t = u, t
     if not d.is_finite() or d.linf > cfg.linf_ceiling:
         rec.status, rec.status_t = STATUS_DIVERGED, t
-    elif grid.spectral_tail_fraction(F) > cfg.tail_energy_limit:
+    elif grid.spectral_tail_fraction(F) > TAIL_ENERGY_LIMIT:
         rec.status, rec.status_t = STATUS_RESOLUTION_LOST, t
     else:
         return observer is not None and bool(observer(t, u, rec))
@@ -273,9 +263,3 @@ def evolve(grid: Grid, u0, cfg: EvolutionConfig, observer=None) -> RunRecord:
     the one-run case of ``evolve_batch``.
     """
     return evolve_batch(grid, [u0], [cfg], [observer])[0]
-
-
-def rescaled_config(cfg: EvolutionConfig, lam0: float) -> EvolutionConfig:
-    """Config for the critically rescaled run u_{lam0}: times scale by lam0^(2+2/alpha)."""
-    s = lam0 ** (2.0 + 2.0 / cfg.alpha)
-    return replace(cfg, dt=cfg.dt * s, t_end=cfg.t_end * s)

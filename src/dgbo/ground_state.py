@@ -15,6 +15,13 @@ import numpy as np
 from .errors import ContractError, ConvergenceError, ResolutionError, SeedError
 from .spectral import Grid, _check_alpha
 
+TOL_DIFF = 1e-12         # Petviashvili stop: successive sup-norm difference
+TOL_RESIDUAL = 1e-9      # convergence: L2 norm of the equation residual
+MAX_ITERS = 2000
+DECAY_WINDOW = (0.25, 0.5)   # decay_fit's window, as fractions of the half-length
+TAIL_GUARD = 0.05        # shape_certificate skips this fraction of (0, L) at the seam
+TAPER = (0.5, 0.95)      # scaling_generator's cutoff: 1 up to TAPER[0] L, 0 from TAPER[1] L
+
 
 def sech(z):
     e = np.exp(-np.abs(z))
@@ -65,20 +72,13 @@ def pohozaev_residuals(grid: Grid, u, alpha: float):
     return ra, rb, rc
 
 
-def solve_ground_state(
-    alpha: float,
-    grid: Grid,
-    seed=None,
-    *,
-    tol_diff: float = 1e-12,
-    tol_residual: float = 1e-9,
-    max_iters: int = 2000,
-) -> GroundState:
+def solve_ground_state(alpha: float, grid: Grid, seed=None) -> GroundState:
     """Petviashvili iteration with stabilizer exponent (2a+1)/(2a).
 
     Each iterate is symmetrized about x = 0, pinning the profile to the even
     class. Converged when the successive sup difference drops below
-    ``tol_diff`` and the equation residual below ``tol_residual`` in L2.
+    TOL_DIFF within MAX_ITERS iterations and the equation residual below
+    TOL_RESIDUAL in L2.
     """
     _check_alpha(alpha)
     if seed is None:
@@ -91,7 +91,7 @@ def solve_ground_state(
     denom = 1.0 + riesz
     history = []
     diff = np.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         if np.min(u) < -0.1 * np.max(u):
             raise SeedError(f"sign-indefinite iterate at step {it} (alpha={alpha})")
         nl = np.abs(u) ** (2.0 * alpha) * u / p
@@ -102,11 +102,11 @@ def solve_ground_state(
         diff = float(np.max(np.abs(unew - u)))
         u = unew
         history.append(diff)
-        if diff < tol_diff:
+        if diff < TOL_DIFF:
             break
     res = equation_residual(grid, u, alpha)
     res_l2 = grid.norm_l2(res)
-    converged = diff < tol_diff and res_l2 < tol_residual
+    converged = diff < TOL_DIFF and res_l2 < TOL_RESIDUAL
     if not converged:
         raise ConvergenceError(
             f"Petviashvili stalled at alpha={alpha}: sup diff {diff:.3e}, "
@@ -127,22 +127,22 @@ def solve_ground_state(
     )
 
 
-def continuation_ladder(alpha: float, grid: Grid, step: float = 0.25, **kwargs) -> GroundState:
+def continuation_ladder(alpha: float, grid: Grid, step: float = 0.25) -> GroundState:
     """Walk alpha down from 2.0, each converged profile seeding the next rung."""
     _check_alpha(alpha)
     rungs = list(np.arange(2.0, alpha, -step)) + [alpha]
     gs = None
     for a in rungs:
         seed = None if gs is None else gs.values
-        gs = solve_ground_state(float(a), grid, seed=seed, **kwargs)
+        gs = solve_ground_state(float(a), grid, seed=seed)
     return gs
 
 
 # -- certification helpers ----------------------------------------------------
 
 
-def decay_fit(gs: GroundState, window=(0.25, 0.5)):
-    """Least-squares slope of log Q against log x on [w0*L, w1*L].
+def decay_fit(gs: GroundState):
+    """Least-squares slope of log Q against log x on DECAY_WINDOW, in units of L.
 
     Expected near -(1+alpha) for alpha < 2. Raises ResolutionError when the
     tail sits at the spectral noise floor (notably the exponentially decaying
@@ -150,20 +150,21 @@ def decay_fit(gs: GroundState, window=(0.25, 0.5)):
     """
     grid, u = gs.grid, gs.values
     L = grid.half_length
-    mask = (grid.x >= window[0] * L) & (grid.x <= window[1] * L)
+    w0, w1 = DECAY_WINDOW
+    mask = (grid.x >= w0 * L) & (grid.x <= w1 * L)
     tail = u[mask]
     floor = 1e3 * np.finfo(float).eps * float(np.max(u))
     if np.min(tail) <= floor:
         raise ResolutionError(
-            f"tail below noise floor on [{window[0]}L, {window[1]}L]; "
+            f"tail below noise floor on [{w0}L, {w1}L]; "
             "increase L, or the decay is faster than algebraic"
         )
     slope = float(np.polyfit(np.log(grid.x[mask]), np.log(tail), 1)[0])
     return slope
 
 
-def shape_certificate(gs: GroundState, tail_guard: float = 0.05):
-    """Positivity, evenness and monotone decrease on (0, (1-guard) L).
+def shape_certificate(gs: GroundState):
+    """Positivity, evenness and monotone decrease on (0, (1 - TAIL_GUARD) L).
 
     Checks apply on the resolved domain: values at the spectral roundoff
     floor (the case for the exponentially decaying alpha=2 tail) are exempt.
@@ -172,23 +173,23 @@ def shape_certificate(gs: GroundState, tail_guard: float = 0.05):
     floor = 100.0 * np.finfo(float).eps * float(np.max(u))
     even_defect = float(np.max(np.abs(u - grid.reflect(u))))
     positive = bool(np.min(u) > -floor and np.all(u[np.abs(u) > floor] > 0.0))
-    n_guard = int((1.0 - tail_guard) * grid.n / 2)
+    n_guard = int((1.0 - TAIL_GUARD) * grid.n / 2)
     right = u[grid.n // 2 : grid.n // 2 + n_guard]
     monotone = bool(np.all(np.diff(right) < floor))
     return {"positive": positive, "even_defect": even_defect, "monotone_right": monotone}
 
 
-def scaling_generator(gs: GroundState, taper=(0.5, 0.95)):
+def scaling_generator(gs: GroundState):
     """(Q + 2 x Q')/alpha with x tapered to zero near the periodic seam.
 
-    The cutoff equals 1 on |x| <= taper[0]*L and falls smoothly to 0 by
-    taper[1]*L; identities involving this field are only meaningful on the
+    The cutoff equals 1 on |x| <= TAPER[0]*L and falls smoothly to 0 by
+    TAPER[1]*L; identities involving this field are only meaningful on the
     inner half-domain.
     """
     grid = gs.grid
     qp = gs.derivative()
     ax = np.abs(grid.x) / grid.half_length
-    t = np.clip((ax - taper[0]) / (taper[1] - taper[0]), 0.0, 1.0)
+    t = np.clip((ax - TAPER[0]) / (TAPER[1] - TAPER[0]), 0.0, 1.0)
     cut = 0.5 + 0.5 * np.cos(np.pi * t)
     return (gs.values + 2.0 * (grid.x * cut) * qp) / gs.alpha
 
@@ -214,10 +215,10 @@ class GNReport:
     minimal: bool            # j1(Q) <= j1(v) for every trial
 
 
-def random_smooth_field(grid: Grid, rng, kind=None):
+def random_smooth_field(grid: Grid, rng):
     """Gaussians, wave packets and bump sums used as variational trial fields."""
     L = grid.half_length
-    kind = kind if kind is not None else rng.choice(["gaussian", "packet", "bumps"])
+    kind = rng.choice(["gaussian", "packet", "bumps"])
     x = grid.x
 
     def bump():

@@ -20,7 +20,9 @@ from .ground_state import GroundState
 from .spectral import Grid
 
 DENSE_N_LIMIT = 4096
+KERNEL_TOL_REL = 1e-6  # near-kernel band |eigenvalue| <= KERNEL_TOL_REL * max |eigenvalue|
 COERCIVITY_BLOCK = 64  # random trial fields per stacked transform in coercivity_probe
+COERCIVITY_TOL = 1e-6  # mu_est below -COERCIVITY_TOL is a violation
 
 
 def _potential(gs: GroundState):
@@ -84,7 +86,7 @@ class SpectrumReport:
     notes: list = field(default_factory=list)
 
 
-def spectrum(op: LinearizedOperator, kernel_tol_rel: float = 1e-6) -> SpectrumReport:
+def spectrum(op: LinearizedOperator) -> SpectrumReport:
     """Full symmetric eigendecomposition with structural certification.
 
     One divide-and-conquer solve (LAPACK ``syevd`` through ``numpy.linalg.eigh``)
@@ -103,7 +105,7 @@ def spectrum(op: LinearizedOperator, kernel_tol_rel: float = 1e-6) -> SpectrumRe
     grid = op.grid
     evals, evecs = np.linalg.eigh(op.matrix)
     norm = float(np.max(np.abs(evals)))
-    ktol = kernel_tol_rel * norm
+    ktol = KERNEL_TOL_REL * norm
     notes = []
     ok = True
 
@@ -220,7 +222,6 @@ def coercivity_probe(
     report: SpectrumReport,
     trials: int = 500,
     rng=None,
-    tol: float = 1e-6,
 ) -> CoercivityReport:
     """Probe the two quadratic-form statements attached to L.
 
@@ -262,17 +263,12 @@ def coercivity_probe(
     return CoercivityReport(
         mu_est=float(mu_est),
         min_q_orthogonal=min_qo,
-        violation=bool(mu_est < -tol or min_qo < -1e-4 * max(1.0, abs(report.mu0))),
+        violation=bool(mu_est < -COERCIVITY_TOL or min_qo < -1e-4 * max(1.0, abs(report.mu0))),
         trials=used,
     )
 
 
 # -- linearized flow ----------------------------------------------------------
-
-
-def linearized_rhs(gs: GroundState, w):
-    """dx(L w) with spectral dx."""
-    return gs.grid.derivative(apply_operator(gs, w))
 
 
 @dataclass
@@ -311,13 +307,17 @@ def evolve_linearized(
     if dt <= 0 or t_end <= 0:
         raise ContractError("dt and t_end must be positive")
     sym = grid.multiplier(gs.alpha, "dispersion") + grid.ik
-    # the potential stage -dx(Q^{2 alpha} w), products on the padded grid;
-    # without it the step is the exact free dispersive group
-    pot = _potential(gs) if include_potential else np.zeros(grid.n)
-    pot_fine = grid.fine(grid.transform(pot))
+    if include_potential:
+        # the potential stage -dx(Q^{2 alpha} w), products on the padded grid,
+        # the -dx folded into the truncation's multiply
+        pot_fine = grid.fine(grid.transform(_potential(gs)))
+        weight = grid.truncation(-grid.ik)
 
-    def potential_term(F):
-        return -grid.ik * grid.coarse(pot_fine * grid.fine(F))
+        def potential_term(F):
+            return grid.coarse(pot_fine * grid.fine(F), weight)
+    else:
+        # a zero stage: the step is the exact free dispersive group
+        potential_term = np.zeros_like
 
     st = Stepper(sym, dt, potential_term)
     qp = gs.derivative()

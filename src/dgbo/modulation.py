@@ -16,6 +16,7 @@ from .ground_state import GroundState
 from .spectral import Grid
 
 MAX_ITERS = 50
+STALL_ITERS = 5  # consecutive iterations without a new residual minimum that end a solve
 
 
 @dataclass
@@ -59,10 +60,12 @@ def decompose(
     pass an informed guess for data far from lam = 1. The one stop rule is
     the residual test max |<eta, Q'>|, |<eta, chi0>| < max(1e-12, 1e-14 *
     ||u|| * max(||Q'||, ||chi0||)), which the exact-phase resampler reaches
-    in a few Newton steps. Raises DecompositionError when the iteration
-    fails within MAX_ITERS (the caller treats this as leaving the soliton
-    tube) and ClosenessError when the converged remainder exceeds the
-    closeness ceiling eps0 (relative to ||Q||_{H^{a/2}}).
+    in a few Newton steps, each lowering the residual. Raises
+    DecompositionError when the iteration fails within MAX_ITERS or its
+    residual sets no new minimum in STALL_ITERS consecutive iterations (the
+    caller treats this as leaving the soliton tube) and ClosenessError when
+    the converged remainder exceeds the closeness ceiling eps0 (relative to
+    ||Q||_{H^{a/2}}).
 
     Torus geometry: the rescaled frame periodizes u with image spacing
     2L / lam^{2/a} in y, so for lam^{2/a} approaching 2 a soliton image
@@ -84,7 +87,8 @@ def decompose(
     # roundoff scales with ||u|| times the larger weight
     scale_floor = grid.norm_l2(u) * max(grid.norm_l2(qp), grid.norm_l2(chi0))
     tol = max(1e-12, 1e-14 * scale_floor)
-    g_norm_prev = np.inf
+    g_norm_prev = g_best = np.inf
+    stalled = 0
     eta = None  # the remainder at (lam, rho), when the line search already formed it
     for it in range(1, MAX_ITERS + 1):
         if lam <= 0:
@@ -95,6 +99,15 @@ def decompose(
         gn = max(abs(g1), abs(g2))
         if gn < tol:
             break
+        if gn < g_best:
+            g_best, stalled = gn, 0
+        else:
+            stalled += 1
+            if stalled == STALL_ITERS:
+                raise DecompositionError(
+                    f"modulation Newton stalled: residual {gn:.3e}, no new minimum "
+                    f"below {g_best:.3e} in {STALL_ITERS} iterations"
+                )
         # v_y = lam^{3/a} u'(lam^{2/a} y + rho), needed only for a Newton step
         s = lam ** (2.0 / alpha)
         vy = lam ** (1.0 / alpha) * s * grid.resample_scaled(uprime, scale=s, shift=rho)

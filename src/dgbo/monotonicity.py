@@ -68,10 +68,10 @@ def build_weight(r: float, A: float) -> Weight:
     return Weight(r=float(r), A=float(A), phi_total=phi_total)
 
 
-def seam_window(grid: Grid, fraction: float = WINDOW_FRACTION):
-    """1 on the inner part of the box, cosine ramp to 0 on the outer fraction."""
+def seam_window(grid: Grid):
+    """1 on the inner part of the box, cosine ramp to 0 on the outer WINDOW_FRACTION."""
     ax = np.abs(grid.x) / grid.half_length
-    t = np.clip((ax - (1.0 - 2.0 * fraction)) / fraction, 0.0, 1.0)
+    t = np.clip((ax - (1.0 - 2.0 * WINDOW_FRACTION)) / WINDOW_FRACTION, 0.0, 1.0)
     return 0.5 + 0.5 * np.cos(np.pi * t)
 
 
@@ -88,11 +88,9 @@ class KatoTerms:
     functional: float              # M_phi = (1/2) int u^2 phi_A
 
 
-def weighted_mass(grid: Grid, u, weight: Weight, center: float, window=None):
-    w = weight.phi_a(grid.x - center)
-    if window is not None:
-        w = w * window
-    return 0.5 * grid.quadrature(u**2 * w)
+def weighted_mass(grid: Grid, u, weight: Weight, center: float):
+    """M_phi = (1/2) int u^2 phi_A(x - center)."""
+    return 0.5 * grid.quadrature(u**2 * weight.phi_a(grid.x - center))
 
 
 def kato_terms(grid: Grid, u, weight: Weight, center: float, alpha: float, rho_t: float) -> KatoTerms:
@@ -117,20 +115,18 @@ def kato_terms(grid: Grid, u, weight: Weight, center: float, alpha: float, rho_t
     )
 
 
-def commutator_residual(grid: Grid, u, weight: Weight, alpha: float, center: float = 0.0):
+def commutator_residual(grid: Grid, u, weight: Weight, alpha: float):
     """int(-|D|^a u) u phi_A' + |||D|^{a/2}(u sqrt(phi_A'))||^2 and its budget integral.
 
-    The residual is bounded by (C/A^a) int u^2 phi_A'; returns (residual,
-    budget_integral) so callers can fit or check C.
+    The weight is centered at x = 0. The residual is bounded by
+    (C/A^a) int u^2 phi_A'; returns (residual, budget_integral) so callers
+    can fit or check C.
     """
-    xt = grid.x - center
-    dphi = weight.dphi_a(xt)
+    dphi = weight.dphi_a(grid.x)
     du = grid.apply_multiplier(u, alpha, "riesz")
     lhs = grid.quadrature(-du * u * dphi)
-    sur = grid.sobolev_seminorm_sq(u * weight.sqrt_dphi_a(xt), alpha)
+    sur = grid.sobolev_seminorm_sq(u * weight.sqrt_dphi_a(grid.x), alpha)
     return lhs + sur, grid.quadrature(u**2 * dphi)
-
-
 
 
 # -- monotonicity checks --------------------------------------------------------

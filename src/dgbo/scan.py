@@ -21,6 +21,9 @@ from .modulation import beta as beta_fn
 from .modulation import decompose
 from .spectral import Grid
 
+LAM_STOP = 0.75      # a row trips when the modulation scale contracts below this
+SOBOLEV_TRIP = 1.3   # ... or when its H^{alpha/2} norm grows by more than this factor
+
 
 def build_initial_data(grid: Grid, gs, recipe: dict, rng):
     """Perturbation vocabulary: scale, translate, gaussian bump, band noise."""
@@ -75,13 +78,12 @@ class _RowWatch:
 
     While the row stays in the modulation tube, each checkpoint is decomposed
     (warm-started from the previous one) and lambda is recorded; the row
-    trips on lambda below ``lam_stop`` or on H^{alpha/2} growth beyond
-    ``sobolev_trip``.
+    trips on lambda below LAM_STOP or on H^{alpha/2} growth beyond
+    SOBOLEV_TRIP.
     """
 
-    def __init__(self, gs, chi0, u0, d0, lam_stop, sobolev_trip):
+    def __init__(self, gs, chi0, u0, d0):
         self.gs, self.chi0, self.d0 = gs, chi0, d0
-        self.lam_stop, self.sobolev_trip = lam_stop, sobolev_trip
         self.guess = (1.0, float(gs.grid.x[int(np.argmax(np.abs(u0)))]))
         self.lam_hist = []
         self.trip_time, self.trip_reason = None, ""
@@ -93,13 +95,13 @@ class _RowWatch:
                 st = decompose(u, self.gs, self.chi0, guess=self.guess)
                 self.guess = (st.lam, st.rho)
                 self.lam_hist.append(st.lam)
-                if st.lam < self.lam_stop:
+                if st.lam < LAM_STOP:
                     self.trip_time, self.trip_reason = t, "lambda_contraction"
                     return True
             except (DecompositionError, ClosenessError):
                 self.inside, self.exit_t = False, t
         d = rec.samples[-1]
-        if d.sobolev_norm > self.sobolev_trip * self.d0.sobolev_norm:
+        if d.sobolev_norm > SOBOLEV_TRIP * self.d0.sobolev_norm:
             self.trip_time, self.trip_reason = t, "sobolev_growth"
             return True
         return False
@@ -113,16 +115,14 @@ def blowup_scan(
     dt: float = 5e-4,
     t_end_super: float = 80.0,
     t_end_bounded: float = 20.0,
-    lam_stop: float = 0.75,
-    sobolev_trip: float = 1.3,
     checkpoint_every: int = 100,
     rng_seed: int = 0,
     perturbation: dict | None = None,
 ):
     """Scan a*Q initial data; a divergence indicator on a row is a finding.
 
-    Divergence indicators: modulation-scale contraction below ``lam_stop``,
-    H^{alpha/2} growth beyond ``sobolev_trip``, and the solver's own
+    Divergence indicators: modulation-scale contraction below LAM_STOP,
+    H^{alpha/2} growth beyond SOBOLEV_TRIP, and the solver's own
     diverged/resolution flags. Leaving the modulation tube merely ends the
     lambda tracking (subcritical data disperses away from the family); it is
     recorded but is not an indicator. Runs are observed in the frame moving
@@ -151,7 +151,7 @@ def blowup_scan(
             frame_speed=1.0,
             checkpoint_every=checkpoint_every,
         ))
-        watches.append(_RowWatch(gs, chi0, u0, d0, lam_stop, sobolev_trip))
+        watches.append(_RowWatch(gs, chi0, u0, d0))
     recs = evolve_batch(grid, [u0 for _, u0, _, _ in starts], cfgs, watches)
     rows = []
     for (a, u0, d0, supercritical), rec, w in zip(starts, recs, watches):
@@ -190,9 +190,9 @@ def blowup_scan(
         "dt": dt,
         "t_end_super": t_end_super,
         "t_end_bounded": t_end_bounded,
-        "lam_stop": lam_stop,
+        "lam_stop": LAM_STOP,
         "energy_floor": energy_floor,
-        "sobolev_trip": sobolev_trip,
+        "sobolev_trip": SOBOLEV_TRIP,
         "rng_seed": rng_seed,
         "ground_state_residual": gs.residual,
         "spectrum_structure_ok": rep.structure_ok,

@@ -8,7 +8,6 @@ pair +-m, so the Parseval sums weight them twice. All fractional operators
 are diagonal Fourier multipliers:
 
     riesz       |k|^alpha          (the fractional derivative |D|^alpha)
-    half_riesz  |k|^(alpha/2)
     dispersion  i k |k|^alpha      (odd; Nyquist mode set to 0)
     semigroup   exp(-|k|^alpha)
 
@@ -26,9 +25,9 @@ from .errors import ContractError, ResolutionError
 ALPHA_MIN = 1.0
 ALPHA_MAX = 2.0
 PAD = 2  # nonlinear products are formed on a grid PAD times finer
-EVALUATE_BLOCK = 1 << 20  # complex entries of the phase matrix Grid.evaluate forms at once
+TAIL_FRACTION = 0.1  # spectral_tail_fraction measures the top tenth of |k|
 
-MULTIPLIER_KINDS = ("riesz", "half_riesz", "dispersion", "semigroup")
+MULTIPLIER_KINDS = ("riesz", "dispersion", "semigroup")
 
 
 def _check_alpha(alpha):
@@ -182,7 +181,7 @@ class Grid:
         return W[..., : self.n // 2 + 1] * self._truncate_weight
 
     def truncation(self, symbol):
-        """``truncate``'s scaling times a multiplier ``symbol``, for ``coarse(w, weight)``."""
+        """``truncate``'s scaling times a multiplier ``symbol``: the weight of ``coarse``."""
         return self._truncate_weight * symbol
 
     def fine(self, F):
@@ -205,14 +204,15 @@ class Grid:
         np.multiply(F, self._pad_derivative_weight, out=S[1])
         return np.fft.irfft(S, PAD * self.n)
 
-    def coarse(self, w, weight=None):
-        """Coefficients on this grid of values ``w`` on the PAD-times-finer grid.
+    def coarse(self, w, weight):
+        """Coefficients on this grid of values ``w`` on the PAD-times-finer grid,
+        times a multiplier.
 
-        ``weight``, from ``truncation``, folds a multiplier into truncate's
+        ``weight``, from ``truncation``, folds the multiplier into truncate's
         scaling, applied in place on the transform's output.
         """
         W = np.fft.rfft(w)[..., : self.n // 2 + 1]
-        W *= self._truncate_weight if weight is None else weight
+        W *= weight
         return W
 
     # -- multipliers --------------------------------------------------------
@@ -223,8 +223,6 @@ class Grid:
         ka = np.abs(self.k)
         if kind == "riesz":
             return ka**alpha
-        if kind == "half_riesz":
-            return ka ** (alpha / 2.0)
         if kind == "dispersion":
             return self.ik * ka**alpha
         if kind == "semigroup":
@@ -271,13 +269,13 @@ class Grid:
         """H^{alpha/2} norm sqrt(||f||^2 + |||D|^{alpha/2} f||^2)."""
         return float(np.sqrt(self.inner(f, f) + self.sobolev_seminorm_sq(f, alpha)))
 
-    def spectral_tail_fraction(self, F, frac: float = 0.1):
-        """Share of spectral energy carried by the top `frac` of |k|."""
+    def spectral_tail_fraction(self, F):
+        """Share of spectral energy carried by the top TAIL_FRACTION of |k|."""
         p = self._parseval_weight * np.abs(F) ** 2
         total = float(np.sum(p))
         if total == 0.0:
             return 0.0
-        cut = (1.0 - frac) * self.k_max
+        cut = (1.0 - TAIL_FRACTION) * self.k_max
         return float(np.sum(p[np.abs(self.k) >= cut])) / total
 
     # -- resampling and shifts ----------------------------------------------
@@ -323,25 +321,7 @@ class Grid:
         conv = np.fft.ifft(np.fft.fft(a) * np.fft.fft(kernel))[:n]
         return (chirp_m * conv).real / n
 
-    def evaluate(self, f, points):
-        """Trigonometric interpolation of f at arbitrary points (dense, O(N*M)).
-
-        The Nyquist coefficient is dropped. Points are taken in blocks of at
-        most EVALUATE_BLOCK phase entries, so whatever M and N the working
-        memory stays at a few arrays of EVALUATE_BLOCK entries (16 MiB each
-        as complex) on top of the input and output.
-        """
-        pts = np.atleast_1d(np.asarray(points, dtype=float))
-        F = (self._parseval_weight * self.transform(f))[:-1] / self.n
-        k = self.k[:-1]
-        rows = max(1, EVALUATE_BLOCK // len(k))
-        vals = np.empty(len(pts))
-        for i in range(0, len(pts), rows):
-            block = pts[i : i + rows] + self.half_length
-            vals[i : i + rows] = (np.exp(1j * np.outer(block, k)) @ F).real
-        return vals if np.ndim(points) else float(vals[0])
-
-    def fit_shift(self, f, g, guess: float | None = None):
+    def fit_shift(self, f, g):
         """Shift s maximizing int f(x) g(x - s) dx, to interpolation accuracy.
 
         Coarse stage: the cross-correlation over grid offsets; refinement by
@@ -351,11 +331,8 @@ class Grid:
         Fg = self.transform(g)
         A = Ff * np.conj(Fg)
         corr = self.field(A)  # corr[j] = sum_m f_m g_{m-j} ordering
-        if guess is None:
-            j0 = int(np.argmax(corr))
-            s = (j0 * self.h + self.half_length) % (2 * self.half_length) - self.half_length
-        else:
-            s = float(guess)
+        j0 = int(np.argmax(corr))
+        s = (j0 * self.h + self.half_length) % (2 * self.half_length) - self.half_length
         A = self._parseval_weight * A / self.n
         for _ in range(60):
             e = np.exp(1j * self.k * s)
@@ -373,34 +350,32 @@ class Grid:
 # -- stable semigroup kernel -------------------------------------------------
 
 
-def stable_kernel(alpha: float, grid: Grid, certify: bool = True):
+def stable_kernel(alpha: float, grid: Grid):
     """Kernel K on the grid with Fourier transform exp(-|xi|^alpha).
 
     Synthesized from samples of the continuous transform, i.e. the periodized
-    whole-line kernel. With ``certify`` the result is required to be even,
-    strictly positive and unimodal away from x = 0 (discrete differences);
-    failure raises ResolutionError.
+    whole-line kernel. The result is required to be even, strictly positive
+    and unimodal away from x = 0 (discrete differences); failure raises
+    ResolutionError.
     """
-    _check_alpha(alpha)
     n, L = grid.n, grid.half_length
-    khat = np.exp(-np.abs(grid.k) ** alpha)
+    khat = grid.multiplier(alpha, "semigroup")
     # K_j = (1/2L) sum_m khat(k_m) e^{i k_m x_j}; the e^{-i pi m} grid phase
     # is (+1) at Nyquist since n/2 is even for n a power of two >= 4
     phase = np.ones(len(grid.k))
     phase[1::2] = -1.0
     K = grid.field(phase * khat) * (n / (2 * L))
-    if certify:
-        peak = float(np.max(K))
-        floor = 100.0 * np.finfo(float).eps * peak  # roundoff level of the synthesis
-        even_defect = np.max(np.abs(K - grid.reflect(K)))
-        if even_defect > 1e-12 * peak:
-            raise ResolutionError(f"stable kernel not even (defect {even_defect:.2e})")
-        if np.min(K) <= -floor or np.any((K <= 0.0) & (np.abs(K) > floor)):
-            raise ResolutionError(
-                f"stable kernel not positive on the resolved domain "
-                f"(min {np.min(K):.2e}); increase N or L"
-            )
-        right = K[n // 2 + 1 :]  # x in (0, L)
-        if np.any(np.diff(right) >= floor):
-            raise ResolutionError("stable kernel not unimodal on (0, L); increase N or L")
+    peak = float(np.max(K))
+    floor = 100.0 * np.finfo(float).eps * peak  # roundoff level of the synthesis
+    even_defect = np.max(np.abs(K - grid.reflect(K)))
+    if even_defect > 1e-12 * peak:
+        raise ResolutionError(f"stable kernel not even (defect {even_defect:.2e})")
+    if np.min(K) <= -floor or np.any((K <= 0.0) & (np.abs(K) > floor)):
+        raise ResolutionError(
+            f"stable kernel not positive on the resolved domain "
+            f"(min {np.min(K):.2e}); increase N or L"
+        )
+    right = K[n // 2 + 1 :]  # x in (0, L)
+    if np.any(np.diff(right) >= floor):
+        raise ResolutionError("stable kernel not unimodal on (0, L); increase N or L")
     return K

@@ -1,8 +1,15 @@
 """Slow or closed-form references that only the tests compare against."""
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize
+
+from dgbo.dynamics import _padded_flux
+from dgbo.linearized import apply_operator
+
+EVALUATE_BLOCK = 1 << 20  # complex entries of the phase matrix evaluate forms at once
 
 
 def dense_dft(grid, f):
@@ -43,6 +50,43 @@ def spectral_tail_fraction(grid, f, frac):
     if total == 0.0:
         return 0.0
     return float(np.sum(p[np.abs(full_wavenumbers(grid)) >= (1.0 - frac) * grid.k_max])) / total
+
+
+def evaluate(grid, f, points):
+    """Trigonometric interpolation of f at arbitrary points (dense, O(N*M)).
+
+    The reference of ``Grid.resample_scaled``. The Nyquist coefficient is
+    dropped. Points are taken in blocks of at most EVALUATE_BLOCK phase
+    entries, so whatever M and N the working memory stays at a few arrays of
+    EVALUATE_BLOCK entries (16 MiB each as complex) on top of the input and
+    output.
+    """
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    F = grid.transform(f)[:-1] / grid.n
+    F[1:] *= 2.0  # an interior mode stands for the pair +-m
+    k = grid.k[:-1]
+    rows = max(1, EVALUATE_BLOCK // len(k))
+    vals = np.empty(len(pts))
+    for i in range(0, len(pts), rows):
+        block = pts[i : i + rows] + grid.half_length
+        vals[i : i + rows] = (np.exp(1j * np.outer(block, k)) @ F).real
+    return vals if np.ndim(points) else float(vals[0])
+
+
+def nonlinear_term(grid, u, alpha):
+    """|u|^{2 alpha} u_x as a field: the flow's padded flux with no multiplier."""
+    return grid.field(_padded_flux(grid, grid.transform(u), alpha, grid.truncation(1.0)))
+
+
+def rescaled_config(cfg, lam0):
+    """Config for the critically rescaled run u_{lam0}: times scale by lam0^(2+2/alpha)."""
+    s = lam0 ** (2.0 + 2.0 / cfg.alpha)
+    return replace(cfg, dt=cfg.dt * s, t_end=cfg.t_end * s)
+
+
+def linearized_rhs(gs, w):
+    """dx(L w) with spectral dx."""
+    return gs.grid.derivative(apply_operator(gs, w))
 
 
 def fit_shift(grid, f, g):

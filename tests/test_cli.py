@@ -327,6 +327,57 @@ class TestCommands:
         assert not os.path.exists(str(tmp_path / "track.csv"))
 
 
+@pytest.fixture(scope="module")
+def small_dir(tmp_path_factory):
+    """alpha = 2 ground states on (25, 256) and (40, 256), and the chi0 of the first."""
+    root = tmp_path_factory.mktemp("small")
+    for name, half_length in (("gs25", "25"), ("gs40", "40")):
+        assert main(["ground-state", "--alpha", "2", "--half-length", half_length, "--n", "256",
+                     "--out", str(root / name)]) == 0
+    # exit 4: this chi0 is under-resolved, but the spectrum is written
+    assert main(["spectrum", "--state", str(root / "gs25"), "--out", str(root / "spec25")]) == 4
+    return root
+
+
+class TestSmallCommands:
+    def test_liouville_probe_rejects_a_chi0_of_another_grid(self, small_dir, tmp_path):
+        out = str(tmp_path / "liouville")
+        assert main(["liouville-probe", "--state", str(small_dir / "gs40"),
+                     "--chi0", str(small_dir / "spec25"), "--t-end", "0.01",
+                     "--out", out]) == 2
+        assert not os.path.exists(out + ".csv")
+
+    def test_evolve_rejects_a_zero_dt(self, small_dir, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["evolve", "--state", str(small_dir / "gs25"), "--t-end", "0.01",
+                     "--dt", "0", "--out", out]) == 2
+        assert not os.path.exists(os.path.join(out, "header.json"))
+
+    @settings(max_examples=10, deadline=None)
+    @given(t_end=st.integers(1, 20).map(lambda i: i * 1e-3),
+           sign=st.sampled_from(["focusing", "defocusing"]),
+           checkpoint_every=st.integers(1, 8))
+    def test_config_file_and_flags_write_the_same_bytes(
+            self, small_dir, t_end, sign, checkpoint_every):
+        params = {
+            "state": str(small_dir / "gs25"), "t_end": t_end, "dt": 1e-3, "sign": sign,
+            "checkpoint_every": checkpoint_every,
+            "perturbation": '{"bump": {"amplitude": 0.01, "width": 2.0}}',
+        }
+        flags = []
+        for key, value in params.items():
+            flags += ["--" + key.replace("_", "-"), str(value)]
+        with tempfile.TemporaryDirectory() as d:
+            cfg_file = os.path.join(d, "cfg.json")
+            with open(cfg_file, "w") as fh:
+                json.dump({"parameters": params}, fh)
+            by_config, by_flags = os.path.join(d, "config"), os.path.join(d, "flags")
+            assert main(["evolve", "--config", cfg_file, "--out", by_config]) == 0
+            assert main(["evolve", *flags, "--out", by_flags]) == 0
+            assert _files(by_config) == _files(by_flags)
+            assert "states/state_000001.f64" in _files(by_flags)
+
+
 class TestBlowupScan:
     def test_scan_rows_and_determinism(self, tmp_path):
         args = [

@@ -11,7 +11,6 @@ from dgbo import (
     assemble,
     coercivity_probe,
     evolve_linearized,
-    linearized_rhs,
     solve_ground_state,
     spectrum,
 )
@@ -20,7 +19,7 @@ from dgbo.ground_state import scaling_generator
 from dgbo.linearized import secular_min
 
 from conftest import COMPACT, ground_state_for, spectrum_for
-from oracles import q_orthogonal_min
+from oracles import linearized_rhs, q_orthogonal_min
 
 
 class TestAssemble:

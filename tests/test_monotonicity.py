@@ -232,7 +232,7 @@ class TestMonotonicityChecks:
         rhos_r = [-r for r in reversed(tr_p.rho)]
         right = check_right_monotonicity(times_r, states_r, rhos_r, w, x0, MU, 0.0, g,
                                          max_pairs=10**6)
-        win = seam_window(g, 0.05)
+        win = seam_window(g)
         right_lhs = {p: l for p, l in zip(right.pairs, right.lhs)}
         checked = 0
         for (t1, t2), rhs_mass in zip(left.pairs, left.rhs):
@@ -303,7 +303,7 @@ class TestMonotonicityChecks:
 
     def test_seam_window_shape(self, runs):
         g = runs["grid"]
-        win = seam_window(g, 0.05)
+        win = seam_window(g)
         assert np.max(win) == 1.0
         assert win[0] < 1e-12  # zero at the seam
         inner = np.abs(g.x) <= 0.9 * g.half_length
