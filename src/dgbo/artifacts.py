@@ -99,21 +99,17 @@ def read_field(base):
 # -- ground states ------------------------------------------------------------
 
 
-def write_ground_state(base, gs: GroundState, extra=None):
+def write_ground_state(base, gs: GroundState):
     write_field(base, gs.grid, gs.values, kind="ground_state", alpha=gs.alpha)
     cert = {
         "alpha": gs.alpha,
         "grid": gs.grid,
         "iterations": gs.iterations,
-        "converged": gs.converged,
         "residual_l2": gs.residual,
         "sup_diff": gs.sup_diff,
         "pohozaev_residuals": list(gs.pohozaev_residuals),
-        "energy_residual": gs.energy_residual,
         "mass": gs.mass(),
     }
-    if extra:
-        cert.update(extra)
     write_json(base + ".cert.json", cert)
 
 
@@ -125,11 +121,9 @@ def read_ground_state(base) -> GroundState:
         grid=grid,
         values=values,
         iterations=cert["iterations"],
-        converged=cert["converged"],
         residual=cert["residual_l2"],
         sup_diff=cert["sup_diff"],
         pohozaev_residuals=tuple(cert["pohozaev_residuals"]),
-        energy_residual=cert["energy_residual"],
     )
 
 

@@ -6,7 +6,7 @@ command-line flags override it. Identical configs (same seed) produce
 byte-identical CSV artifacts.
 
 Exit codes: 0 success, 2 config error (also a request the code path cannot
-serve: a dense solve beyond its size limit, an unavailable window),
+serve: a dense solve beyond its size limit),
 3 convergence failure (also a modulation solve that left the soliton tube:
 DecompositionError, ClosenessError), 4 resolution failure, 5 divergence
 detected outside a scan (inside a scan a divergence indicator is a successful
@@ -44,7 +44,6 @@ from .errors import (
     DecompositionError,
     DgboError,
     ResolutionError,
-    WindowError,
 )
 from .ground_state import continuation_ladder, solve_ground_state
 from .linearized import assemble, evolve_linearized, spectrum
@@ -354,7 +353,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(_apply_config_defaults(argv))
         return args.func(args)
-    except (CapacityError, ConfigError, ContractError, WindowError, FileNotFoundError,
+    except (CapacityError, ConfigError, ContractError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -173,7 +173,7 @@ def flow_stepper(grid: Grid, cfg: EvolutionConfig) -> Stepper:
 
     The update acts on one spectrum or on a stack of them, row by row.
     """
-    sym = grid.multiplier(cfg.alpha, "dispersion") + cfg.frame_speed * grid.ik
+    sym = grid.ik * grid.riesz(cfg.alpha) + cfg.frame_speed * grid.ik
     nl_sign = -1.0 if cfg.sign == "focusing" else +1.0
     # -sign times the flux, its zero mode pinned to the exact value 0 (the
     # flux is a perfect derivative), folded into the truncation's multiply
@@ -185,8 +185,7 @@ def flow_stepper(grid: Grid, cfg: EvolutionConfig) -> Stepper:
 
     filt = None
     if cfg.filter_strength > 0.0:
-        ka = np.abs(grid.k)
-        filt = np.exp(-36.0 * cfg.filter_strength * (ka / ka.max()) ** 36)
+        filt = np.exp(-36.0 * cfg.filter_strength * (grid.k / grid.k.max()) ** 36)
     return Stepper(sym, cfg.dt, nonlinear, filt)
 
 

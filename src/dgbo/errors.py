@@ -37,9 +37,5 @@ class DecompositionError(DgboError):
     """Modulation parameter solve failed (left the soliton tube)."""
 
 
-class WindowError(DgboError):
-    """A time/space window required by an evaluator is unavailable."""
-
-
 class ConfigError(DgboError):
     """Invalid experiment configuration."""

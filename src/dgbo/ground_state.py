@@ -21,6 +21,7 @@ MAX_ITERS = 2000
 DECAY_WINDOW = (0.25, 0.5)   # decay_fit's window, as fractions of the half-length
 TAIL_GUARD = 0.05        # shape_certificate skips this fraction of (0, L) at the seam
 TAPER = (0.5, 0.95)      # scaling_generator's cutoff: 1 up to TAPER[0] L, 0 from TAPER[1] L
+GN_TRIALS = 100          # random trial fields of gn_report
 
 
 def sech(z):
@@ -36,7 +37,7 @@ def gkdv_profile(x):
 def equation_residual(grid: Grid, u, alpha: float):
     """|D|^alpha u + u - |u|^{2a} u/(2a+1), evaluated spectrally/pointwise."""
     p = 2.0 * alpha + 1.0
-    return grid.apply_multiplier(u, alpha, "riesz") + u - np.abs(u) ** (2.0 * alpha) * u / p
+    return grid.apply_riesz(u, alpha) + u - np.abs(u) ** (2.0 * alpha) * u / p
 
 
 @dataclass
@@ -45,11 +46,9 @@ class GroundState:
     grid: Grid
     values: np.ndarray
     iterations: int
-    converged: bool
     residual: float                 # L2 norm of the equation residual
     sup_diff: float                 # last successive sup-norm difference
     pohozaev_residuals: tuple       # (mass/gradient, mass/potential, energy) relative
-    energy_residual: float
 
     def derivative(self):
         return self.grid.derivative(self.values)
@@ -87,7 +86,7 @@ def solve_ground_state(alpha: float, grid: Grid, seed=None) -> GroundState:
         u = grid.check_field(seed).copy()
     p = 2.0 * alpha + 1.0
     gamma = p / (p - 1.0)
-    riesz = grid.multiplier(alpha, "riesz")
+    riesz = grid.riesz(alpha)
     denom = 1.0 + riesz
     history = []
     diff = np.inf
@@ -106,8 +105,7 @@ def solve_ground_state(alpha: float, grid: Grid, seed=None) -> GroundState:
             break
     res = equation_residual(grid, u, alpha)
     res_l2 = grid.norm_l2(res)
-    converged = diff < TOL_DIFF and res_l2 < TOL_RESIDUAL
-    if not converged:
+    if not (diff < TOL_DIFF and res_l2 < TOL_RESIDUAL):
         raise ConvergenceError(
             f"Petviashvili stalled at alpha={alpha}: sup diff {diff:.3e}, "
             f"residual {res_l2:.3e} after {it} iterations",
@@ -119,11 +117,9 @@ def solve_ground_state(alpha: float, grid: Grid, seed=None) -> GroundState:
         grid=grid,
         values=u,
         iterations=it,
-        converged=True,
         residual=res_l2,
         sup_diff=diff,
         pohozaev_residuals=(ra, rb, rc),
-        energy_residual=rc,
     )
 
 
@@ -236,13 +232,13 @@ def random_smooth_field(grid: Grid, rng):
     return v, kind
 
 
-def gn_report(gs: GroundState, trials: int = 100, rng=None) -> GNReport:
+def gn_report(gs: GroundState, rng=None) -> GNReport:
     """Evaluate j1 on the ground state and on randomized smooth trial fields."""
     rng = np.random.default_rng(0) if rng is None else rng
     grid, alpha = gs.grid, gs.alpha
     j1_q = j1(grid, gs.values, alpha)
     vals = []
-    for i in range(trials):
+    for i in range(GN_TRIALS):
         v, kind = random_smooth_field(grid, rng)
         vals.append((f"{kind}-{i}", j1(grid, v, alpha)))
     minimal = all(val >= j1_q for _, val in vals)

@@ -34,7 +34,7 @@ def apply_operator(gs: GroundState, v):
     """L v = |D|^alpha v + v - Q^{2 alpha} v, applied spectrally/pointwise."""
     grid = gs.grid
     v = grid.check_field(v)
-    return grid.apply_multiplier(v, gs.alpha, "riesz") + v - _potential(gs) * v
+    return grid.apply_riesz(v, gs.alpha) + v - _potential(gs) * v
 
 
 @dataclass
@@ -59,7 +59,7 @@ def assemble(gs: GroundState) -> LinearizedOperator:
             f"dense assembly limited to N <= {DENSE_N_LIMIT}, got {n}; "
             "use apply_operator for matrix-free application"
         )
-    col = grid.field(grid.multiplier(gs.alpha, "riesz"))
+    col = grid.field(grid.riesz(gs.alpha))
     col = 0.5 * (col + grid.reflect(col))
     i = np.arange(n, dtype=np.int32)
     mat = col[(i[:, None] - i) % n]
@@ -202,7 +202,10 @@ def secular_min(eigenvalues, weights) -> float:
     bit: on the root if f changes sign; on lambda_0 if w_0 = 0 (f > 0, v_0 is
     orthogonal to q); on lambda_1 if f < 0 throughout (then w_1 = 0 and v_1
     is orthogonal to q). Inside the bracket lambda_0 < mu < lambda_1, so no
-    term divides by zero.
+    term divides by zero; but a term overflows when its gap lambda_i - mu is
+    tiny (subnormal), and two overflowing terms of opposite sign would sum to
+    nan. Then f's sign is taken from f times the smallest gap, whose terms
+    are all at most w_i in size.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -211,7 +214,12 @@ def secular_min(eigenvalues, weights) -> float:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return hi
-        if np.sum(w / (lam - mid)) < 0.0:
+        gap = lam - mid
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = np.sum(w / gap)
+        if not np.isfinite(f):
+            f = np.sum(w * (np.min(np.abs(gap)) / gap))
+        if f < 0.0:
             lo = mid
         else:
             hi = mid
@@ -306,15 +314,14 @@ def evolve_linearized(
     grid = gs.grid
     if dt <= 0 or t_end <= 0:
         raise ContractError("dt and t_end must be positive")
-    sym = grid.multiplier(gs.alpha, "dispersion") + grid.ik
+    sym = grid.ik * grid.riesz(gs.alpha) + grid.ik
     if include_potential:
-        # the potential stage -dx(Q^{2 alpha} w), products on the padded grid,
-        # the -dx folded into the truncation's multiply
-        pot_fine = grid.fine(grid.transform(_potential(gs)))
-        weight = grid.truncation(-grid.ik)
+        # the potential stage -dx(Q^{2 alpha} w), the product formed pointwise
+        # on the grid: the collocation L of assemble and apply_operator
+        pot, minus_ik = _potential(gs), -grid.ik
 
         def potential_term(F):
-            return grid.coarse(pot_fine * grid.fine(F), weight)
+            return minus_ik * grid.transform(pot * grid.field(F))
     else:
         # a zero stage: the step is the exact free dispersive group
         potential_term = np.zeros_like

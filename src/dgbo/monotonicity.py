@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import betainc
 from scipy.special import gamma as gamma_fn
 
-from .errors import ContractError, WindowError
+from .errors import ContractError
 from .modulation import ModulationTrack
 from .spectral import Grid
 
@@ -100,7 +100,7 @@ def kato_terms(grid: Grid, u, weight: Weight, center: float, alpha: float, rho_t
     phi = weight.phi_a(xt)
     dphi = weight.dphi_a(xt)
     ux = grid.derivative(u)
-    du = grid.apply_multiplier(u, alpha, "riesz")
+    du = grid.apply_riesz(u, alpha)
     transport = -0.5 * rho_t * grid.quadrature(u**2 * dphi)
     dispersive = grid.quadrature(-du * (ux * phi + u * dphi))
     nonlinear = grid.quadrature(np.abs(u) ** (2.0 * alpha + 2.0) * dphi) / (2.0 * (alpha + 1.0))
@@ -123,7 +123,7 @@ def commutator_residual(grid: Grid, u, weight: Weight, alpha: float):
     can fit or check C.
     """
     dphi = weight.dphi_a(grid.x)
-    du = grid.apply_multiplier(u, alpha, "riesz")
+    du = grid.apply_riesz(u, alpha)
     lhs = grid.quadrature(-du * u * dphi)
     sur = grid.sobolev_seminorm_sq(u * weight.sqrt_dphi_a(grid.x), alpha)
     return lhs + sur, grid.quadrature(u**2 * dphi)
@@ -215,7 +215,7 @@ def _check_sided(
     """
     _check_domain(x0, mu)
     if len(times) != len(states) or len(times) != len(rhos):
-        raise WindowError("times/states/rhos length mismatch")
+        raise ContractError("times/states/rhos length mismatch")
     side = 1.0 if kind == "right" else -1.0
     win = seam_window(grid)
     unit = x0 ** (1.0 - 2.0 * weight.r)
@@ -261,7 +261,7 @@ def check_eta_monotonicity(
     """
     _check_domain(x0, mu)
     if not track.eta_fields:
-        raise WindowError("track carries no remainder fields")
+        raise ContractError("track carries no remainder fields")
     win = seam_window(grid)
     a = track.alpha
 

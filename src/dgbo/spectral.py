@@ -3,13 +3,12 @@
 A field is a real numpy array of length ``grid.n`` sampled at the collocation
 points of a ``Grid``; its discrete Fourier coefficients follow the numpy
 real-FFT layout, which no module but this one sees: the n//2 + 1 modes
-m = 0 .. n/2, the last one the Nyquist mode. Interior modes stand for the
-pair +-m, so the Parseval sums weight them twice. All fractional operators
-are diagonal Fourier multipliers:
-
-    riesz       |k|^alpha          (the fractional derivative |D|^alpha)
-    dispersion  i k |k|^alpha      (odd; Nyquist mode set to 0)
-    semigroup   exp(-|k|^alpha)
+m = 0 .. n/2, the last one the Nyquist mode, so every stored wavenumber is
+k >= 0. Interior modes stand for the pair +-m, so the Parseval sums weight
+them twice. All fractional operators are diagonal Fourier multipliers built
+from two symbols: ``riesz(alpha)``, |k|^alpha (the fractional derivative
+|D|^alpha), and ``ik`` (d/dx, Nyquist mode set to 0). The dispersion is
+ik |k|^alpha and the stable semigroup exp(-|k|^alpha).
 
 Quadrature is the trapezoid rule, which is spectrally exact for band-limited
 periodic integrands.
@@ -26,8 +25,6 @@ ALPHA_MIN = 1.0
 ALPHA_MAX = 2.0
 PAD = 2  # nonlinear products are formed on a grid PAD times finer
 TAIL_FRACTION = 0.1  # spectral_tail_fraction measures the top tenth of |k|
-
-MULTIPLIER_KINDS = ("riesz", "dispersion", "semigroup")
 
 
 def _check_alpha(alpha):
@@ -135,9 +132,9 @@ class Grid:
 
     @cached_property
     def _pad_weight(self):
-        """``pad``'s scaling as one multiply: m/n, halved at the coarse Nyquist mode.
-
-        Both factors are powers of two, so the product is exact.
+        """Scaling onto the PAD-times-finer grid as one exact multiply: m/n, which
+        keeps the values under numpy's 1/m inverse normalisation, halved at the
+        coarse Nyquist mode, which the fine grid holds as the pair +-n/2.
         """
         w = np.full(len(self.k), float(PAD))
         w[-1] *= 0.5
@@ -153,51 +150,22 @@ class Grid:
 
     @cached_property
     def _truncate_weight(self):
-        """``truncate``'s scaling as one multiply: n/m, doubled at this grid's Nyquist mode."""
+        """Inverse of ``_pad_weight`` on the modes 0 .. n/2: n/m, doubled at the Nyquist mode."""
         w = np.full(len(self.k), 1.0 / PAD)
         w[-1] *= 2.0
         w.flags.writeable = False
         return w
 
-    def pad(self, F):
-        """Coefficients of the same trigonometric interpolant on the PAD-times-finer grid.
-
-        The coarse Nyquist mode is an interior mode of the fine grid, where it
-        stands for the pair +-n/2: it is halved, which splits it evenly over
-        both. The m/n factor keeps the sampled values unchanged under numpy's
-        1/m inverse normalisation. F may stack spectra along leading axes.
-        """
-        m = PAD * self.n
-        Fp = np.zeros(F.shape[:-1] + (m // 2 + 1,), dtype=complex)
-        np.multiply(F, self._pad_weight, out=Fp[..., : self.n // 2 + 1])
-        return Fp
-
-    def truncate(self, W):
-        """Inverse of ``pad``: keep the modes 0 .. n/2 of PAD*n-point coefficients.
-
-        The pair +-n/2 folds back into this grid's Nyquist mode, so its entry
-        is doubled.
-        """
-        return W[..., : self.n // 2 + 1] * self._truncate_weight
-
     def truncation(self, symbol):
-        """``truncate``'s scaling times a multiplier ``symbol``: the weight of ``coarse``."""
+        """The truncation's scaling times a multiplier ``symbol``: the weight of ``coarse``."""
         return self._truncate_weight * symbol
-
-    def fine(self, F):
-        """Values on the PAD-times-finer grid of the interpolant with coefficients F.
-
-        F may stack spectra along leading axes; each gives one row of values.
-        ``irfft`` zero-pads the weighted coefficients itself, which gives the
-        same bits as transforming ``pad(F)``.
-        """
-        return np.fft.irfft(F * self._pad_weight, PAD * self.n)
 
     def fine_pair(self, F):
         """Values of u and u_x on the PAD-times-finer grid, in one inverse transform.
 
         F holds u's coefficients, possibly stacked along leading axes; the
         result stacks the values of u and of u_x along a new leading axis.
+        ``irfft`` zero-pads the weighted coefficients itself.
         """
         S = np.empty((2,) + F.shape, dtype=complex)
         np.multiply(F, self._pad_weight, out=S[0])
@@ -208,8 +176,8 @@ class Grid:
         """Coefficients on this grid of values ``w`` on the PAD-times-finer grid,
         times a multiplier.
 
-        ``weight``, from ``truncation``, folds the multiplier into truncate's
-        scaling, applied in place on the transform's output.
+        ``weight``, from ``truncation``, folds the multiplier into the
+        truncation's scaling, applied in place on the transform's output.
         """
         W = np.fft.rfft(w)[..., : self.n // 2 + 1]
         W *= weight
@@ -217,22 +185,14 @@ class Grid:
 
     # -- multipliers --------------------------------------------------------
 
-    def multiplier(self, alpha: float, kind: str):
-        """Return the diagonal symbol array for one of MULTIPLIER_KINDS."""
+    def riesz(self, alpha: float):
+        """The symbol |k|^alpha of the fractional derivative |D|^alpha."""
         _check_alpha(alpha)
-        ka = np.abs(self.k)
-        if kind == "riesz":
-            return ka**alpha
-        if kind == "dispersion":
-            return self.ik * ka**alpha
-        if kind == "semigroup":
-            return np.exp(-(ka**alpha))
-        raise ContractError(f"unknown multiplier kind {kind!r}")
+        return self.k**alpha
 
-    def apply_multiplier(self, f, alpha: float, kind: str = "riesz"):
-        """F^{-1}[ m(k) F[f] ] for the requested symbol, returned as a real field."""
-        mult = self.multiplier(alpha, kind)
-        return self.field(mult * self.transform(f))
+    def apply_riesz(self, f, alpha: float):
+        """|D|^alpha f as a real field."""
+        return self.field(self.riesz(alpha) * self.transform(f))
 
     def derivative(self, f):
         """Spectral d/dx; the Nyquist mode is zeroed."""
@@ -260,9 +220,8 @@ class Grid:
 
         F may stack spectra along leading axes; the result has one entry per row.
         """
-        _check_alpha(alpha)
         return self.h / self.n * np.sum(
-            self._parseval_weight * np.abs(self.k) ** alpha * np.abs(F) ** 2, axis=-1
+            self._parseval_weight * self.riesz(alpha) * np.abs(F) ** 2, axis=-1
         )
 
     def h_alpha_half_norm(self, f, alpha: float):
@@ -276,7 +235,7 @@ class Grid:
         if total == 0.0:
             return 0.0
         cut = (1.0 - TAIL_FRACTION) * self.k_max
-        return float(np.sum(p[np.abs(self.k) >= cut])) / total
+        return float(np.sum(p[self.k >= cut])) / total
 
     # -- resampling and shifts ----------------------------------------------
 
@@ -359,7 +318,7 @@ def stable_kernel(alpha: float, grid: Grid):
     ResolutionError.
     """
     n, L = grid.n, grid.half_length
-    khat = grid.multiplier(alpha, "semigroup")
+    khat = np.exp(-grid.riesz(alpha))
     # K_j = (1/2L) sum_m khat(k_m) e^{i k_m x_j}; the e^{-i pi m} grid phase
     # is (+1) at Nyquist since n/2 is even for n a power of two >= 4
     phase = np.ones(len(grid.k))

@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 
 from dgbo.dynamics import _padded_flux
 from dgbo.linearized import apply_operator
+from dgbo.spectral import PAD
 
 EVALUATE_BLOCK = 1 << 20  # complex entries of the phase matrix evaluate forms at once
 
@@ -50,6 +51,38 @@ def spectral_tail_fraction(grid, f, frac):
     if total == 0.0:
         return 0.0
     return float(np.sum(p[np.abs(full_wavenumbers(grid)) >= (1.0 - frac) * grid.k_max])) / total
+
+
+def pad(grid, F):
+    """Coefficients of the same trigonometric interpolant on the PAD-times-finer grid.
+
+    The reference of ``Grid.fine_pair``'s scaling. The coarse Nyquist mode is
+    an interior mode of the fine grid, where it stands for the pair +-n/2: it
+    is halved, which splits it evenly over both. The m/n factor keeps the
+    sampled values unchanged under numpy's 1/m inverse normalisation. F may
+    stack spectra along leading axes.
+    """
+    m = PAD * grid.n
+    Fp = np.zeros(F.shape[:-1] + (m // 2 + 1,), dtype=complex)
+    Fp[..., : grid.n // 2 + 1] = F * (m / grid.n)
+    Fp[..., grid.n // 2] *= 0.5
+    return Fp
+
+
+def truncate(grid, W):
+    """Inverse of ``pad``: keep the modes 0 .. n/2 of PAD*n-point coefficients.
+
+    The reference of ``Grid.coarse``. The pair +-n/2 folds back into this
+    grid's Nyquist mode, so its entry is doubled.
+    """
+    F = W[..., : grid.n // 2 + 1] / PAD
+    F[..., -1] *= 2.0
+    return F
+
+
+def fine(grid, F):
+    """Values on the PAD-times-finer grid of the interpolant with coefficients F."""
+    return np.fft.irfft(pad(grid, F), PAD * grid.n)
 
 
 def evaluate(grid, f, points):

@@ -163,7 +163,7 @@ class TestAcceptance:
         gs = ground_state_for(2.0)
         g = gs.grid
         rng = np.random.default_rng(2024)
-        rep = gn_report(gs, trials=100, rng=rng)
+        rep = gn_report(gs, rng=rng)
         energy_ok = True
         mq = gs.mass()
         for _ in range(100):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -39,7 +41,7 @@ class TestAssemble:
         g, n = gs.grid, gs.grid.n
         mat = assemble(gs).matrix
         assert np.array_equal(mat, mat.T)
-        col = g.field(g.multiplier(alpha, "riesz"))
+        col = g.field(g.riesz(alpha))
         pot = np.abs(gs.values) ** (2.0 * alpha)
         assert np.array_equal(np.diag(mat), (col[0] + 1.0) - pot)
         # the dense formula: circulant plus identity minus potential, symmetrized
@@ -175,6 +177,19 @@ class TestCoercivity:
         got = secular_min(evals, (q @ evecs) ** 2 / float(q @ q))
         assert abs(got - q_orthogonal_min(a, q)) <= 1e-10 * max(1.0, float(np.max(np.abs(lam))))
 
+    @pytest.mark.parametrize("lam, w, root", [
+        ([0.0, 1e-310, 1.0], [0.5, 0.25, 0.25], 2.0 / 3.0 * 1e-310),
+        ([1e-320, 3e-320, 1.0], [0.4, 0.3, 0.3], 1.5e-320 / 0.7),
+    ], ids=["gaps-near-1e-310", "gaps-near-1e-320"])
+    def test_secular_root_with_subnormal_gaps(self, lam, w, root):
+        # the terms at both ends of the bracket overflow; the root is still found,
+        # to the resolution of the subnormal spacing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = secular_min(lam, w)
+        assert lam[0] <= got <= lam[1]
+        assert abs(got - root) <= 1e-3 * root
+
 
 class TestLinearizedFlow:
     def test_qprime_stationary(self):
@@ -190,7 +205,7 @@ class TestLinearizedFlow:
         w0 = np.exp(-((g.x / 2.0) ** 2))
         t_end = 0.5
         rec = evolve_linearized(gs2_compact, w0, t_end, 1e-3, include_potential=False)
-        sym = g.multiplier(2.0, "dispersion") + 1j * g.k
+        sym = g.ik * g.riesz(2.0) + 1j * g.k
         sym[-1] = 0.0  # Nyquist
         exact = np.fft.irfft(g.transform(w0) * np.exp(t_end * sym), g.n)
         assert np.max(np.abs(rec.final_state - exact)) < 1e-10
@@ -225,15 +240,18 @@ class TestLinearizedFlow:
         assert full.local_mass[-1] > full.local_mass[0]  # reported finding
         assert full.local_mass_defl[-1] < 0.05 * full.local_mass[-1]
 
-    def test_hamiltonian_conserved_by_flow(self, gs2_compact, spec2_compact):
-        # (Lw, w) is a conserved (indefinite) quadratic form of the flow
-        g = gs2_compact.grid
-        qp = gs2_compact.derivative()
+    @pytest.mark.parametrize("alpha", [2.0, 1.5])
+    def test_hamiltonian_conserved_by_flow(self, alpha):
+        # (Lw, w) is a conserved (indefinite) quadratic form of the flow: the
+        # flow's potential stage is the collocation L that apply_operator applies
+        gs = ground_state_for(alpha, COMPACT)
+        chi0 = spectrum_for(alpha, COMPACT).chi0
+        g = gs.grid
         w0 = np.exp(-((g.x / 2.0) ** 2))
-        w0 -= g.inner(w0, spec2_compact.chi0) * spec2_compact.chi0
-        rec = evolve_linearized(gs2_compact, w0, t_end=4.0, dt=1e-3, store_states=True,
+        w0 -= g.inner(w0, chi0) * chi0
+        rec = evolve_linearized(gs, w0, t_end=4.0, dt=1e-3, store_states=True,
                                 checkpoint_every=1000)
-        h_vals = [g.inner(apply_operator(gs2_compact, w), w) for _, w in rec.states]
+        h_vals = [g.inner(apply_operator(gs, w), w) for _, w in rec.states]
         scale = max(abs(h) for h in h_vals)
         assert max(abs(h - h_vals[0]) for h in h_vals) < 1e-6 * scale
 

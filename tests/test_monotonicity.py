@@ -301,6 +301,21 @@ class TestMonotonicityChecks:
         with pytest.raises(ContractError):
             check_eta_monotonicity(tr_s, w, 10.0, 1.5, 0.0, g)
 
+    def test_length_mismatch_is_a_contract_error(self, runs):
+        g = runs["grid"]
+        w = build_weight(R, A)
+        ts, ss, tr_s = runs["sol"]
+        for check in (check_right_monotonicity, check_left_monotonicity):
+            with pytest.raises(ContractError, match="length mismatch"):
+                check(ts, ss[:-1], tr_s.rho, w, 10.0, MU, 0.0, g)
+
+    def test_eta_check_without_remainders_is_a_contract_error(self, runs):
+        g = runs["grid"]
+        _, _, tr_s = runs["sol"]
+        with pytest.raises(ContractError, match="no remainder fields"):
+            check_eta_monotonicity(replace(tr_s, eta_fields=[]), build_weight(R, A),
+                                   10.0, MU, 0.0, g)
+
     def test_seam_window_shape(self, runs):
         g = runs["grid"]
         win = seam_window(g)
