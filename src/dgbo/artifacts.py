@@ -236,6 +236,7 @@ def write_spectrum(base, report: SpectrumReport):
             "essential_edge_estimate": report.essential_edge_estimate,
             "qprime_cosine": report.qprime_cosine,
             "chi0_even_defect": report.chi0_even_defect,
+            "parity_gap": report.parity_gap,
             "chi0_resolved": report.chi0_resolved,
             "max_eig_residual": report.max_eig_residual,
             "structure_ok": report.structure_ok,

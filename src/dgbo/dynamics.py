@@ -149,22 +149,45 @@ class Stepper:
         self.Q = dt * np.mean((np.exp(zc / 2.0) - 1.0) / zc, axis=1)
         self.f1 = dt * np.mean((-4.0 - zc + ez * (4.0 - 3.0 * zc + zc**2)) / zc**3, axis=1)
         self.f2 = dt * np.mean((2.0 + zc + ez * (zc - 2.0)) / zc**3, axis=1)
+        self.twice_f2 = 2.0 * self.f2
         self.f3 = dt * np.mean((-4.0 - 3.0 * zc - zc**2 + ez * (4.0 - zc)) / zc**3, axis=1)
         self.nonlinear = nonlinear
         self.filter = filter
 
     def step_spectrum(self, F):
+        """One step of F (a spectrum or a stack of them); F is left unchanged.
+
+        The stages a, b, c and the update
+        E F + f1 Nv + 2 f2 (Na + Nb) + f3 Nc are accumulated in two scratch
+        arrays and the output. Every product keeps its operands in order and
+        every sum its terms in order (or swapped, which IEEE addition allows),
+        so the bits are those of the formula written out with temporaries.
+        """
+        Q = self.Q
         Nv = self.nonlinear(F)
-        e2f = self.E2 * F
-        a = e2f + self.Q * Nv
+        b = np.multiply(self.E2, F)              # E2 F, then b
+        a = np.multiply(Q, Nv)
+        a += b                                   # a = E2 F + Q Nv
         Na = self.nonlinear(a)
-        b = e2f + self.Q * Na
+        tmp = np.multiply(Q, Na)
+        b += tmp                                 # b = E2 F + Q Na
         Nb = self.nonlinear(b)
-        c = self.E2 * a + self.Q * (2.0 * Nb - Nv)
-        Nc = self.nonlinear(c)
-        out = self.E * F + self.f1 * Nv + 2.0 * self.f2 * (Na + Nb) + self.f3 * Nc
+        np.multiply(2.0, Nb, out=tmp)
+        tmp -= Nv
+        np.multiply(Q, tmp, out=tmp)
+        np.multiply(self.E2, a, out=a)
+        a += tmp                                 # c = E2 a + Q (2 Nb - Nv)
+        Nc = self.nonlinear(a)
+        out = np.multiply(self.E, F)
+        np.multiply(self.f1, Nv, out=tmp)
+        out += tmp
+        np.add(Na, Nb, out=tmp)
+        np.multiply(self.twice_f2, tmp, out=tmp)
+        out += tmp
+        np.multiply(self.f3, Nc, out=tmp)
+        out += tmp
         if self.filter is not None:
-            out = out * self.filter
+            np.multiply(out, self.filter, out=out)
         return out
 
 

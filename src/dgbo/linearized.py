@@ -1,10 +1,12 @@
 """The operator L = |D|^alpha + 1 - Q^{2 alpha} around a ground state.
 
-Dense collocation assembly (|D|^alpha is a symmetric circulant), one full
-eigendecomposition by LAPACK's divide-and-conquer solver (``numpy.linalg.eigh``,
+Dense collocation assembly (|D|^alpha is a symmetric circulant), a full
+eigendecomposition in two parity blocks (Q is even, so L commutes with
+x -> -x), each by LAPACK's divide-and-conquer solver (``numpy.linalg.eigh``,
 Cuppen's method, which suits the clustered continuum of L), structural
 certification (a single negative eigenvalue with an even positive
-eigenfunction; a one-dimensional near-kernel carried by Q'), coercivity probes
+eigenfunction below the odd spectrum; a one-dimensional near-kernel carried
+by Q'), coercivity probes
 whose minimum over the Q-orthogonal sphere is the smallest root of a secular
 equation on that same eigendecomposition, and evolution of the associated
 flow w_t = dx(L w).
@@ -80,30 +82,94 @@ class SpectrumReport:
     essential_edge_estimate: float   # smallest eigenvalue above the near-kernel band
     qprime_cosine: float             # |cos| similarity of the near-kernel mode with Q'
     chi0_even_defect: float
+    parity_gap: float                # lowest odd minus lowest even eigenvalue
     chi0_resolved: bool              # False: chi0's sign change is within its resolution floor
     max_eig_residual: float
     structure_ok: bool
     notes: list = field(default_factory=list)
 
 
-def spectrum(op: LinearizedOperator) -> SpectrumReport:
-    """Full symmetric eigendecomposition with structural certification.
+def _parity_blocks(mat):
+    """The even and odd blocks of a reflection-invariant N x N matrix.
 
-    One divide-and-conquer solve (LAPACK ``syevd`` through ``numpy.linalg.eigh``)
-    gives every eigenpair. Besides the certified modes, only the spectral
-    measure of Q (``q_weights``) is kept from the eigenvectors; it is all that
+    The reflection j -> (N - j) mod N fixes 0 and N/2. The even block acts on
+    the basis e_0, (e_j + e_{N-j})/sqrt 2 for j = 1 .. N/2 - 1, then e_{N/2};
+    the odd block on (e_j - e_{N-j})/sqrt 2 for the same j.
+    """
+    n = mat.shape[0]
+    h = n // 2
+    a = mat[1:h, 1:h]
+    b = mat[1:h, n - 1 : h : -1]
+    even = np.empty((h + 1, h + 1))
+    np.add(a, b, out=even[1:h, 1:h])
+    for i in (0, h):
+        even[i, 1:h] = even[1:h, i] = np.sqrt(2.0) * mat[i, 1:h]
+        even[i, 0], even[i, h] = mat[i, 0], mat[i, h]
+    return even, a - b
+
+
+def _to_grid(c, n, odd):
+    """The grid vector with coordinates c in the even (odd=False) or odd block's basis."""
+    h = n // 2
+    v = np.zeros(n)
+    v[1:h] = (c if odd else c[1:h]) / np.sqrt(2.0)
+    v[n - 1 : h : -1] = -v[1:h] if odd else v[1:h]
+    if not odd:
+        v[0], v[h] = c[0], c[h]
+    return v
+
+
+def spectrum(op: LinearizedOperator) -> SpectrumReport:
+    """Full symmetric eigendecomposition, per parity, with structural certification.
+
+    Q is even, so L commutes with x -> -x and its matrix splits into an even
+    block of size N/2 + 1 and an odd block of size N/2 - 1
+    (``_parity_blocks``). Each is solved by divide and conquer (LAPACK
+    ``syevd`` through ``numpy.linalg.eigh``, Cuppen's method, which suits the
+    clustered continuum of L); the eigenvalues are merged into one ascending
+    array. Block eigenvectors are mapped back to the grid only for chi0, the
+    near-kernel modes and the residual sample, which is taken against the
+    full matrix. Besides those modes, only the spectral measure of Q
+    (``q_weights``, in the merged order) is kept; it is all that
     ``coercivity_probe`` needs.
 
+    A potential that is not reflection-even, beyond roundoff, breaks the
+    split and raises ``ContractError``.
+
     Violations of the expected structure (wrong negative count, wrong
-    near-kernel dimension, non-even or sign-changing ground eigenfunction,
-    poor Q' match) are reported in ``notes`` with ``structure_ok=False``;
-    they are never silently accepted. A sign change of chi0 no deeper than
-    chi0's own resolution floor, sqrt(spectral tail fraction) * max chi0, is
-    not a finding about the operator: it sets ``chi0_resolved=False``
-    instead, with a note.
+    near-kernel dimension, an odd bottom of the spectrum (``parity_gap`` not
+    positive), non-even or sign-changing ground eigenfunction, poor Q' match)
+    are reported in ``notes`` with ``structure_ok=False``; they are never
+    silently accepted. A sign change of chi0 no deeper than chi0's own
+    resolution floor, sqrt(spectral tail fraction) * max chi0, is not a
+    finding about the operator: it sets ``chi0_resolved=False`` instead, with
+    a note.
     """
     grid = op.grid
-    evals, evecs = np.linalg.eigh(op.matrix)
+    n = grid.n
+    pot = _potential(op.gs)
+    pot_defect = float(np.max(np.abs(pot - grid.reflect(pot))))
+    if pot_defect > 1e-12 * float(np.max(pot)):
+        raise ContractError(
+            f"potential Q^(2 alpha) not reflection-even (defect {pot_defect:.2e}); "
+            "the parity split needs a ground state centred at x = 0"
+        )
+    even_block, odd_block = _parity_blocks(op.matrix)
+    ev_even, vec_even = np.linalg.eigh(even_block)
+    ev_odd, vec_odd = np.linalg.eigh(odd_block)
+    del even_block, odd_block
+    n_even = len(ev_even)
+    merged = np.concatenate([ev_even, ev_odd])
+    order = np.argsort(merged, kind="stable")
+    evals = merged[order]
+
+    def mode(i):
+        """Grid eigenvector of the merged eigenvalue i."""
+        j = int(order[i])
+        if j < n_even:
+            return _to_grid(vec_even[:, j], n, odd=False)
+        return _to_grid(vec_odd[:, j - n_even], n, odd=True)
+
     norm = float(np.max(np.abs(evals)))
     ktol = KERNEL_TOL_REL * norm
     notes = []
@@ -113,8 +179,12 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
     if len(neg) != 1:
         ok = False
         notes.append(f"expected exactly one negative eigenvalue, found {len(neg)}")
+    parity_gap = float(ev_odd[0] - ev_even[0])
+    if not parity_gap > 0.0:
+        ok = False
+        notes.append(f"parity gap {parity_gap:.2e}: the bottom of the spectrum is odd")
     mu0 = float(evals[0])
-    chi0 = evecs[:, 0].copy()
+    chi0 = mode(0)
     if chi0[np.argmax(np.abs(chi0))] < 0:
         chi0 = -chi0
     chi0 = chi0 / grid.norm_l2(chi0)
@@ -137,7 +207,7 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
             notes.append(f"chi0 changes sign (min {-dip:.2e})")
 
     near_idx = np.where(np.abs(evals) <= ktol)[0]
-    near_kernel = [(float(evals[i]), evecs[:, i].copy()) for i in near_idx]
+    near_kernel = [(float(evals[i]), mode(i)) for i in near_idx]
     if len(near_idx) != 1:
         ok = False
         notes.append(f"near-kernel dimension {len(near_idx)}, expected 1")
@@ -153,15 +223,19 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
     above = evals[evals > ktol]
     edge = float(above[0]) if len(above) else np.inf
 
-    # eigenpair residuals against the assembled matrix
-    sample = list(range(min(8, grid.n))) + list(near_idx)
+    # eigenpair residuals against the full assembled matrix
+    sample = list(range(min(8, n))) + list(near_idx)
     resid = 0.0
     for i in sample:
-        v = evecs[:, i]
+        v = mode(i)
         resid = max(resid, float(np.max(np.abs(op.matrix @ v - evals[i] * v))))
 
+    # Q's coordinates in the two bases; its odd ones vanish up to roundoff
     q = op.gs.values
-    q_weights = (q @ evecs) ** 2 / float(np.dot(q, q))
+    h = n // 2
+    q_even = np.concatenate([q[:1], (q[1:h] + q[n - 1 : h : -1]) / np.sqrt(2.0), q[h : h + 1]])
+    q_odd = (q[1:h] - q[n - 1 : h : -1]) / np.sqrt(2.0)
+    q_weights = np.concatenate([q_even @ vec_even, q_odd @ vec_odd])[order] ** 2 / float(q @ q)
 
     return SpectrumReport(
         alpha=op.alpha,
@@ -175,6 +249,7 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
         essential_edge_estimate=edge,
         qprime_cosine=qcos,
         chi0_even_defect=even_defect,
+        parity_gap=parity_gap,
         chi0_resolved=resolved,
         max_eig_residual=resid,
         structure_ok=ok,

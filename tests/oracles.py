@@ -1,13 +1,14 @@
 """Slow or closed-form references that only the tests compare against."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize
 
 from dgbo.dynamics import _padded_flux
-from dgbo.linearized import apply_operator
+from dgbo.linearized import KERNEL_TOL_REL, apply_operator
 from dgbo.spectral import PAD
 
 EVALUATE_BLOCK = 1 << 20  # complex entries of the phase matrix evaluate forms at once
@@ -216,3 +217,53 @@ def q_orthogonal_min(matrix, q):
     B = A - 2.0 * np.outer(v, Av) - 2.0 * np.outer(Av, v) + 4.0 * float(v @ Av) * np.outer(v, v)
     B = B[1:, 1:]
     return float(sla.eigvalsh(0.5 * (B + B.T))[0])
+
+
+def etdrk4_step(stepper, F):
+    """One ``Stepper`` step as the ETDRK4 formula written out with temporaries.
+
+    The bitwise reference of ``Stepper.step_spectrum``, which accumulates the
+    same operations in place.
+    """
+    Nv = stepper.nonlinear(F)
+    e2f = stepper.E2 * F
+    a = e2f + stepper.Q * Nv
+    Na = stepper.nonlinear(a)
+    b = e2f + stepper.Q * Na
+    Nb = stepper.nonlinear(b)
+    c = stepper.E2 * a + stepper.Q * (2.0 * Nb - Nv)
+    Nc = stepper.nonlinear(c)
+    out = stepper.E * F + stepper.f1 * Nv + 2.0 * stepper.f2 * (Na + Nb) + stepper.f3 * Nc
+    if stepper.filter is not None:
+        out = out * stepper.filter
+    return out
+
+
+def full_eigh_spectrum(op):
+    """The spectrum of L from one N x N ``eigh`` of the assembled matrix.
+
+    The reference of the parity-split ``spectrum``: eigenvalues, ``q_weights``,
+    mu0, chi0 (unit L2 norm, sign-fixed positive), the near-kernel pairs and
+    the parity gap, each eigenvector's parity read from the sign of (v, Rv)
+    with R the grid reflection. ``coercivity_probe`` accepts the result in
+    place of a ``SpectrumReport``.
+    """
+    grid = op.grid
+    evals, evecs = np.linalg.eigh(op.matrix)
+    ktol = KERNEL_TOL_REL * float(np.max(np.abs(evals)))
+    chi0 = evecs[:, 0].copy()
+    if chi0[np.argmax(np.abs(chi0))] < 0:
+        chi0 = -chi0
+    chi0 = chi0 / grid.norm_l2(chi0)
+    near_kernel = [(float(evals[i]), evecs[:, i].copy()) for i in np.where(np.abs(evals) <= ktol)[0]]
+    q = op.gs.values
+    reflected = evecs[(-np.arange(grid.n)) % grid.n]
+    even = np.sum(evecs * reflected, axis=0) > 0.0
+    return SimpleNamespace(
+        eigenvalues=evals,
+        q_weights=(q @ evecs) ** 2 / float(np.dot(q, q)),
+        mu0=float(evals[0]),
+        chi0=chi0,
+        near_kernel=near_kernel,
+        parity_gap=float(evals[~even][0] - evals[even][0]),
+    )

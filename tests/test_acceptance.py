@@ -125,6 +125,7 @@ class TestAcceptance:
                 and len(rep.near_kernel) == 1
                 and rep.qprime_cosine > 0.999
                 and rep.chi0_even_defect < 1e-8
+                and rep.parity_gap > 0.0
                 and np.min(rep.chi0) > -1e-8 * np.max(rep.chi0)
             )
         elapsed = time.monotonic() - t0

@@ -1,5 +1,6 @@
 import gc
 import json
+from dataclasses import replace
 import os
 import tempfile
 import warnings
@@ -201,6 +202,7 @@ class TestCommands:
         spec = json.load(open(str(artifacts_dir / "spec.spectrum.json")))
         assert spec["structure_ok"]
         assert spec["mu0"] < 0
+        assert spec["parity_gap"] > 0
         assert os.path.exists(str(artifacts_dir / "spec.chi0.f64"))
 
     def test_evolve_modulate_monotonicity_chain(self, artifacts_dir):
@@ -273,6 +275,13 @@ class TestCommands:
         rc = main(["ground-state", "--alpha", "2.0", "--half-length", "100.0", "--n", "8192",
                    "--out", base])
         assert rc == 0
+        assert main(["spectrum", "--state", base, "--out", str(tmp_path / "spec")]) == 2
+
+    def test_spectrum_of_an_off_centre_state_is_a_contract_error(self, tmp_path):
+        # the parity split needs an even potential: a shifted state exits 2
+        gs = ground_state_for(2.0, COMPACT)
+        base = str(tmp_path / "gs")
+        write_ground_state(base, replace(gs, values=np.roll(gs.values, 3)))
         assert main(["spectrum", "--state", base, "--out", str(tmp_path / "spec")]) == 2
 
     def test_underresolved_chi0_is_a_resolution_error(self, tmp_path):

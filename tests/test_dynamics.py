@@ -18,7 +18,7 @@ from dgbo import (
 from dgbo.dynamics import _padded_flux
 from dgbo.errors import ContractError
 from dgbo.ground_state import gkdv_profile
-from oracles import fine, nonlinear_term, rescaled_config
+from oracles import etdrk4_step, fine, nonlinear_term, rescaled_config
 
 
 
@@ -116,6 +116,20 @@ class TestStep:
         stacked = st.step_spectrum(g.transform(U))
         for row, u in zip(stacked, U):
             assert np.array_equal(row, st.step_spectrum(g.transform(u)))
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    @pytest.mark.parametrize("filter_strength", [0.0, 1.0])
+    def test_step_matches_formula_bitwise(self, alpha, filter_strength, rng):
+        # the in-place stages keep every bit of the formula written out
+        g = Grid(30.0, 256)
+        U = np.stack([np.exp(-(g.x**2) / 4.0) + 0.3, 0.8 * np.exp(-((g.x - 3.0) ** 2))])
+        U = U + 0.01 * rng.standard_normal(U.shape)
+        cfg = EvolutionConfig(alpha=alpha, dt=1e-3, t_end=1.0, filter_strength=filter_strength)
+        st = flow_stepper(g, cfg)
+        for F in (g.transform(U), g.transform(U[1])):
+            kept = F.copy()
+            assert np.array_equal(st.step_spectrum(F), etdrk4_step(st, F))
+            assert np.array_equal(F, kept)
 
     def test_flux_result_survives_the_next_call(self, rng):
         g = Grid(30.0, 256)

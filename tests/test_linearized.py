@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +17,12 @@ from dgbo import (
     solve_ground_state,
     spectrum,
 )
-from dgbo.errors import CapacityError
+from dgbo.errors import CapacityError, ContractError
 from dgbo.ground_state import scaling_generator
 from dgbo.linearized import secular_min
 
 from conftest import COMPACT, ground_state_for, spectrum_for
-from oracles import linearized_rhs, q_orthogonal_min
+from oracles import full_eigh_spectrum, linearized_rhs, q_orthogonal_min
 
 
 class TestAssemble:
@@ -83,6 +84,7 @@ class TestSpectrum:
         assert len(rep.near_kernel) == 1
         assert rep.qprime_cosine > 0.999
         assert rep.chi0_even_defect < 1e-8
+        assert rep.parity_gap > 0.0
         assert np.min(rep.chi0) > -1e-8 * np.max(rep.chi0)
         assert rep.essential_edge_estimate > 0.9  # discretized continuum near 1
         assert rep.max_eig_residual < 1e-8
@@ -109,6 +111,43 @@ class TestSpectrum:
     def test_mu0_against_doubled_resolution(self, spec2_compact):
         fine = spectrum_for(2.0, Grid(50.0, 2048))
         assert abs(spec2_compact.mu0 - fine.mu0) < 1e-4 * abs(fine.mu0)
+
+
+class TestParitySplit:
+    @pytest.mark.parametrize("alpha", [1.5, 1.9, 2.0])
+    def test_matches_full_eigh(self, alpha):
+        gs = ground_state_for(alpha, COMPACT)
+        op = assemble(gs)
+        rep = spectrum_for(alpha, COMPACT)
+        ref = full_eigh_spectrum(op)
+        scale = np.max(np.abs(ref.eigenvalues))
+        assert np.max(np.abs(rep.eigenvalues - ref.eigenvalues)) < 1e-10 * scale
+        assert abs(rep.parity_gap - ref.parity_gap) < 1e-10 * scale
+        assert np.max(np.abs(rep.q_weights - ref.q_weights)) < 1e-12
+        assert np.max(np.abs(rep.chi0 - ref.chi0)) < 1e-10
+        assert len(rep.near_kernel) == len(ref.near_kernel) == 1
+        (ev, v), (ev_ref, v_ref) = rep.near_kernel[0], ref.near_kernel[0]
+        assert abs(ev - ev_ref) < 1e-10 * scale
+        assert min(np.max(np.abs(v - v_ref)), np.max(np.abs(v + v_ref))) < 1e-10
+        mu = coercivity_probe(op, rep, trials=100).mu_est
+        mu_ref = coercivity_probe(op, ref, trials=100).mu_est
+        assert mu == pytest.approx(mu_ref, rel=1e-13)
+
+    def test_odd_bottom_fails_structure(self, gs2_compact):
+        # M - c (I - R)/2 stays reflection-invariant and lowers the odd block
+        # by c: c = 10 puts the Q' mode at -10, below the even block's -8
+        op = assemble(gs2_compact)
+        n = op.grid.n
+        odd_projector = 0.5 * (np.eye(n) - np.eye(n)[(-np.arange(n)) % n])
+        rep = spectrum(replace(op, matrix=op.matrix - 10.0 * odd_projector))
+        assert rep.parity_gap == pytest.approx(-2.0, abs=1e-6)
+        assert not rep.structure_ok
+        assert any(note.startswith("parity gap") for note in rep.notes)
+
+    def test_shifted_ground_state_is_refused(self, gs2_compact):
+        shifted = replace(gs2_compact, values=np.roll(gs2_compact.values, 3))
+        with pytest.raises(ContractError, match="reflection-even"):
+            spectrum(assemble(shifted))
 
 
 class TestCoercivity:
