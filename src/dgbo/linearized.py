@@ -6,10 +6,9 @@ x -> -x), each by LAPACK's divide-and-conquer solver (``numpy.linalg.eigh``,
 Cuppen's method, which suits the clustered continuum of L), structural
 certification (a single negative eigenvalue with an even positive
 eigenfunction below the odd spectrum; a one-dimensional near-kernel carried
-by Q'), coercivity probes
-whose minimum over the Q-orthogonal sphere is the smallest root of a secular
-equation on that same eigendecomposition, and evolution of the associated
-flow w_t = dx(L w).
+by Q'), coercivity probes whose minimum over the Q-orthogonal sphere is the
+smallest root of a secular equation on that same eigendecomposition, and
+evolution of the associated flow w_t = dx(L w).
 """
 
 from dataclasses import dataclass, field
