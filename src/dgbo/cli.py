@@ -34,10 +34,9 @@ from .artifacts import (
     write_spectrum,
     write_track,
 )
-from .dynamics import EvolutionConfig, evolve
+from .dynamics import STATUS_DIVERGED, STATUS_RESOLUTION_LOST, EvolutionConfig, evolve
 from .errors import (
     CapacityError,
-    ClosenessError,
     ConfigError,
     ContractError,
     ConvergenceError,
@@ -77,6 +76,16 @@ def _read_state_and_chi0(state, chi0):
     return gs, chi0_values
 
 
+def _read_run_states(run, gs=None):
+    """Times, fields and grid of a run's checkpoints (ConfigError: none, or not on gs's grid)."""
+    _header, _samples, states, grid = read_run(run)
+    if not states:
+        raise ConfigError(f"run directory {run} holds no checkpointed states")
+    if gs is not None and grid != gs.grid:
+        raise ConfigError("run grid does not match ground-state grid")
+    return [t for t, _ in states], [u for _, u in states], grid
+
+
 def _cmd_ground_state(args):
     grid = Grid(args.half_length, args.n)
     if args.continue_from:
@@ -110,9 +119,9 @@ def _cmd_evolve(args):
     rec = evolve(grid, u0, cfg)
     write_run(args.out, rec, header_extra={"rng_seed": args.rng_seed, "perturbation": pert})
     print(f"run status {rec.status} at t={rec.final_t} -> {args.out}")
-    if rec.status == "diverged":
+    if rec.status == STATUS_DIVERGED:
         return EXIT_DIVERGENCE
-    if rec.status == "resolution_lost":
+    if rec.status == STATUS_RESOLUTION_LOST:
         return EXIT_RESOLUTION
     return EXIT_OK
 
@@ -133,13 +142,7 @@ def _cmd_spectrum(args):
 
 def _cmd_modulate(args):
     gs, chi0 = _read_state_and_chi0(args.state, args.chi0)
-    _header, _samples, states, grid = read_run(args.run)
-    if not states:
-        raise ConfigError(f"run directory {args.run} holds no checkpointed states")
-    if grid != gs.grid:
-        raise ConfigError("run grid does not match ground-state grid")
-    times = [t for t, _ in states]
-    fields = [u for _, u in states]
+    times, fields, _grid = _read_run_states(args.run, gs)
     tr = track(times, fields, gs, chi0)
     write_track(args.out, tr, header_extra={"run": args.run})
     print(f"track: {len(tr.t)} frames, fitted C {tr.fitted_c:.3g}, "
@@ -148,16 +151,15 @@ def _cmd_modulate(args):
 
 
 def _cmd_monotonicity(args):
-    _header, _samples, states, grid = read_run(args.run)
-    if not states:
-        raise ConfigError(f"run directory {args.run} holds no checkpointed states")
+    gs = _read_state_and_chi0(args.state, args.chi0)[0] if args.state and args.chi0 else None
+    run_times, fields, grid = _read_run_states(args.run, gs)
     tr = read_track(args.track)
     times, rhos = list(tr.t), list(tr.rho)
-    if times != [t for t, _ in states][: len(times)]:
+    if times != run_times[: len(times)]:
         raise ConfigError(
             f"track {args.track} times are not a prefix of the checkpoint times of {args.run}"
         )
-    fields = [u for _, u in states][: len(times)]
+    fields = fields[: len(times)]
     weight = build_weight(args.r, args.A)
     x0_list = [float(v) for v in args.x0.split(",")]
     # each check runs once at c0 = 0 and is re-budgeted with its own calibration
@@ -166,11 +168,8 @@ def _cmd_monotonicity(args):
              for x0 in x0_list for check in (check_right_monotonicity, check_left_monotonicity)]
     reports = [replace(rep, c0=args.c0 if args.c0 is not None else calibrate([rep]))
                for rep in sided]
-    if args.state and args.chi0:
+    if gs is not None:
         # the remainders at the stored (lambda, rho): one resample per frame
-        gs, _ = _read_state_and_chi0(args.state, args.chi0)
-        if gs.grid != grid:
-            raise ConfigError("ground-state grid does not match the run grid")
         tr = replace(tr, eta_fields=[remainder(u, gs, lam, rho)
                                      for u, lam, rho in zip(fields, tr.lam, tr.rho)])
         for x0 in x0_list:
@@ -360,7 +359,7 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (DecompositionError, ClosenessError) as exc:
+    except DecompositionError as exc:
         print(f"modulation error (left the soliton tube): {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except ResolutionError as exc:

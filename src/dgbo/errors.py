@@ -29,12 +29,12 @@ class CapacityError(DgboError):
     """A dense code path was requested beyond its size limit."""
 
 
-class ClosenessError(DgboError):
-    """Input field is too far from the soliton family for modulation."""
-
-
 class DecompositionError(DgboError):
     """Modulation parameter solve failed (left the soliton tube)."""
+
+
+class ClosenessError(DecompositionError):
+    """Input field is too far from the soliton family for modulation: it left the tube."""
 
 
 class ConfigError(DgboError):

@@ -4,11 +4,11 @@ Dense collocation assembly (|D|^alpha is a symmetric circulant), a full
 eigendecomposition in two parity blocks (Q is even, so L commutes with
 x -> -x), each by LAPACK's divide-and-conquer solver (``numpy.linalg.eigh``,
 Cuppen's method, which suits the clustered continuum of L), structural
-certification (a single negative eigenvalue with an even positive
-eigenfunction below the odd spectrum; a one-dimensional near-kernel carried
-by Q'), coercivity probes whose minimum over the Q-orthogonal sphere is the
-smallest root of a secular equation on that same eigendecomposition, and
-evolution of the associated flow w_t = dx(L w).
+certification per parity (one negative eigenvalue, with a positive
+eigenfunction, in the even block; a one-dimensional near-kernel, carried by
+Q', in the odd block), coercivity probes whose minimum over the Q-orthogonal
+sphere is the smallest root of a secular equation on that same
+eigendecomposition, and evolution of the associated flow w_t = dx(L w).
 """
 
 from dataclasses import dataclass, field
@@ -40,10 +40,16 @@ def apply_operator(gs: GroundState, v):
 
 @dataclass
 class LinearizedOperator:
-    alpha: float
-    grid: Grid
     gs: GroundState
     matrix: np.ndarray
+
+    @property
+    def alpha(self):
+        return self.gs.alpha
+
+    @property
+    def grid(self):
+        return self.gs.grid
 
 
 def assemble(gs: GroundState) -> LinearizedOperator:
@@ -65,7 +71,7 @@ def assemble(gs: GroundState) -> LinearizedOperator:
     i = np.arange(n, dtype=np.int32)
     mat = col[(i[:, None] - i) % n]
     mat.flat[:: n + 1] = (col[0] + 1.0) - _potential(gs)
-    return LinearizedOperator(alpha=gs.alpha, grid=grid, gs=gs, matrix=mat)
+    return LinearizedOperator(gs=gs, matrix=mat)
 
 
 @dataclass
@@ -123,26 +129,23 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
 
     Q is even, so L commutes with x -> -x and its matrix splits into an even
     block of size N/2 + 1 and an odd block of size N/2 - 1
-    (``_parity_blocks``). Each is solved by divide and conquer (LAPACK
-    ``syevd`` through ``numpy.linalg.eigh``, Cuppen's method, which suits the
-    clustered continuum of L); the eigenvalues are merged into one ascending
-    array. Block eigenvectors are mapped back to the grid only for chi0, the
-    near-kernel modes and the residual sample, which is taken against the
-    full matrix. Besides those modes, only the spectral measure of Q
-    (``q_weights``, in the merged order) is kept; it is all that
-    ``coercivity_probe`` needs.
+    (``_parity_blocks``), each solved by divide and conquer (``syevd``
+    through ``numpy.linalg.eigh``, which suits the clustered continuum of L).
+    The eigenvalues and Q's spectral measure ``q_weights`` are merged into
+    one ascending order; Q is exactly even (every Petviashvili iterate is
+    symmetrized), so its odd weights are zeros. Block eigenvectors reach the
+    grid only for chi0 (the even block's lowest mode), the near-kernel modes
+    (each block's band columns) and the residual sample against the full
+    matrix. A potential that is not reflection-even raises ``ContractError``.
 
-    A potential that is not reflection-even, beyond roundoff, breaks the
-    split and raises ``ContractError``.
-
-    Violations of the expected structure (wrong negative count, wrong
-    near-kernel dimension, an odd bottom of the spectrum (``parity_gap`` not
-    positive), non-even or sign-changing ground eigenfunction, poor Q' match)
-    are reported in ``notes`` with ``structure_ok=False``; they are never
-    silently accepted. A sign change of chi0 no deeper than chi0's own
-    resolution floor, sqrt(spectral tail fraction) * max chi0, is not a
-    finding about the operator: it sets ``chi0_resolved=False`` instead, with
-    a note.
+    The structure is tallied per parity (ker L = span{Q'}, Frank & Lenzmann,
+    Acta Math. 210, 2013): the even block has one eigenvalue below
+    -kernel_tol and none in the band |lambda| <= kernel_tol, the odd block
+    none below and one in the band, which implies ``parity_gap`` > 0. A
+    failed tally, a near-kernel mode poorly aligned with Q' or a
+    sign-changing chi0 sets ``structure_ok=False`` with a note; a sign change
+    no deeper than chi0's resolution floor, sqrt(spectral tail fraction) *
+    max chi0, sets ``chi0_resolved=False`` instead.
     """
     grid = op.grid
     n = grid.n
@@ -153,44 +156,25 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
             f"potential Q^(2 alpha) not reflection-even (defect {pot_defect:.2e}); "
             "the parity split needs a ground state centred at x = 0"
         )
-    even_block, odd_block = _parity_blocks(op.matrix)
-    ev_even, vec_even = np.linalg.eigh(even_block)
-    ev_odd, vec_odd = np.linalg.eigh(odd_block)
-    del even_block, odd_block
-    n_even = len(ev_even)
+    (ev_even, vec_even), (ev_odd, vec_odd) = map(np.linalg.eigh, _parity_blocks(op.matrix))
     merged = np.concatenate([ev_even, ev_odd])
     order = np.argsort(merged, kind="stable")
     evals = merged[order]
-
-    def mode(i):
-        """Grid eigenvector of the merged eigenvalue i."""
-        j = int(order[i])
-        if j < n_even:
-            return _to_grid(vec_even[:, j], n, odd=False)
-        return _to_grid(vec_odd[:, j - n_even], n, odd=True)
-
-    norm = float(np.max(np.abs(evals)))
-    ktol = KERNEL_TOL_REL * norm
-    notes = []
-    ok = True
-
-    neg = np.where(evals < -ktol)[0]
-    if len(neg) != 1:
-        ok = False
-        notes.append(f"expected exactly one negative eigenvalue, found {len(neg)}")
+    ktol = KERNEL_TOL_REL * float(np.max(np.abs(evals)))
+    bands = [np.flatnonzero(np.abs(ev) <= ktol) for ev in (ev_even, ev_odd)]
+    tally = [(int(np.sum(ev < -ktol)), len(band)) for ev, band in zip((ev_even, ev_odd), bands)]
     parity_gap = float(ev_odd[0] - ev_even[0])
-    if not parity_gap > 0.0:
-        ok = False
-        notes.append(f"parity gap {parity_gap:.2e}: the bottom of the spectrum is odd")
-    mu0 = float(evals[0])
-    chi0 = mode(0)
+    ok = tally == [(1, 0), (0, 1)]
+    notes = [] if ok else [
+        f"parity gap {parity_gap:.2e}; (negative, near-kernel) counts: even block {tally[0]}, "
+        f"odd block {tally[1]}, expected (1, 0) and (0, 1)"
+    ]
+
+    chi0 = _to_grid(vec_even[:, 0], n, odd=False)
     if chi0[np.argmax(np.abs(chi0))] < 0:
         chi0 = -chi0
     chi0 = chi0 / grid.norm_l2(chi0)
     even_defect = float(np.max(np.abs(chi0 - grid.reflect(chi0)))) / float(np.max(np.abs(chi0)))
-    if even_defect > 1e-8:
-        ok = False
-        notes.append(f"chi0 evenness defect {even_defect:.2e}")
     peak, dip = float(np.max(chi0)), -float(np.min(chi0))
     resolved = True
     if dip > 1e-8 * peak:
@@ -205,16 +189,12 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
             ok = False
             notes.append(f"chi0 changes sign (min {-dip:.2e})")
 
-    near_idx = np.where(np.abs(evals) <= ktol)[0]
-    near_kernel = [(float(evals[i]), mode(i)) for i in near_idx]
-    if len(near_idx) != 1:
-        ok = False
-        notes.append(f"near-kernel dimension {len(near_idx)}, expected 1")
+    blocks = list(zip((ev_even, ev_odd), (vec_even, vec_odd), bands, (False, True)))
+    near_kernel = [(float(ev[j]), _to_grid(vec[:, j], n, odd))
+                   for ev, vec, band, odd in blocks for j in band]
     qp = op.gs.derivative()
-    qcos = 0.0
-    for _, v in near_kernel:
-        c = abs(float(np.dot(v, qp))) / np.sqrt(float(np.dot(v, v)) * float(np.dot(qp, qp)))
-        qcos = max(qcos, c)
+    qcos = max((abs(float(np.dot(v, qp))) / np.sqrt(float(np.dot(v, v)) * float(np.dot(qp, qp)))
+                for _, v in near_kernel), default=0.0)
     if near_kernel and qcos < 0.999:
         ok = False
         notes.append(f"near-kernel mode poorly aligned with Q' (cos {qcos:.6f})")
@@ -222,26 +202,25 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
     above = evals[evals > ktol]
     edge = float(above[0]) if len(above) else np.inf
 
-    # eigenpair residuals against the full assembled matrix
-    sample = list(range(min(8, n))) + list(near_idx)
+    # eigenpair residuals against the full matrix: each block's four lowest and band modes
     resid = 0.0
-    for i in sample:
-        v = mode(i)
-        resid = max(resid, float(np.max(np.abs(op.matrix @ v - evals[i] * v))))
+    for ev, vec, band, odd in blocks:
+        for j in sorted(set(range(min(4, len(ev)))) | set(band)):
+            v = _to_grid(vec[:, j], n, odd)
+            resid = max(resid, float(np.max(np.abs(op.matrix @ v - ev[j] * v))))
 
-    # Q's coordinates in the two bases; its odd ones vanish up to roundoff
+    # Q's coordinates in the even basis; the odd ones are zeros
     q = op.gs.values
     h = n // 2
     q_even = np.concatenate([q[:1], (q[1:h] + q[n - 1 : h : -1]) / np.sqrt(2.0), q[h : h + 1]])
-    q_odd = (q[1:h] - q[n - 1 : h : -1]) / np.sqrt(2.0)
-    q_weights = np.concatenate([q_even @ vec_even, q_odd @ vec_odd])[order] ** 2 / float(q @ q)
+    q_weights = np.concatenate([q_even @ vec_even, np.zeros(len(ev_odd))])[order] ** 2 / float(q @ q)
 
     return SpectrumReport(
         alpha=op.alpha,
         grid=grid,
         eigenvalues=evals,
         q_weights=q_weights,
-        mu0=mu0,
+        mu0=float(evals[0]),
         chi0=chi0,
         near_kernel=near_kernel,
         kernel_tol=ktol,

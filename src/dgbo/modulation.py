@@ -211,7 +211,7 @@ def track(times, states, gs: GroundState, chi0) -> ModulationTrack:
     for t, u in zip(times, states):
         try:
             st = decompose(u, gs, chi0, guess=guess)
-        except (DecompositionError, ClosenessError):
+        except DecompositionError:
             truncated, trunc_at = True, float(t)
             break
         rows.append((float(t), st))

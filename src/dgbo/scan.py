@@ -13,8 +13,8 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .artifacts import write_csv, write_json, write_plot_script
-from .dynamics import EvolutionConfig, conserved, evolve_batch
-from .errors import ClosenessError, DecompositionError
+from .dynamics import STATUS_COMPLETED, EvolutionConfig, conserved, evolve_batch
+from .errors import DecompositionError
 from .ground_state import continuation_ladder
 from .linearized import assemble, spectrum
 from .modulation import beta as beta_fn
@@ -68,7 +68,7 @@ class ScanRow:
 
     @property
     def bounded(self):
-        return self.status == "completed" and not self.tripped
+        return self.status == STATUS_COMPLETED and not self.tripped
 
 
 SCAN_COLUMNS = tuple(f.name for f in fields(ScanRow))
@@ -99,7 +99,7 @@ class _RowWatch:
                 if st.lam < LAM_STOP:
                     self.trip_time, self.trip_reason = t, "lambda_contraction"
                     return True
-            except (DecompositionError, ClosenessError):
+            except DecompositionError:
                 self.inside, self.exit_t = False, t
         d = rec.samples[-1]
         if d.sobolev_norm > SOBOLEV_TRIP * self.d0.sobolev_norm:
@@ -156,7 +156,7 @@ def blowup_scan(
     rows = []
     for (a, u0, d0, supercritical), rec, w in zip(starts, recs, watches):
         b = beta_fn(u0, gs)
-        if rec.status != "completed" and w.trip_time is None:
+        if rec.status != STATUS_COMPLETED and w.trip_time is None:
             w.trip_time, w.trip_reason = rec.status_t, rec.status
         lam_vals = np.array(w.lam_hist) if w.lam_hist else np.array([1.0])
         lam_min = float(np.min(lam_vals))

@@ -267,3 +267,28 @@ def full_eigh_spectrum(op):
         near_kernel=near_kernel,
         parity_gap=float(evals[~even][0] - evals[even][0]),
     )
+
+
+def global_structure_ok(op, ref):
+    """The structure rule stated over the merged spectrum of a ``full_eigh_spectrum``.
+
+    The reference of ``spectrum``'s per-parity tally: exactly one eigenvalue
+    below -kernel_tol, exactly one near-kernel vector, a positive parity gap,
+    that vector aligned with Q' (|cos| >= 0.999), and chi0 even (defect
+    <= 1e-8) with no sign change deeper than 1e-8 * max chi0 and its
+    resolution floor sqrt(spectral tail fraction) * max chi0.
+    """
+    grid = op.grid
+    evals = ref.eigenvalues
+    ktol = KERNEL_TOL_REL * float(np.max(np.abs(evals)))
+    if np.sum(evals < -ktol) != 1 or len(ref.near_kernel) != 1 or not ref.parity_gap > 0.0:
+        return False
+    v, qp = ref.near_kernel[0][1], op.gs.derivative()
+    if abs(float(v @ qp)) / np.sqrt(float(v @ v) * float(qp @ qp)) < 0.999:
+        return False
+    chi0 = ref.chi0
+    if np.max(np.abs(chi0 - grid.reflect(chi0))) > 1e-8 * np.max(np.abs(chi0)):
+        return False
+    peak, dip = float(np.max(chi0)), -float(np.min(chi0))
+    floor = np.sqrt(grid.spectral_tail_fraction(grid.transform(chi0))) * peak
+    return dip <= max(1e-8 * peak, floor)

@@ -2,6 +2,7 @@ import gc
 import json
 from dataclasses import replace
 import os
+import shutil
 import tempfile
 import warnings
 
@@ -338,6 +339,22 @@ class TestCommands:
                      "--state", gs, "--chi0", spec, "--out", out]) == 0
         with open(out) as fh:
             assert [rep["check"] for rep in json.load(fh)["reports"]] == ["right", "left", "eta"]
+
+    def test_run_without_states_is_a_config_error(self, artifacts_dir, tmp_path):
+        gs, spec = str(artifacts_dir / "gs"), str(artifacts_dir / "spec")
+        run, track_base = str(tmp_path / "run"), str(tmp_path / "track")
+        assert main(["evolve", "--state", gs, "--t-end", "0.02", "--dt", "2e-4",
+                     "--checkpoint-every", "50", "--out", run]) == 0
+        assert main(["modulate", "--run", run, "--state", gs, "--chi0", spec,
+                     "--out", track_base]) == 0
+        shutil.rmtree(os.path.join(run, "states"))
+        assert main(["modulate", "--run", run, "--state", gs, "--chi0", spec,
+                     "--out", str(tmp_path / "track2")]) == 2
+        assert not os.path.exists(str(tmp_path / "track2.csv"))
+        out = str(tmp_path / "mono.json")
+        assert main(["monotonicity", "--run", run, "--track", track_base,
+                     "--x0", "10", "--r", "1.5", "--A", "10", "--out", out]) == 2
+        assert not os.path.exists(out)
 
     def test_modulate_without_a_decomposable_frame_exits_3(self, artifacts_dir, tmp_path):
         # 0.3 Q is outside the closeness ceiling at every frame: the observer

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,10 +19,10 @@ from dgbo import (
 )
 from dgbo.errors import CapacityError, ContractError
 from dgbo.ground_state import scaling_generator
-from dgbo.linearized import secular_min
+from dgbo.linearized import KERNEL_TOL_REL, _parity_blocks, secular_min
 
 from conftest import COMPACT, ground_state_for, spectrum_for
-from oracles import full_eigh_spectrum, linearized_rhs, q_orthogonal_min
+from oracles import full_eigh_spectrum, global_structure_ok, linearized_rhs, q_orthogonal_min
 
 
 class TestAssemble:
@@ -143,6 +143,52 @@ class TestParitySplit:
         assert rep.parity_gap == pytest.approx(-2.0, abs=1e-6)
         assert not rep.structure_ok
         assert any(note.startswith("parity gap") for note in rep.notes)
+
+    def test_odd_negative_direction_fails_structure(self):
+        # lowering the form along an odd direction orthogonal to Q' leaves Q' in
+        # the band and the bottom even: only the odd block's negative count fails
+        op = assemble(ground_state_for(2.0, Grid(25.0, 512)))
+        g, qp = op.grid, op.gs.derivative()
+        w = g.x * np.exp(-g.x**2)
+        w = 0.5 * (w - g.reflect(w))
+        w -= (w @ qp) / (qp @ qp) * qp
+        lowered = replace(op, matrix=op.matrix - 5.0 * np.outer(w, w) / (w @ w))
+        rep = spectrum(lowered)
+        assert rep.parity_gap > 0.0 and len(rep.near_kernel) == 1
+        assert not rep.structure_ok
+        assert not global_structure_ok(lowered, full_eigh_spectrum(lowered))
+        assert rep.notes[0].startswith("parity gap")
+
+    def test_tally_matches_the_global_rule(self):
+        # M - c_e (I + R)/2 - c_o (I - R)/2 keeps every eigenvector and lowers
+        # the even block by c_e and the odd block by c_o
+        op = assemble(ground_state_for(2.0, Grid(25.0, 512)))
+        n = op.grid.n
+        reflection = np.eye(n)[(-np.arange(n)) % n]
+        even_p, odd_p = 0.5 * (np.eye(n) + reflection), 0.5 * (np.eye(n) - reflection)
+        ktol = spectrum(op).kernel_tol
+        second_even = float(np.linalg.eigvalsh(_parity_blocks(op.matrix)[0])[1])
+        verdicts = set()
+
+        @settings(max_examples=30, deadline=None, derandomize=True)
+        @given(c_even=st.floats(-10.0, 10.0), c_odd=st.floats(-2.0, 2.0).map(lambda t: t * ktol))
+        @example(c_even=0.0, c_odd=10.0)  # the odd bottom (the Q' mode) below the even one
+        @example(c_even=second_even, c_odd=0.0)  # the even second eigenvalue into the band
+        @example(c_even=0.0, c_odd=-0.5)  # the Q' mode lifted out of the band
+        @example(c_even=-9.0, c_odd=0.0)  # the even ground state lifted above -kernel_tol
+        def check(c_even, c_odd):
+            shifted = replace(op, matrix=op.matrix - c_even * even_p - c_odd * odd_p)
+            ref = full_eigh_spectrum(shifted)
+            # at the band edge |eigenvalue| = kernel_tol the verdict is roundoff
+            scale = float(np.max(np.abs(ref.eigenvalues)))
+            edge = KERNEL_TOL_REL * scale
+            assume(np.min(np.abs(np.abs(ref.eigenvalues) - edge)) > 1e-9 * scale)
+            rep = spectrum(shifted)
+            assert rep.structure_ok == global_structure_ok(shifted, ref), rep.notes
+            verdicts.add(rep.structure_ok)
+
+        check()
+        assert verdicts == {True, False}
 
     def test_shifted_ground_state_is_refused(self, gs2_compact):
         shifted = replace(gs2_compact, values=np.roll(gs2_compact.values, 3))

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgbo import EvolutionConfig, Grid, beta, conserved, decompose, evolve, renormalize, track
-from dgbo.errors import ClosenessError, ContractError
+from dgbo import EvolutionConfig, Grid, beta, conserved, decompose, evolve, modulation
+from dgbo import renormalize, track
+from dgbo.errors import ClosenessError, ContractError, DecompositionError
 from dgbo.ground_state import gkdv_profile
 
 from conftest import ground_state_for, spectrum_for, COMPACT
@@ -245,6 +246,26 @@ class TestTrack:
         # modulation speeds are controlled by the remainder size
         assert tr.fitted_c * np.max(tr.eta_l2) < 1.0
         assert np.all(tr.eta_weighted <= tr.eta_l2 + 1e-12)
+
+    @pytest.mark.parametrize("error", [DecompositionError, ClosenessError])
+    def test_failed_frame_truncates_the_track(self, soliton_run, monkeypatch, error):
+        # either failure means the frame left the tube: the track stops there
+        gs, chi0, rec = soliton_run
+        times = [t for t, _ in rec.states]
+        states = [u for _, u in rec.states]
+        solve = modulation.decompose
+
+        def failing_third_frame(u, *args, **kwargs):
+            if u is states[2]:
+                raise error("frame outside the tube")
+            return solve(u, *args, **kwargs)
+
+        monkeypatch.setattr(modulation, "decompose", failing_third_frame)
+        tr = track(times, states, gs, chi0)
+        assert tr.truncated
+        assert tr.truncated_at == times[2]
+        assert list(tr.t) == times[:2]
+        assert len(tr.eta_fields) == 2
 
     def test_supercritical_contraction_trend(self, frame):
         gs, chi0 = frame
