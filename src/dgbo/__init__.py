@@ -35,6 +35,7 @@ from .linearized import (
     assemble,
     coercivity_probe,
     evolve_linearized,
+    liouville_readout,
     spectrum,
 )
 from .modulation import (

@@ -42,6 +42,15 @@ def write_csv(path, columns, rows):
             fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
+def read_csv(path, columns):
+    """The rows of a CSV file with header ``columns``, each cell parsed with float."""
+    with open(path) as fh:
+        header = tuple(fh.readline().strip().split(","))
+        if header != tuple(columns):
+            raise ContractError(f"unexpected columns {list(header)} in {path}")
+        return [[float(v) for v in line.strip().split(",")] for line in fh]
+
+
 def _jsonable(obj):
     if is_dataclass(obj) and not isinstance(obj, type):
         return _jsonable(asdict(obj))
@@ -197,14 +206,8 @@ def write_run(run_dir, record: RunRecord, header_extra=None):
 def read_run(run_dir):
     """Header, diagnostics samples, and checkpointed states of a stored run."""
     header = read_json(os.path.join(run_dir, "header.json"))
-    samples = []
-    with open(os.path.join(run_dir, "series.csv")) as fh:
-        cols = fh.readline().strip().split(",")
-        if tuple(cols) != RUN_COLUMNS:
-            raise ContractError(f"unexpected series columns {cols}")
-        for line in fh:
-            t, mass, energy, mean, sob, linf = (float(v) for v in line.strip().split(","))
-            samples.append(Diagnostics(t, mass, energy, mean, sob, linf))
+    rows = read_csv(os.path.join(run_dir, "series.csv"), RUN_COLUMNS)
+    samples = [Diagnostics(*row) for row in rows]
     states = []
     grid = None
     sdir = os.path.join(run_dir, "states")
@@ -287,12 +290,8 @@ def write_track(base, record: ModulationTrack, header_extra=None):
 def read_track(base) -> ModulationTrack:
     """A stored track without its remainder fields (``modulation.remainder`` rebuilds them)."""
     header = read_json(base + ".json")
-    with open(base + ".csv") as fh:
-        cols = tuple(fh.readline().strip().split(","))
-        if cols != TRACK_COLUMNS:
-            raise ContractError(f"unexpected track columns {list(cols)}")
-        rows = np.array([[float(v) for v in line.strip().split(",")] for line in fh])
-    t, s, lam, rho, eta_l2, eta_sob, eta_w, dlam, drho = rows.reshape(-1, len(TRACK_COLUMNS)).T
+    rows = np.array(read_csv(base + ".csv", TRACK_COLUMNS)).reshape(-1, len(TRACK_COLUMNS))
+    t, s, lam, rho, eta_l2, eta_sob, eta_w, dlam, drho = rows.T
     return ModulationTrack(
         alpha=header["alpha"], t=t, s=s, lam=lam, rho=rho,
         eta_l2=eta_l2, eta_sobolev=eta_sob, eta_weighted=eta_w,

@@ -45,7 +45,7 @@ from .errors import (
     ResolutionError,
 )
 from .ground_state import continuation_ladder, solve_ground_state
-from .linearized import assemble, evolve_linearized, spectrum
+from .linearized import assemble, evolve_linearized, liouville_readout, spectrum
 from .modulation import remainder, track
 from .monotonicity import (
     build_weight,
@@ -151,7 +151,9 @@ def _cmd_modulate(args):
 
 
 def _cmd_monotonicity(args):
-    gs = _read_state_and_chi0(args.state, args.chi0)[0] if args.state and args.chi0 else None
+    if (args.state is None) != (args.chi0 is None):
+        raise ConfigError("the eta reports need --state and --chi0 together; got only one")
+    gs = _read_state_and_chi0(args.state, args.chi0)[0] if args.state else None
     run_times, fields, grid = _read_run_states(args.run, gs)
     tr = read_track(args.track)
     times, rhos = list(tr.t), list(tr.rho)
@@ -211,17 +213,16 @@ def _cmd_liouville_probe(args):
     w0 = np.exp(-(((grid.x - args.offset) / args.width) ** 2))
     for basis in (chi0 / grid.norm_l2(chi0), qp / grid.norm_l2(qp)):
         w0 = w0 - grid.inner(w0, basis) * basis
-    rec = evolve_linearized(gs, w0, args.t_end, args.dt, window=args.window)
-    free = evolve_linearized(
-        gs, w0, args.t_end, args.dt, window=args.window, include_potential=False
-    )
+    rec = evolve_linearized(gs, w0, args.t_end, args.dt)
+    r = liouville_readout(gs, rec, args.window)
     base = args.out
     write_csv(
         base + ".csv",
         ("t", "l2", "sobolev", "local_mass", "local_mass_deflated", "free_local_mass"),
-        zip(rec.times, rec.l2, rec.sobolev, rec.local_mass, rec.local_mass_defl, free.local_mass),
+        zip(rec.times, r.l2, r.sobolev, r.local_mass, r.local_mass_defl, r.free_local_mass),
     )
-    secular_fraction = float(1.0 - rec.local_mass_defl[-1] / max(rec.local_mass[-1], 1e-300))
+    secular_fraction = float(1.0 - r.local_mass_defl[-1] / max(r.local_mass[-1], 1e-300))
+    free = r.free_local_mass
     write_json(
         base + ".json",
         {
@@ -231,13 +232,14 @@ def _cmd_liouville_probe(args):
             "window": args.window,
             "t_end": args.t_end,
             "dt": args.dt,
-            "free_flow_decayed": bool(free.local_mass[-1] < free.local_mass[0]),
-            "full_flow_window_growth": float(rec.local_mass[-1] / rec.local_mass[0]),
+            "free_flow_decayed": bool(free[-1] < free[0]),
+            "full_flow_window_growth": float(r.local_mass[-1] / r.local_mass[0]),
             "secular_fraction": secular_fraction,
+            "final_tail_fraction": grid.spectral_tail_fraction(grid.transform(rec.states[-1])),
         },
     )
-    print(f"liouville probe: full-flow window mass x{rec.local_mass[-1]/rec.local_mass[0]:.3g}, "
-          f"free baseline x{free.local_mass[-1]/free.local_mass[0]:.3g} over t={args.t_end} -> {base}")
+    print(f"liouville probe: full-flow window mass x{r.local_mass[-1]/r.local_mass[0]:.3g}, "
+          f"free baseline x{free[-1]/free[0]:.3g} over t={args.t_end} -> {base}")
     return EXIT_OK
 
 

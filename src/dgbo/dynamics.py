@@ -38,8 +38,8 @@ class EvolutionConfig:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ContractError("dt and t_end must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.t_end < np.inf):
+            raise ContractError("dt and t_end must be finite and positive")
         if self.sign not in ("focusing", "defocusing"):
             raise ContractError(f"sign must be focusing|defocusing, got {self.sign!r}")
         if self.checkpoint_every < 1:

@@ -14,17 +14,20 @@ from hypothesis.extra import numpy as hnp
 
 from dgbo import modulation
 from dgbo.artifacts import (
+    read_csv,
     read_field,
     read_ground_state,
     read_run,
     read_track,
+    write_csv,
     write_field,
     write_ground_state,
     write_run,
     write_track,
 )
 from dgbo.cli import _apply_config_defaults, build_parser, main
-from dgbo.dynamics import Diagnostics, EvolutionConfig, RunRecord, evolve
+from dgbo.dynamics import Diagnostics, EvolutionConfig, RunRecord, Stepper, evolve
+from dgbo.errors import ContractError
 from dgbo.ground_state import GroundState
 from dgbo.modulation import ModulationTrack
 from dgbo.spectral import Grid
@@ -102,6 +105,13 @@ class TestRoundTrips:
         assert len(samples) == len(rec.samples)
         assert len(states) == len(rec.states)
         assert samples[-1].mass == rec.samples[-1].mass  # %.17g is lossless
+
+    def test_read_csv_checks_the_header(self, tmp_path):
+        path = str(tmp_path / "series.csv")
+        write_csv(path, ("t", "mass"), [(0.0, 1.5), (0.1, 1.25)])
+        assert read_csv(path, ("t", "mass")) == [[0.0, 1.5], [0.1, 1.25]]
+        with pytest.raises(ContractError, match="unexpected columns"):
+            read_csv(path, ("t", "energy"))
 
 
 def _files(root):
@@ -356,6 +366,19 @@ class TestCommands:
                      "--x0", "10", "--r", "1.5", "--A", "10", "--out", out]) == 2
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("lone", ["--state", "--chi0"])
+    def test_monotonicity_needs_state_and_chi0_together(self, artifacts_dir, tmp_path, lone):
+        paths = {"--state": str(artifacts_dir / "gs"), "--chi0": str(artifacts_dir / "spec")}
+        run, track_base = str(tmp_path / "run"), str(tmp_path / "track")
+        assert main(["evolve", "--state", paths["--state"], "--t-end", "0.02", "--dt", "2e-4",
+                     "--checkpoint-every", "50", "--out", run]) == 0
+        assert main(["modulate", "--run", run, "--state", paths["--state"],
+                     "--chi0", paths["--chi0"], "--out", track_base]) == 0
+        out = str(tmp_path / "mono.json")
+        assert main(["monotonicity", "--run", run, "--track", track_base, "--x0", "10",
+                     "--r", "1.5", "--A", "10", lone, paths[lone], "--out", out]) == 2
+        assert not os.path.exists(out)
+
     def test_modulate_without_a_decomposable_frame_exits_3(self, artifacts_dir, tmp_path):
         # 0.3 Q is outside the closeness ceiling at every frame: the observer
         # never enters the soliton tube, so no track exists
@@ -394,6 +417,39 @@ class TestSmallCommands:
         assert main(["evolve", "--state", str(small_dir / "gs25"), "--t-end", "0.01",
                      "--dt", "0", "--out", out]) == 2
         assert not os.path.exists(os.path.join(out, "header.json"))
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("evolve", "--dt", "nan"), ("evolve", "--t-end", "inf"),
+        ("liouville-probe", "--dt", "nan"), ("liouville-probe", "--t-end", "inf"),
+        ("blowup-scan", "--dt", "nan"),
+    ])
+    def test_a_non_finite_dt_or_t_end_is_a_config_error(
+            self, small_dir, tmp_path, command, flag, value):
+        gs, out = str(small_dir / "gs25"), str(tmp_path / "out")
+        argv = {
+            "evolve": ["--state", gs, "--t-end", "0.01"],
+            "liouville-probe": ["--state", gs, "--chi0", str(small_dir / "spec25")],
+            "blowup-scan": ["--alpha", "2", "--half-length", "25", "--n", "256",
+                            "--amplitudes", "1.05:1.05:0.01"],
+        }[command]
+        assert main([command, *argv, flag, value, "--out", out]) == 2
+        assert os.listdir(tmp_path) == []
+
+    def test_liouville_probe_steps_one_flow(self, small_dir, tmp_path, monkeypatch):
+        # the free baseline is the exact propagator: only the full flow is stepped
+        calls = []
+        step = Stepper.step_spectrum
+
+        def counted(self, F):
+            calls.append(1)
+            return step(self, F)
+
+        monkeypatch.setattr(Stepper, "step_spectrum", counted)
+        t_end, dt = 0.05, 1e-3
+        assert main(["liouville-probe", "--state", str(small_dir / "gs25"),
+                     "--chi0", str(small_dir / "spec25"), "--t-end", str(t_end),
+                     "--dt", str(dt), "--out", str(tmp_path / "liouville")]) == 0
+        assert len(calls) == round(t_end / dt)
 
     @settings(max_examples=10, deadline=None)
     @given(t_end=st.integers(1, 20).map(lambda i: i * 1e-3),
