@@ -3,8 +3,11 @@
 The linear group exp(i t k |k|^alpha) is applied exactly in Fourier space;
 the nonlinear term is advanced with the four-stage exponential integrator of
 Cox & Matthews, coefficients evaluated by contour averaging (Kassam &
-Trefethen). Products are formed on a padded grid and a smooth exponential
-high-k filter is applied once per step. ``evolve_batch`` advances runs that
+Trefethen). The nonlinear term is taken in conservation form,
+|u|^{2 alpha} u_x = dx(|u|^{2 alpha} u) / (2 alpha + 1): the product comes from
+one inverse transform of u on a padded grid, and its truncation applies dx,
+so the mean is conserved with no special case. A smooth exponential high-k
+filter is applied once per step. ``evolve_batch`` advances runs that
 share a config but for t_end as one stack of spectra, each row with the bits
 it would have alone.
 """
@@ -97,38 +100,35 @@ def conserved(grid: Grid, u, alpha: float, t: float = 0.0) -> Diagnostics:
     )
 
 
-def _abs_power_into(v, p: float):
-    """|v|^p, by multiplication when p = 2 alpha is an integer (2, 3 or 4).
-
-    v is overwritten where it can hold the result; the result is returned.
+def _abs_power_times(v, p: float):
+    """|v|^p v in a new array, v left unchanged; by multiplication alone when
+    p = 2 alpha is an integer (2, 3 or 4).
     """
-    if p == 4.0:
-        v *= v
-        v *= v
-        return v
     if p == 2.0:
-        v *= v
-        return v
-    r = np.abs(v)
-    if p == 3.0:
-        r *= v
-        r *= v
+        w = v * v
+    elif p == 4.0:
+        w = v * v
+        w *= w
     else:
-        r **= p
-    return r
+        w = np.abs(v)
+        if p == 3.0:
+            w *= v
+            w *= v
+        else:
+            w **= p
+    w *= v
+    return w
 
 
 def _padded_flux(grid: Grid, F, alpha: float, weight):
-    """Spectrum of |u|^{2 alpha} u_x times a multiplier, products formed in
-    place on the padded grid.
+    """Spectrum of |u|^{2 alpha} u times a multiplier, the product formed on
+    the padded grid.
 
     F may stack spectra along leading axes. ``weight``, from
-    ``grid.truncation``, folds the multiplier into the truncation.
+    ``grid.truncation``, folds the multiplier into the truncation; the
+    multiplier ik / (2 alpha + 1) gives |u|^{2 alpha} u_x in conservation form.
     """
-    v, vx = grid.fine_pair(F)
-    w = _abs_power_into(v, 2.0 * alpha)
-    w *= vx
-    return grid.coarse(w, weight)
+    return grid.coarse(_abs_power_times(grid.fine(F), 2.0 * alpha), weight)
 
 
 class Stepper:
@@ -198,12 +198,12 @@ def flow_stepper(grid: Grid, cfg: EvolutionConfig) -> Stepper:
     """
     sym = grid.ik * grid.riesz(cfg.alpha) + cfg.frame_speed * grid.ik
     nl_sign = -1.0 if cfg.sign == "focusing" else +1.0
-    # -sign times the flux, its zero mode pinned to the exact value 0 (the
-    # flux is a perfect derivative), folded into the truncation's multiply
-    weight = grid.truncation(nl_sign * (grid.k != 0.0))
+    # -sign |u|^{2a} u_x = -sign dx(|u|^{2a} u) / (2a + 1), the sign, the
+    # factor and dx folded into the truncation's multiply
+    weight = grid.truncation(nl_sign / (2.0 * cfg.alpha + 1.0) * grid.ik)
 
     def nonlinear(F):
-        """Spectrum of -sign * |u|^{2a} u_x, zero mode pinned to its exact value 0."""
+        """Spectrum of -sign * |u|^{2a} u_x, from the flux |u|^{2a} u."""
         return _padded_flux(grid, F, cfg.alpha, weight)
 
     filt = None

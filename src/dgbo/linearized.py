@@ -351,6 +351,8 @@ def evolve_linearized(gs: GroundState, w0, t_end: float, dt: float, *,
     grid = gs.grid
     if not (0 < dt < np.inf and 0 < t_end < np.inf):
         raise ContractError("dt and t_end must be finite and positive")
+    if checkpoint_every < 1:
+        raise ContractError("checkpoint_every must be >= 1")
     pot, minus_ik = _potential(gs), -grid.ik
 
     def potential_term(F):

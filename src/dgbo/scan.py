@@ -14,7 +14,7 @@ import numpy as np
 
 from .artifacts import write_csv, write_json, write_plot_script
 from .dynamics import STATUS_COMPLETED, EvolutionConfig, conserved, evolve_batch
-from .errors import DecompositionError
+from .errors import ContractError, DecompositionError
 from .ground_state import continuation_ladder
 from .linearized import assemble, spectrum
 from .modulation import beta as beta_fn
@@ -129,6 +129,8 @@ def blowup_scan(
     at the unit soliton speed so the scan box can stay small. Rows not
     certified supercritical run to ``min(t_end_bounded, t_end_super)``.
     """
+    if not all(0 < v < np.inf for v in (dt, t_end_super, t_end_bounded)):
+        raise ContractError("dt, t_end_super and t_end_bounded must be finite and positive")
     grid = grid if grid is not None else Grid(48.0, 1024)
     t_end_bounded = min(t_end_bounded, t_end_super)
     gs = continuation_ladder(alpha, grid)

@@ -142,13 +142,6 @@ class Grid:
         return w
 
     @cached_property
-    def _pad_derivative_weight(self):
-        """``_pad_weight`` times the d/dx symbol ik."""
-        w = self.ik * self._pad_weight
-        w.flags.writeable = False
-        return w
-
-    @cached_property
     def _truncate_weight(self):
         """Inverse of ``_pad_weight`` on the modes 0 .. n/2: n/m, doubled at the Nyquist mode."""
         w = np.full(len(self.k), 1.0 / PAD)
@@ -160,17 +153,13 @@ class Grid:
         """The truncation's scaling times a multiplier ``symbol``: the weight of ``coarse``."""
         return self._truncate_weight * symbol
 
-    def fine_pair(self, F):
-        """Values of u and u_x on the PAD-times-finer grid, in one inverse transform.
+    def fine(self, F):
+        """Values on the PAD-times-finer grid of the field with coefficients F.
 
-        F holds u's coefficients, possibly stacked along leading axes; the
-        result stacks the values of u and of u_x along a new leading axis.
-        ``irfft`` zero-pads the weighted coefficients itself.
+        F may stack spectra along leading axes. ``irfft`` zero-pads the
+        weighted coefficients itself.
         """
-        S = np.empty((2,) + F.shape, dtype=complex)
-        np.multiply(F, self._pad_weight, out=S[0])
-        np.multiply(F, self._pad_derivative_weight, out=S[1])
-        return np.fft.irfft(S, PAD * self.n)
+        return np.fft.irfft(F * self._pad_weight, PAD * self.n)
 
     def coarse(self, w, weight):
         """Coefficients on this grid of values ``w`` on the PAD-times-finer grid,

@@ -54,36 +54,48 @@ def spectral_tail_fraction(grid, f, frac):
     return float(np.sum(p[np.abs(full_wavenumbers(grid)) >= (1.0 - frac) * grid.k_max])) / total
 
 
-def pad(grid, F):
-    """Coefficients of the same trigonometric interpolant on the PAD-times-finer grid.
+def pad(grid, F, factor=PAD):
+    """Coefficients of the same trigonometric interpolant on the factor-times-finer grid.
 
-    The reference of ``Grid.fine_pair``'s scaling. The coarse Nyquist mode is
-    an interior mode of the fine grid, where it stands for the pair +-n/2: it
-    is halved, which splits it evenly over both. The m/n factor keeps the
-    sampled values unchanged under numpy's 1/m inverse normalisation. F may
-    stack spectra along leading axes.
+    The reference of ``Grid.fine``'s scaling at the default factor PAD. The
+    coarse Nyquist mode is an interior mode of the fine grid, where it stands
+    for the pair +-n/2: it is halved, which splits it evenly over both. The
+    m/n factor keeps the sampled values unchanged under numpy's 1/m inverse
+    normalisation. F may stack spectra along leading axes.
     """
-    m = PAD * grid.n
+    m = factor * grid.n
     Fp = np.zeros(F.shape[:-1] + (m // 2 + 1,), dtype=complex)
     Fp[..., : grid.n // 2 + 1] = F * (m / grid.n)
     Fp[..., grid.n // 2] *= 0.5
     return Fp
 
 
-def truncate(grid, W):
-    """Inverse of ``pad``: keep the modes 0 .. n/2 of PAD*n-point coefficients.
+def truncate(grid, W, factor=PAD):
+    """Inverse of ``pad``: keep the modes 0 .. n/2 of factor*n-point coefficients.
 
     The reference of ``Grid.coarse``. The pair +-n/2 folds back into this
     grid's Nyquist mode, so its entry is doubled.
     """
-    F = W[..., : grid.n // 2 + 1] / PAD
+    F = W[..., : grid.n // 2 + 1] / factor
     F[..., -1] *= 2.0
     return F
 
 
-def fine(grid, F):
-    """Values on the PAD-times-finer grid of the interpolant with coefficients F."""
-    return np.fft.irfft(pad(grid, F), PAD * grid.n)
+def fine(grid, F, factor=PAD):
+    """Values on the factor-times-finer grid of the interpolant with coefficients F."""
+    return np.fft.irfft(pad(grid, F, factor), factor * grid.n)
+
+
+def power_flux(grid, F, degree):
+    """Spectrum of dx(u^degree) / degree with no aliasing, for degree <= 6.
+
+    The reference of the flow's flux when 2 alpha = degree - 1 is even. The
+    product has modes up to degree * n/2; on the grid 4 times finer none of
+    them folds back onto the modes 0 .. n/2 kept. dx is ``grid.ik``, whose
+    Nyquist entry is 0.
+    """
+    w = fine(grid, F, factor=4) ** degree
+    return grid.ik / degree * truncate(grid, np.fft.rfft(w), factor=4)
 
 
 def evaluate(grid, f, points):
@@ -108,8 +120,12 @@ def evaluate(grid, f, points):
 
 
 def nonlinear_term(grid, u, alpha):
-    """|u|^{2 alpha} u_x as a field: the flow's padded flux with no multiplier."""
-    return grid.field(_padded_flux(grid, grid.transform(u), alpha, grid.truncation(1.0)))
+    """|u|^{2 alpha} u_x as a field: the flow's padded flux with no sign, in
+    conservation form dx(|u|^{2 alpha} u) / (2 alpha + 1), the truncation
+    weight ``truncation(ik / (2 alpha + 1))``.
+    """
+    weight = grid.truncation(grid.ik / (2.0 * alpha + 1.0))
+    return grid.field(_padded_flux(grid, grid.transform(u), alpha, weight))
 
 
 def rescaled_config(cfg, lam0):

@@ -421,7 +421,7 @@ class TestSmallCommands:
     @pytest.mark.parametrize("command, flag, value", [
         ("evolve", "--dt", "nan"), ("evolve", "--t-end", "inf"),
         ("liouville-probe", "--dt", "nan"), ("liouville-probe", "--t-end", "inf"),
-        ("blowup-scan", "--dt", "nan"),
+        ("blowup-scan", "--dt", "nan"), ("blowup-scan", "--t-end", "nan"),
     ])
     def test_a_non_finite_dt_or_t_end_is_a_config_error(
             self, small_dir, tmp_path, command, flag, value):
@@ -429,8 +429,10 @@ class TestSmallCommands:
         argv = {
             "evolve": ["--state", gs, "--t-end", "0.01"],
             "liouville-probe": ["--state", gs, "--chi0", str(small_dir / "spec25")],
+            # a row not certified supercritical, so a nan t_end_super is not
+            # caught by the row's EvolutionConfig alone
             "blowup-scan": ["--alpha", "2", "--half-length", "25", "--n", "256",
-                            "--amplitudes", "1.05:1.05:0.01"],
+                            "--amplitudes", "0.5:0.5:0.1"],
         }[command]
         assert main([command, *argv, flag, value, "--out", out]) == 2
         assert os.listdir(tmp_path) == []

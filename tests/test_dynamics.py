@@ -15,10 +15,10 @@ from dgbo import (
     evolve_batch,
     flow_stepper,
 )
-from dgbo.dynamics import _padded_flux
+from dgbo.dynamics import _abs_power_times, _padded_flux
 from dgbo.errors import ContractError
 from dgbo.ground_state import gkdv_profile
-from oracles import etdrk4_step, fine, nonlinear_term, rescaled_config
+from oracles import etdrk4_step, fine, nonlinear_term, power_flux, rescaled_config
 
 
 
@@ -41,17 +41,31 @@ class TestNonlinearTerm:
         got = nonlinear_term(g, q, 2.0)
         assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     def test_integer_power_flux_matches_float_power(self, alpha, rng):
         # signed data, so that |v| and v differ where the odd power 3 is taken
         g = Grid(30.0, 256)
         u = np.exp(-(g.x**2) / 8.0) * (1.0 + 0.3 * np.cos(1.3 * g.x)) - 0.2
         F = g.transform(u + 0.01 * rng.standard_normal(g.n))
-        v, vx = fine(g, F), fine(g, g.ik * F)
+        v = fine(g, F)
+        kept = v.copy()
+        _abs_power_times(v, 2.0 * alpha)
+        assert np.array_equal(v, kept)
         weight = g.truncation(1.0)
-        want = g.coarse(np.abs(v) ** (2.0 * alpha) * vx, weight)
+        want = g.coarse(np.abs(v) ** (2.0 * alpha) * v, weight)
         got = _padded_flux(g, F, alpha, weight)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("sign", ["focusing", "defocusing"])
+    def test_flux_matches_aliasing_free_reference(self, sign):
+        # at alpha = 2 the flow's flux is -sign dx(u^5)/5 formed on the 2N grid;
+        # the reference forms it on 4N, where the degree-5 product does not alias
+        g = Grid(48.0, 1024)
+        F = g.transform(1.05 * gkdv_profile(g.x))
+        got = flow_stepper(g, soliton_cfg(sign=sign)).nonlinear(F)
+        want = (-1.0 if sign == "focusing" else 1.0) * power_flux(g, F, 5)
+        assert got[0] == 0.0 and got[-1] == 0.0
+        assert np.max(np.abs(got[1:-1] - want[1:-1])) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestConfig:
@@ -108,7 +122,6 @@ class TestStep:
         assert flow_stepper(g, cfg).step_spectrum(F0)[0] == F0[0]
 
     def test_stacked_step_matches_rows(self, rng):
-        # the zero-mode pin acts on mode 0 of every row, not on row 0
         g = Grid(30.0, 256)
         U = np.stack([np.exp(-(g.x**2) / 4.0) + 0.3, 0.8 * np.exp(-((g.x - 3.0) ** 2))])
         U = U + 0.01 * rng.standard_normal(U.shape)

@@ -304,6 +304,13 @@ class TestLinearizedFlow:
                 F = st.step_spectrum(F)
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-10
 
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_checkpoint_every_below_one_is_refused(self, gs2_compact, every):
+        # refused as EvolutionConfig refuses it, not a modulo by zero
+        with pytest.raises(ContractError, match="checkpoint_every"):
+            evolve_linearized(gs2_compact, gs2_compact.derivative(), 0.01, 1e-3,
+                              checkpoint_every=every)
+
     def test_scaling_direction_initial_velocity(self, gs2_compact):
         g = gs2_compact.grid
         lam_q = scaling_generator(gs2_compact)
