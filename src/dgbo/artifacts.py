@@ -68,12 +68,16 @@ def _jsonable(obj):
 
 
 def write_json(path, payload):
+    """Strict JSON: a NaN or infinity raises ContractError before the file is opened."""
     payload = dict(payload)
     payload.setdefault("format_version", 1)
     payload.setdefault("package_version", __version__)
+    try:
+        text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ContractError(f"{path}: {exc}") from exc
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path):
@@ -226,6 +230,7 @@ def write_spectrum(base, report: SpectrumReport):
     write_field(base + ".chi0", report.grid, report.chi0, kind="chi0", alpha=report.alpha)
     for i, (ev, vec) in enumerate(report.near_kernel):
         write_field(base + f".kernel{i}", report.grid, vec, kind="near_kernel", eigenvalue=ev)
+    edge = report.essential_edge_estimate  # inf when no eigenvalue lies above the near-kernel band
     write_json(
         base + ".spectrum.json",
         {
@@ -236,7 +241,7 @@ def write_spectrum(base, report: SpectrumReport):
             "lowest_eigenvalues": report.eigenvalues[:SPECTRUM_EIGS],
             "kernel_tol": report.kernel_tol,
             "near_kernel_eigenvalues": [ev for ev, _ in report.near_kernel],
-            "essential_edge_estimate": report.essential_edge_estimate,
+            "essential_edge_estimate": edge if np.isfinite(edge) else None,
             "qprime_cosine": report.qprime_cosine,
             "chi0_even_defect": report.chi0_even_defect,
             "parity_gap": report.parity_gap,

@@ -8,14 +8,13 @@ qualitative statements into regression checks. The Kato-identity breakdown of
 d/dt of the weighted mass is exposed term by term.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.special import betainc
-from scipy.special import gamma as gamma_fn
 
-from .errors import ContractError
+from .errors import ContractError, ConvergenceError
 from .modulation import ModulationTrack
 from .spectral import Grid
 
@@ -23,22 +22,46 @@ WINDOW_FRACTION = 0.05     # seam_window ramp width, as a fraction of the half-l
 MAX_PAIRS = 64
 CALIBRATION_MARGIN = 2.0
 CALIBRATION_FLOOR = 1e-10
+TABLE_DEGREE = 32          # highest Chebyshev degree a weight table may keep
+TABLE_CUT = np.finfo(float).eps / 16   # series terms and table coefficients below this share are dropped
+SERIES_MAX_TERMS = 120     # 2F1 Taylor terms a table may use
 
 
 @dataclass
 class Weight:
+    """phi(x) = int_{-inf}^x <s>^{-2r} ds from two Chebyshev tables, a = r - 1/2.
+
+    With t = 1/(1+x^2), Pfaff's transformation (DLMF 15.8.1) gives
+    phi = phi_total/2 + x t^{1/2} 2F1(1-a, 1/2; 3/2; 1-t) for |x| <= 1, and
+    the tail int_{|x|}^inf <s>^{-2r} ds = t^a 2F1(1/2, a; a+1; t) / (2a)
+    (DLMF 8.17.7) gives phi for |x| > 1: the tail for x < 0 and phi_total
+    minus it for x > 0. All terms of both series are positive, and both are
+    needed on w in [0, 1/2] only, away from their branch point w = 1, so
+    ``tables`` holds their Chebyshev coefficients in v = 1 - 4w (rows inner,
+    outer), cut at rounding level by ``build_weight``.
+    """
+
     r: float
     A: float
     phi_total: float         # int_R <s>^{-2r} ds = sqrt(pi) Gamma(r - 1/2) / Gamma(r)
+    tables: np.ndarray = field(repr=False, compare=False)
 
     # -- unscaled profile -----------------------------------------------------
 
     def phi(self, x):
-        """Closed form through t = 1/(1+s^2): the tail int_{|x|}^inf <s>^{-2r} ds
-        is (phi_total/2) I_{1/(1+x^2)}(r - 1/2, 1/2), I the regularized incomplete beta."""
         x = np.asarray(x, dtype=float)
-        tail = 0.5 * self.phi_total * betainc(self.r - 0.5, 0.5, 1.0 / (1.0 + x**2))
-        return np.where(x <= 0.0, tail, self.phi_total - tail)
+        t = 1.0 / (1.0 + x * x)
+        inner = t >= 0.5
+        # v = 1 - 4w, with w = 1 - t inside and w = t outside
+        both = _chebyshev_sums(self.tables, np.abs(4.0 * t - 2.0) - 1.0)
+        h = np.where(inner, both[0], both[1])
+        a = self.r - 0.5
+        tail = t**a * h / (2.0 * a)
+        return np.where(
+            inner,
+            0.5 * self.phi_total + x * np.sqrt(t) * h,
+            np.where(x < 0.0, tail, self.phi_total - tail),
+        )
 
     def dphi(self, x):
         return (1.0 + np.asarray(x, dtype=float) ** 2) ** (-self.r)
@@ -56,6 +79,56 @@ class Weight:
         return (1.0 + (np.asarray(x) / self.A) ** 2) ** (-self.r / 2.0) / np.sqrt(self.A)
 
 
+def _chebyshev_sums(tables, v):
+    """Each row of ``tables`` summed as a Chebyshev series at v, |v| <= 1; shape (rows,) + v.shape.
+
+    The basis T_k(v) comes from its three-term recurrence, two in-place ufunc
+    calls per degree, and one matrix product sums both tables.
+    """
+    flat = v.reshape(-1)
+    basis = np.empty((tables.shape[1], flat.size))
+    basis[0] = 1.0
+    basis[1] = flat
+    v2 = flat + flat
+    for k in range(2, len(basis)):
+        np.multiply(v2, basis[k - 1], out=basis[k])
+        basis[k] -= basis[k - 2]
+    return (tables @ basis).reshape((len(tables),) + v.shape)
+
+
+def _chebyshev_table(a, b, c):
+    """Chebyshev coefficients of 2F1(a, b; c; w) on 0 <= w <= 1/2, in T_k(v) with v = 1 - 4w.
+
+    For the two series of Weight the Taylor coefficients p_n are positive and
+    decreasing, so at w = 1/2 the series is summed until p_n 2^-n falls below
+    TABLE_CUT of the partial sum. Each power w^n = ((1 - v)/4)^n re-expands
+    exactly: its T_k coefficient is (-1)^k C(2n, n-k) 2^(1-3n), half that for
+    k = 0, so each table coefficient is a sum of terms of one sign.
+    Coefficients below TABLE_CUT of the coefficients' absolute sum are dropped.
+    ConvergenceError is raised when the series needs more than
+    SERIES_MAX_TERMS terms or the table a degree above TABLE_DEGREE, so that a
+    table is never truncated silently.
+    """
+    n = np.arange(SERIES_MAX_TERMS - 1)
+    p = np.cumprod(np.concatenate([[1.0], (a + n) * (b + n) / ((c + n) * (n + 1.0))]))
+    terms = p * 0.5 ** np.arange(SERIES_MAX_TERMS)
+    done = terms < TABLE_CUT * np.cumsum(terms)
+    if not done.any():
+        raise ConvergenceError(f"2F1({a}, {b}; {c}; 1/2) not converged in {SERIES_MAX_TERMS} terms")
+    n_terms = int(np.argmax(done)) + 1
+    basis = np.zeros((n_terms, n_terms))
+    for m in range(n_terms):
+        basis[: m + 1, m] = [(-1) ** k * math.comb(2 * m, m - k) * 2.0 ** (1 - 3 * m) for k in range(m + 1)]
+    basis[0] *= 0.5
+    coef = basis @ p[:n_terms]
+    keep = np.flatnonzero(np.abs(coef) >= TABLE_CUT * np.sum(np.abs(coef)))
+    if keep[-1] > TABLE_DEGREE:
+        raise ConvergenceError(
+            f"2F1({a}, {b}; {c}; w) needs a Chebyshev table of degree {keep[-1]} > {TABLE_DEGREE}"
+        )
+    return coef[: keep[-1] + 1]
+
+
 def build_weight(r: float, A: float) -> Weight:
     """The weight of exponent r, 1/2 < r <= 3/2, dilated by A >= 1."""
     if not r > 0.5:
@@ -64,8 +137,14 @@ def build_weight(r: float, A: float) -> Weight:
         raise ContractError(f"r must not exceed (alpha+1)/2 <= 3/2, got {r}")
     if A < 1.0:
         raise ContractError(f"A must be >= 1, got {A}")
-    phi_total = float(np.sqrt(np.pi) * gamma_fn(r - 0.5) / gamma_fn(r))
-    return Weight(r=float(r), A=float(A), phi_total=phi_total)
+    a = float(r) - 0.5
+    inner = _chebyshev_table(1.0 - a, 0.5, 1.5)
+    outer = _chebyshev_table(0.5, a, a + 1.0)
+    tables = np.zeros((2, max(len(inner), len(outer), 2)))
+    tables[0, : len(inner)] = inner
+    tables[1, : len(outer)] = outer
+    phi_total = math.sqrt(math.pi) * math.gamma(a) / math.gamma(r)
+    return Weight(r=float(r), A=float(A), phi_total=phi_total, tables=tables)
 
 
 def seam_window(grid: Grid):

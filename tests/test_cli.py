@@ -17,12 +17,15 @@ from dgbo.artifacts import (
     read_csv,
     read_field,
     read_ground_state,
+    read_json,
     read_run,
     read_track,
     write_csv,
     write_field,
     write_ground_state,
+    write_json,
     write_run,
+    write_spectrum,
     write_track,
 )
 from dgbo.cli import _apply_config_defaults, build_parser, main
@@ -112,6 +115,24 @@ class TestRoundTrips:
         assert read_csv(path, ("t", "mass")) == [[0.0, 1.5], [0.1, 1.25]]
         with pytest.raises(ContractError, match="unexpected columns"):
             read_csv(path, ("t", "energy"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_json_refuses_non_finite_floats(self, tmp_path, bad):
+        # strict parsers refuse NaN and Infinity, so no artifact may carry one,
+        # and a refused write leaves no partial file behind
+        path = tmp_path / "header.json"
+        with pytest.raises(ContractError, match="header.json"):
+            write_json(str(path), {"t_end": 1.0, "nested": {"values": [0.5, bad]}})
+        assert not path.exists()
+
+    def test_spectrum_without_an_edge_writes_null(self, spec2_compact, tmp_path):
+        # essential_edge_estimate is inf when no eigenvalue lies above the band
+        base = str(tmp_path / "spec")
+        write_spectrum(base, replace(spec2_compact, essential_edge_estimate=np.inf))
+        assert read_json(base + ".spectrum.json")["essential_edge_estimate"] is None
+        write_spectrum(base, spec2_compact)
+        edge = read_json(base + ".spectrum.json")["essential_edge_estimate"]
+        assert edge == spec2_compact.essential_edge_estimate
 
 
 def _files(root):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import betainc, gamma
 
 from dgbo import (
     EvolutionConfig,
@@ -17,7 +18,8 @@ from dgbo import (
     track,
     weighted_mass,
 )
-from dgbo.errors import ContractError
+from dgbo import monotonicity
+from dgbo.errors import ContractError, ConvergenceError
 from dgbo.monotonicity import commutator_residual, seam_window
 
 from conftest import ground_state_for, spectrum_for, COMPACT
@@ -91,6 +93,36 @@ class TestWeight:
             ref = quad(lambda s: (1.0 + s * s) ** (-r), -np.inf, x,
                        epsabs=0.0, epsrel=2e-14, limit=200)[0]
             assert float(w.phi(x)) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_matches_betainc(self):
+        # the closed form through t = 1/(1+x^2): phi is (phi_total/2) I_t(r - 1/2, 1/2)
+        # for x <= 0 and phi_total minus that for x > 0, I the regularized incomplete beta
+        ax = np.logspace(-3.0, 8.0, 111)
+        xs = np.concatenate([-ax[::-1], ax])
+        for r in np.linspace(0.5001, 1.5, 41):
+            total = np.sqrt(np.pi) * gamma(r - 0.5) / gamma(r)
+            tail = 0.5 * total * betainc(r - 0.5, 0.5, 1.0 / (1.0 + xs**2))
+            ref = np.where(xs <= 0.0, tail, total - tail)
+            np.testing.assert_allclose(build_weight(r, 1.0).phi(xs), ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("r", [0.5001, 0.8, 1.25, 1.5])
+    def test_law_at_the_center(self, r):
+        # phi(x) = phi_total/2 + x - r x^3/3 + O(x^5), resolved to rounding
+        w = build_weight(r, 1.0)
+        ax = np.logspace(-8.0, -4.0, 41)
+        xs = np.concatenate([-ax[::-1], ax])
+        law = 0.5 * w.phi_total + xs - r * xs**3 / 3.0
+        assert np.max(np.abs(w.phi(xs) - law)) <= 4.0 * np.finfo(float).eps * w.phi_total
+
+    @pytest.mark.parametrize("cap, value, message", [
+        ("TABLE_DEGREE", 8, "needs a Chebyshev table of degree"),
+        ("SERIES_MAX_TERMS", 10, "not converged"),
+    ])
+    def test_unconverged_table_raises(self, monkeypatch, cap, value, message):
+        # a weight is never built from a truncated table or a truncated series
+        monkeypatch.setattr(monotonicity, cap, value)
+        with pytest.raises(ConvergenceError, match=message):
+            build_weight(1.25, 1.0)
 
     def test_domain_errors(self):
         for r, a in [(0.5, 5.0), (0.4, 5.0), (1.6, 5.0), (1.0, 0.5)]:

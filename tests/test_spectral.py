@@ -133,15 +133,15 @@ def test_fourier_layout_lives_in_spectral():
     assert users == []
 
 
-def test_import_leaves_scipy_linalg_out():
-    # the package needs no scipy.linalg, so no process start should pay for
-    # importing it
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency, so no process start, the CLI's
+    # included, should pay for importing any part of scipy
     src = Path(dgbo.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     res = subprocess.run(
         [sys.executable, "-c",
-         "import sys, dgbo; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"],
+         "import sys, dgbo, dgbo.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert res.returncode == 0, res.stderr[-2000:]
