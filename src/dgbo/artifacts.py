@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .dynamics import Diagnostics, RunRecord
 from .errors import ContractError
-from .ground_state import GroundState
+from .ground_state import GroundState, Rung
 from .linearized import SpectrumReport
 from .modulation import ModulationTrack
 from .monotonicity import WINDOW_FRACTION
@@ -122,6 +122,7 @@ def write_ground_state(base, gs: GroundState):
         "sup_diff": gs.sup_diff,
         "pohozaev_residuals": list(gs.pohozaev_residuals),
         "mass": gs.mass(),
+        "ladder": gs.ladder,
     }
     write_json(base + ".cert.json", cert)
 
@@ -137,6 +138,7 @@ def read_ground_state(base) -> GroundState:
         residual=cert["residual_l2"],
         sup_diff=cert["sup_diff"],
         pohozaev_residuals=tuple(cert["pohozaev_residuals"]),
+        ladder=tuple(Rung(**r) for r in cert.get("ladder", ())),
     )
 
 

@@ -1,23 +1,28 @@
 """Solitary-wave ground states of |D|^alpha Q + Q = |Q|^{2 alpha} Q / (2 alpha + 1).
 
-The profile is computed by a stabilized Petviashvili fixed-point iteration and
-certified against the integral identities any solution must satisfy, against
+The profile is computed by a stabilized, Anderson-mixed Petviashvili
+fixed-point iteration, walked down in alpha from the explicit alpha = 2
+profile on the half grid before one solve on the full grid. It is certified
+against the integral identities any solution must satisfy, against
 positivity/evenness/monotonicity, and against the expected tail law: algebraic
 |x|^(-(1+alpha)) for alpha < 2, exponential e^(-|x|) at alpha = 2.
 The same module exposes the Gagliardo-Nirenberg quotient whose minimizer the
 ground state is.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractError, ConvergenceError, ResolutionError, SeedError
 from .spectral import Grid, _check_alpha
 
-TOL_DIFF = 1e-12         # Petviashvili stop: successive sup-norm difference
+TOL_DIFF = 1e-12         # Petviashvili stop: sup|G(u) - u| of the map G
 TOL_RESIDUAL = 1e-9      # convergence: L2 norm of the equation residual
 MAX_ITERS = 2000
+ANDERSON_DEPTH = 3       # differences of past iterates the Petviashvili mixing keeps
+RUNG_MERGE = 1e-9        # a ladder rung this close above the target alpha is dropped
 DECAY_WINDOW = (0.25, 0.5)   # decay_fit's window, as fractions of the half-length
 TAIL_GUARD = 0.05        # shape_certificate skips this fraction of (0, L) at the seam
 TAPER = (0.5, 0.95)      # scaling_generator's cutoff: 1 up to TAPER[0] L, 0 from TAPER[1] L
@@ -40,6 +45,16 @@ def equation_residual(grid: Grid, u, alpha: float):
     return grid.apply_riesz(u, alpha) + u - np.abs(u) ** (2.0 * alpha) * u / p
 
 
+@dataclass(frozen=True)
+class Rung:
+    """One solve of a continuation ladder."""
+
+    alpha: float
+    n: int              # grid points
+    iterations: int     # Petviashvili maps
+    sup_diff: float     # final sup|G(u) - u|
+
+
 @dataclass
 class GroundState:
     alpha: float
@@ -47,8 +62,9 @@ class GroundState:
     values: np.ndarray
     iterations: int
     residual: float                 # L2 norm of the equation residual
-    sup_diff: float                 # last successive sup-norm difference
+    sup_diff: float                 # final sup|G(u) - u|
     pohozaev_residuals: tuple       # (mass/gradient, mass/potential, energy) relative
+    ladder: tuple = ()              # the Rung of every solve that made it, last one this
 
     def derivative(self):
         return self.grid.derivative(self.values)
@@ -71,13 +87,22 @@ def pohozaev_residuals(grid: Grid, u, alpha: float):
     return ra, rb, rc
 
 
-def solve_ground_state(alpha: float, grid: Grid, seed=None) -> GroundState:
-    """Petviashvili iteration with stabilizer exponent (2a+1)/(2a).
+def _sign_indefinite(u):
+    return np.min(u) < -0.1 * np.max(u)
 
-    Each iterate is symmetrized about x = 0, pinning the profile to the even
-    class. Converged when the successive sup difference drops below
-    TOL_DIFF within MAX_ITERS iterations and the equation residual below
-    TOL_RESIDUAL in L2.
+
+def solve_ground_state(alpha: float, grid: Grid, seed=None) -> GroundState:
+    """Anderson-mixed Petviashvili iteration with stabilizer exponent (2a+1)/(2a).
+
+    The map G(u) is one Petviashvili step followed by symmetrization about
+    x = 0, which pins the profile to the even class. The next iterate is
+    G(u) minus the combination of the last ANDERSON_DEPTH differences of G
+    whose residual differences best cancel G(u) - u in least squares
+    (type-II Anderson mixing; Walker & Ni, SIAM J. Numer. Anal. 49, 2011).
+    A sign-indefinite mixed iterate drops the history for the plain image
+    G(u); an unmixed one raises SeedError. Converged when sup|G(u) - u| <
+    TOL_DIFF within MAX_ITERS maps and the equation residual of G(u), which
+    is returned, is below TOL_RESIDUAL in L2.
     """
     _check_alpha(alpha)
     if seed is None:
@@ -88,21 +113,62 @@ def solve_ground_state(alpha: float, grid: Grid, seed=None) -> GroundState:
     gamma = p / (p - 1.0)
     riesz = grid.riesz(alpha)
     denom = 1.0 + riesz
+
+    def image(u):
+        """G(u), its arrays formed in place so that few full-length ones live at once."""
+        nl = np.abs(u) ** (2.0 * alpha)
+        nl *= u
+        nl /= p
+        lin = grid.field(riesz * grid.transform(u))
+        lin += u
+        m = float(np.sum(lin * u) / np.sum(nl * u))
+        del lin
+        NL = grid.transform(nl)
+        del nl
+        NL *= m**gamma
+        NL /= denom
+        return grid.symmetrize(grid.field(NL))
+
+    # preallocated: the residual G(u) - u and the mixed iterate, and on x <= 0
+    # (every G(u) is even, so those values fix it) the ring buffers of the last
+    # differences of G(u) and of the residual, the residual and the mixing step;
+    # the least squares is taken over x <= 0
+    half = grid.n // 2 + 1
+    resid, mix = np.empty((2, grid.n))
+    dg, df = np.empty((2, ANDERSON_DEPTH, half))
+    f, step = np.empty((2, half))
+    g = None
+    added = 0
+    mixed = False
     history = []
     diff = np.inf
     for it in range(1, MAX_ITERS + 1):
-        if np.min(u) < -0.1 * np.max(u):
+        if mixed and _sign_indefinite(u):
+            u, g, added, mixed = g, None, 0, False
+        if _sign_indefinite(u):
             raise SeedError(f"sign-indefinite iterate at step {it} (alpha={alpha})")
-        nl = np.abs(u) ** (2.0 * alpha) * u / p
-        lin = grid.field(riesz * grid.transform(u)) + u
-        m = float(np.sum(lin * u) / np.sum(nl * u))
-        unew = grid.field(m**gamma * grid.transform(nl) / denom)
-        unew = grid.symmetrize(unew)
-        diff = float(np.max(np.abs(unew - u)))
-        u = unew
+        g_new = image(u)
+        np.subtract(g_new, u, out=resid)
+        diff = float(max(np.max(resid), -np.min(resid)))
         history.append(diff)
-        if diff < TOL_DIFF:
+        u = g_new
+        if not diff >= TOL_DIFF:  # converged, or NaN, which fails the check below
             break
+        if g is not None:
+            j = added % ANDERSON_DEPTH
+            np.subtract(g_new[:half], g[:half], out=dg[j])
+            np.subtract(resid[:half], f, out=df[j])
+            added += 1
+        g = g_new
+        f[:] = resid[:half]
+        depth = min(added, ANDERSON_DEPTH)
+        mixed = depth > 0
+        if mixed:
+            coef = np.linalg.lstsq(df[:depth] @ df[:depth].T, df[:depth] @ f, rcond=None)[0]
+            np.dot(coef, dg[:depth], out=step)
+            np.subtract(g[:half], step, out=mix[:half])
+            np.subtract(g[half:], step[-2:0:-1], out=mix[half:])
+            u = mix
     res = equation_residual(grid, u, alpha)
     res_l2 = grid.norm_l2(res)
     if not (diff < TOL_DIFF and res_l2 < TOL_RESIDUAL):
@@ -120,18 +186,44 @@ def solve_ground_state(alpha: float, grid: Grid, seed=None) -> GroundState:
         residual=res_l2,
         sup_diff=diff,
         pohozaev_residuals=(ra, rb, rc),
+        ladder=(Rung(alpha, grid.n, it, diff),),
     )
 
 
+def ladder_rungs(alpha: float, step: float):
+    """The rungs 2 - k*step for as long as they stay above alpha, then alpha itself.
+
+    A rung within RUNG_MERGE of alpha is alpha's own rung.
+    """
+    if not (math.isfinite(step) and step > 0.0):
+        raise ContractError(f"ladder step must be finite and positive, got {step}")
+    rungs = []
+    while 2.0 - len(rungs) * step > alpha + RUNG_MERGE:
+        rungs.append(2.0 - len(rungs) * step)
+    return rungs + [alpha]
+
+
 def continuation_ladder(alpha: float, grid: Grid, step: float = 0.25) -> GroundState:
-    """Walk alpha down from 2.0, each converged profile seeding the next rung."""
+    """Walk alpha down from 2.0, each converged profile seeding the next rung.
+
+    With more than one rung, every rung, alpha included, is solved on the
+    half grid Grid(L, N/2), and alpha once more on ``grid``, seeded by the
+    spectrally padded half-grid profile. A ladder of one rung (alpha = 2) is
+    one solve on ``grid``. The result's ``ladder`` records every solve.
+    """
     _check_alpha(alpha)
-    rungs = list(np.arange(2.0, alpha, -step)) + [alpha]
+    rungs = ladder_rungs(alpha, step)
+    walk = grid if len(rungs) == 1 else Grid(grid.half_length, grid.n // 2)
+    record = []
     gs = None
     for a in rungs:
         seed = None if gs is None else gs.values
-        gs = solve_ground_state(float(a), grid, seed=seed)
-    return gs
+        gs = solve_ground_state(float(a), walk, seed=seed)
+        record += gs.ladder
+    if walk != grid:
+        gs = solve_ground_state(alpha, grid, seed=walk.refine(gs.values, grid))
+        record += gs.ladder
+    return replace(gs, ladder=tuple(record))
 
 
 # -- certification helpers ----------------------------------------------------

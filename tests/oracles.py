@@ -8,6 +8,7 @@ import scipy.linalg as sla
 from scipy.optimize import minimize
 
 from dgbo.dynamics import _padded_flux
+from dgbo.ground_state import TOL_DIFF, gkdv_profile, ladder_rungs
 from dgbo.linearized import KERNEL_TOL_REL, apply_operator
 from dgbo.spectral import PAD
 
@@ -126,6 +127,39 @@ def nonlinear_term(grid, u, alpha):
     """
     weight = grid.truncation(grid.ik / (2.0 * alpha + 1.0))
     return grid.field(_padded_flux(grid, grid.transform(u), alpha, weight))
+
+
+def petviashvili(alpha, grid, seed=None, max_iters=2000):
+    """The unmixed Petviashvili loop u <- G(u) until sup|G(u) - u| < TOL_DIFF.
+
+    The reference of ``solve_ground_state``: the same map G, with no
+    Anderson mixing. Returns the last image and the number of maps.
+    """
+    u = gkdv_profile(grid.x) if seed is None else seed.copy()
+    p = 2.0 * alpha + 1.0
+    riesz = grid.riesz(alpha)
+    for it in range(1, max_iters + 1):
+        nl = np.abs(u) ** (2.0 * alpha) * u / p
+        lin = grid.field(riesz * grid.transform(u)) + u
+        m = float(np.sum(lin * u) / np.sum(nl * u))
+        unew = grid.symmetrize(grid.field(m ** (p / (p - 1.0)) * grid.transform(nl) / (1.0 + riesz)))
+        diff = float(np.max(np.abs(unew - u)))
+        u = unew
+        if diff < TOL_DIFF:
+            return u, it
+    raise AssertionError(f"plain Petviashvili stalled at alpha={alpha}: sup diff {diff:.3e}")
+
+
+def plain_ladder(alpha, grid, step=0.25):
+    """The reference of ``continuation_ladder``: every rung of ``ladder_rungs``
+    solved on ``grid`` itself by the unmixed loop. Returns the profile and
+    each rung's number of maps.
+    """
+    u, iterations = None, []
+    for a in ladder_rungs(alpha, step):
+        u, it = petviashvili(a, grid, seed=u)
+        iterations.append(it)
+    return u, iterations
 
 
 def rescaled_config(cfg, lam0):

@@ -80,6 +80,18 @@ class TestRoundTrips:
         assert np.array_equal(back.values, gs.values)
         assert back.residual == gs.residual
 
+    def test_ground_state_ladder_roundtrip(self, tmp_path):
+        gs = ground_state_for(1.5, COMPACT)
+        write_ground_state(str(tmp_path / "gs"), gs)
+        back = read_ground_state(str(tmp_path / "gs"))
+        assert len(back.ladder) == 4
+        assert back.ladder == gs.ladder
+        assert back.iterations == gs.ladder[-1].iterations
+        with open(str(tmp_path / "gs") + ".cert.json") as fh:
+            rungs = json.load(fh)["ladder"]
+        assert [(r["alpha"], r["n"]) for r in rungs] == [
+            (2.0, 512), (1.75, 512), (1.5, 512), (1.5, 1024)]
+
     def test_ground_state_reads_certificates_with_older_keys(self, tmp_path):
         # certificates once also stored "converged" and "energy_residual",
         # which restate the solver's stop rule and pohozaev_residuals[2]
@@ -90,11 +102,13 @@ class TestRoundTrips:
             cert = json.load(fh)
         assert "converged" not in cert and "energy_residual" not in cert
         cert.update(converged=True, energy_residual=cert["pohozaev_residuals"][2])
+        del cert["ladder"]  # nor did they record the ladder
         with open(base + ".cert.json", "w") as fh:
             json.dump(cert, fh)
         back = read_ground_state(base)
         assert back.pohozaev_residuals == gs.pohozaev_residuals
         assert np.array_equal(back.values, gs.values)
+        assert back.ladder == ()
 
     def test_run_roundtrip(self, tmp_path):
         g = Grid(25.0, 128)
@@ -432,6 +446,13 @@ class TestSmallCommands:
                      "--chi0", str(small_dir / "spec25"), "--t-end", "0.01",
                      "--out", out]) == 2
         assert not os.path.exists(out + ".csv")
+
+    @pytest.mark.parametrize("step", ["0", "nan", "-0.25"])
+    def test_ground_state_refuses_a_bad_ladder_step(self, tmp_path, step):
+        out = str(tmp_path / "gs")
+        assert main(["ground-state", "--alpha", "1.5", "--half-length", "25", "--n", "256",
+                     "--ladder-step", step, "--out", out]) == 2
+        assert os.listdir(tmp_path) == []
 
     def test_evolve_rejects_a_zero_dt(self, small_dir, tmp_path):
         out = str(tmp_path / "run")

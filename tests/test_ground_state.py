@@ -1,16 +1,24 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgbo import Grid, decay_fit, gn_report, j1, pohozaev_residuals, solve_ground_state
-from dgbo.errors import ContractError, ResolutionError, SeedError
+from dgbo import ground_state
+from dgbo.errors import ContractError, ConvergenceError, ResolutionError, SeedError
 from dgbo.ground_state import (
+    RUNG_MERGE,
     continuation_ladder,
     equation_residual,
     gkdv_profile,
+    ladder_rungs,
     shape_certificate,
 )
 
-from conftest import ground_state_for
+from conftest import COMPACT, ground_state_for
+from oracles import plain_ladder
 
 SQRT15_PI_2 = np.sqrt(15.0) * np.pi / 2.0
 
@@ -50,6 +58,100 @@ class TestSolve:
         with pytest.raises(SeedError):
             solve_ground_state(2.0, g, seed=-gkdv_profile(g.x))
 
+    def test_unconverged_solve_raises_with_its_history(self, monkeypatch):
+        monkeypatch.setattr(ground_state, "MAX_ITERS", 3)
+        with pytest.raises(ConvergenceError) as info:
+            solve_ground_state(1.5, Grid(50.0, 512))
+        history = info.value.history
+        assert len(history) == 3
+        assert all(d >= ground_state.TOL_DIFF for d in history)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_zero_seed_is_a_convergence_error(self):
+        # G(0) is 0/0: the NaN stops the iteration at once
+        with pytest.raises(ConvergenceError) as info:
+            solve_ground_state(1.5, Grid(50.0, 512), seed=np.zeros(512))
+        assert len(info.value.history) == 1
+
+    def test_a_sign_indefinite_mixed_iterate_falls_back_to_the_plain_image(self, monkeypatch):
+        # the third sign test is the first one on a mixed iterate (maps 1 and
+        # 2 have no difference to mix yet): flagging it drops the history and
+        # re-tests the plain image, which passes, so the solve goes on to the
+        # same profile; flagging the plain image as well raises
+        g = Grid(50.0, 512)
+        want = solve_ground_state(1.5, g).values
+        sign_indefinite = ground_state._sign_indefinite
+
+        def flagged(calls):
+            seen = []
+
+            def test(u):
+                seen.append(1)
+                return len(seen) in calls or sign_indefinite(u)
+            return test
+
+        monkeypatch.setattr(ground_state, "_sign_indefinite", flagged({3}))
+        got = solve_ground_state(1.5, g)
+        assert np.max(np.abs(got.values - want)) < 1e-10
+        monkeypatch.setattr(ground_state, "_sign_indefinite", flagged({3, 4}))
+        with pytest.raises(SeedError, match="step 3"):
+            solve_ground_state(1.5, g)
+
+
+class TestLadder:
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.9])
+    def test_matches_the_plain_full_grid_walk(self, alpha):
+        gs = continuation_ladder(alpha, COMPACT, step=0.25)
+        want, iterations = plain_ladder(alpha, COMPACT, step=0.25)
+        assert np.max(np.abs(gs.values - want)) <= 1e-10
+        # the residuals are defects relative to O(1) integrals; the 1e-12 stop
+        # leaves the plain walk itself about 1e-12 of those from its fixed point
+        assert gs.pohozaev_residuals == pytest.approx(
+            pohozaev_residuals(COMPACT, want, alpha), rel=1e-9, abs=1e-11)
+        # the padded half-grid profile leaves the full grid little to do
+        assert gs.ladder[-1].iterations < iterations[-1]
+
+    def test_records_every_rung(self):
+        gs = continuation_ladder(1.5, COMPACT, step=0.25)
+        assert [(r.alpha, r.n) for r in gs.ladder] == [
+            (2.0, 512), (1.75, 512), (1.5, 512), (1.5, 1024)]
+        assert gs.ladder[-1].iterations == gs.iterations
+        assert gs.ladder[-1].sup_diff == gs.sup_diff
+        assert all(r.sup_diff < ground_state.TOL_DIFF for r in gs.ladder)
+
+    def test_alpha_2_is_one_solve_on_the_grid(self):
+        gs = continuation_ladder(2.0, Grid(25.0, 256))
+        assert np.array_equal(gs.values, solve_ground_state(2.0, Grid(25.0, 256)).values)
+        assert [(r.alpha, r.n) for r in gs.ladder] == [(2.0, 256)]
+
+    @pytest.mark.parametrize("alpha, step, want", [
+        (1.9, 0.05, [2.0, 1.95, 1.9]),
+        (1.7, 0.1, [2.0, 1.9, 1.8, 1.7]),
+        (1.25, 0.25, [2.0, 1.75, 1.5, 1.25]),
+        (1.3, 0.25, [2.0, 1.75, 1.5, 1.3]),
+        (2.0, 0.25, [2.0]),
+        (1.0, 5.0, [2.0, 1.0]),
+    ])
+    def test_rungs(self, alpha, step, want):
+        assert ladder_rungs(alpha, step) == pytest.approx(want, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(1.0, 2.0), step=st.floats(1e-3, 1.5))
+    def test_rungs_fall_from_2_to_alpha_without_near_duplicates(self, alpha, step):
+        rungs = ladder_rungs(alpha, step)
+        assert rungs[0] == 2.0 or rungs == [alpha]
+        assert rungs[-1] == alpha
+        gaps = np.diff(rungs)
+        assert np.all(gaps[:-1] == pytest.approx(-step, rel=1e-9))
+        # no two rungs closer than RUNG_MERGE, and no room left for one more
+        assert np.all(gaps < -RUNG_MERGE)
+        assert len(rungs) == 1 or -gaps[-1] <= step + RUNG_MERGE
+
+    @pytest.mark.parametrize("step", [0.0, -0.25, math.nan, math.inf])
+    def test_refuses_a_step_that_is_not_finite_and_positive(self, step):
+        with pytest.raises(ContractError, match="ladder step"):
+            continuation_ladder(1.5, COMPACT, step=step)
+
 
 class TestPohozaev:
     def test_gkdv_certified(self, gs2):
@@ -69,14 +171,8 @@ class TestPohozaev:
         ra, rb, rc = gs.pohozaev_residuals
         assert max(ra, rb, rc) < 1e-5
         # independent check: quadrature at doubled resolution must agree
-        n = gs.grid.n
-        g2 = Grid(gs.grid.half_length, 2 * n)
-        F = gs.grid.transform(gs.values)
-        Fp = np.zeros(n + 1, dtype=complex)
-        Fp[: n // 2 + 1] = F
-        Fp[n // 2] *= 0.5  # the coarse Nyquist mode is split over +-n/2
-        fine = np.fft.irfft(2 * Fp, 2 * n)
-        ra2, rb2, rc2 = pohozaev_residuals(g2, fine, 1.5)
+        g2 = Grid(gs.grid.half_length, 2 * gs.grid.n)
+        ra2, rb2, rc2 = pohozaev_residuals(g2, gs.grid.refine(gs.values, g2), 1.5)
         assert max(ra2, rb2, rc2) < 1e-5
 
 
@@ -89,11 +185,7 @@ class TestResidual:
             g = Grid(50.0, n)
             gs = solve_ground_state(2.0, g)
             g_fine = Grid(50.0, 4096)
-            F = g.transform(gs.values)
-            Fp = np.zeros(4096 // 2 + 1, dtype=complex)
-            Fp[: n // 2 + 1] = F
-            Fp[n // 2] *= 0.5  # the coarse Nyquist mode is split over +-n/2
-            fine = np.fft.irfft(Fp * (4096 / n), 4096)
+            fine = g.refine(gs.values, g_fine)
             vals.append(g_fine.norm_l2(equation_residual(g_fine, fine, 2.0)))
         assert vals[1] < vals[0]
 
