@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, ConvergenceError, ResolutionError, SeedError
-from .spectral import Grid, _check_alpha
+from .spectral import PAD, Grid, _check_alpha
 
 TOL_DIFF = 1e-12         # Petviashvili stop: sup|G(u) - u| of the map G
 TOL_RESIDUAL = 1e-9      # convergence: L2 norm of the equation residual
@@ -115,28 +115,17 @@ def solve_ground_state(alpha: float, grid: Grid, seed=None) -> GroundState:
     denom = 1.0 + riesz
 
     def image(u):
-        """G(u), its arrays formed in place so that few full-length ones live at once."""
-        nl = np.abs(u) ** (2.0 * alpha)
-        nl *= u
-        nl /= p
-        lin = grid.field(riesz * grid.transform(u))
-        lin += u
+        nl = np.abs(u) ** (2.0 * alpha) * u / p
+        lin = grid.field(riesz * grid.transform(u)) + u
         m = float(np.sum(lin * u) / np.sum(nl * u))
-        del lin
-        NL = grid.transform(nl)
-        del nl
-        NL *= m**gamma
-        NL /= denom
-        return grid.symmetrize(grid.field(NL))
+        return grid.symmetrize(grid.field(m**gamma * grid.transform(nl) / denom))
 
-    # preallocated: the residual G(u) - u and the mixed iterate, and on x <= 0
-    # (every G(u) is even, so those values fix it) the ring buffers of the last
-    # differences of G(u) and of the residual, the residual and the mixing step;
-    # the least squares is taken over x <= 0
-    half = grid.n // 2 + 1
-    resid, mix = np.empty((2, grid.n))
-    dg, df = np.empty((2, ANDERSON_DEPTH, half))
-    f, step = np.empty((2, half))
+    # one block per solve, so that mixing allocates no full-length array: the
+    # ring buffers of the last differences of G(u) and of the residual G(u) - u,
+    # the residuals of this map and the last, the mixing step and the mixed iterate
+    work = np.empty((2 * ANDERSON_DEPTH + 4, grid.n))
+    dg, df = work[:ANDERSON_DEPTH], work[ANDERSON_DEPTH:2 * ANDERSON_DEPTH]
+    resid, f, step, mix = work[2 * ANDERSON_DEPTH:]
     g = None
     added = 0
     mixed = False
@@ -149,26 +138,24 @@ def solve_ground_state(alpha: float, grid: Grid, seed=None) -> GroundState:
             raise SeedError(f"sign-indefinite iterate at step {it} (alpha={alpha})")
         g_new = image(u)
         np.subtract(g_new, u, out=resid)
-        diff = float(max(np.max(resid), -np.min(resid)))
+        diff = float(np.max(np.abs(resid)))
         history.append(diff)
         u = g_new
         if not diff >= TOL_DIFF:  # converged, or NaN, which fails the check below
             break
         if g is not None:
             j = added % ANDERSON_DEPTH
-            np.subtract(g_new[:half], g[:half], out=dg[j])
-            np.subtract(resid[:half], f, out=df[j])
+            np.subtract(g_new, g, out=dg[j])
+            np.subtract(resid, f, out=df[j])
             added += 1
         g = g_new
-        f[:] = resid[:half]
+        resid, f = f, resid
         depth = min(added, ANDERSON_DEPTH)
         mixed = depth > 0
         if mixed:
             coef = np.linalg.lstsq(df[:depth] @ df[:depth].T, df[:depth] @ f, rcond=None)[0]
             np.dot(coef, dg[:depth], out=step)
-            np.subtract(g[:half], step, out=mix[:half])
-            np.subtract(g[half:], step[-2:0:-1], out=mix[half:])
-            u = mix
+            u = np.subtract(g, step, out=mix)
     res = equation_residual(grid, u, alpha)
     res_l2 = grid.norm_l2(res)
     if not (diff < TOL_DIFF and res_l2 < TOL_RESIDUAL):
@@ -207,13 +194,13 @@ def continuation_ladder(alpha: float, grid: Grid, step: float = 0.25) -> GroundS
     """Walk alpha down from 2.0, each converged profile seeding the next rung.
 
     With more than one rung, every rung, alpha included, is solved on the
-    half grid Grid(L, N/2), and alpha once more on ``grid``, seeded by the
-    spectrally padded half-grid profile. A ladder of one rung (alpha = 2) is
-    one solve on ``grid``. The result's ``ladder`` records every solve.
+    grid PAD times coarser, Grid(L, N/PAD), and alpha once more on ``grid``,
+    seeded by the spectrally padded coarse profile. A ladder of one rung
+    (alpha = 2) is one solve on ``grid``. The result's ``ladder`` records every solve.
     """
     _check_alpha(alpha)
     rungs = ladder_rungs(alpha, step)
-    walk = grid if len(rungs) == 1 else Grid(grid.half_length, grid.n // 2)
+    walk = grid if len(rungs) == 1 else Grid(grid.half_length, grid.n // PAD)
     record = []
     gs = None
     for a in rungs:
@@ -221,7 +208,7 @@ def continuation_ladder(alpha: float, grid: Grid, step: float = 0.25) -> GroundS
         gs = solve_ground_state(float(a), walk, seed=seed)
         record += gs.ladder
     if walk != grid:
-        gs = solve_ground_state(alpha, grid, seed=walk.refine(gs.values, grid))
+        gs = solve_ground_state(alpha, grid, seed=walk.fine(walk.transform(gs.values)))
         record += gs.ladder
     return replace(gs, ladder=tuple(record))
 

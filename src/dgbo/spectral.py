@@ -172,20 +172,6 @@ class Grid:
         W *= weight
         return W
 
-    def refine(self, f, finer: "Grid"):
-        """Values on ``finer``, the same box with a multiple of n points, of the
-        trigonometric interpolant of f.
-
-        The coefficients are scaled by finer.n/n, which keeps the values under
-        numpy's 1/m inverse normalisation, and the Nyquist mode is halved: the
-        finer grid holds it as the pair +-n/2. ``irfft`` zero-pads the rest.
-        """
-        if finer.half_length != self.half_length or finer.n <= self.n or finer.n % self.n:
-            raise ContractError(f"{finer} does not refine {self}")
-        F = self.transform(f) * (finer.n / self.n)
-        F[-1] *= 0.5
-        return finer.field(F)
-
     # -- multipliers --------------------------------------------------------
 
     def riesz(self, alpha: float):
@@ -253,10 +239,7 @@ class Grid:
 
     def symmetrize(self, f):
         """Even part about x = 0."""
-        even = self.reflect(f)
-        even += f
-        even *= 0.5
-        return even
+        return 0.5 * (self.check_field(f) + self.reflect(f))
 
     def resample_scaled(self, f, scale: float = 1.0, shift: float = 0.0):
         """Trigonometric interpolation of f at the points scale*x_j + shift.

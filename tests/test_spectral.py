@@ -80,23 +80,6 @@ def test_pad_truncate_roundtrip(f):
     assert err <= 1e-12 * (1.0 + np.max(np.abs(f)))
 
 
-@pytest.mark.parametrize("factor", [2, 4, 8])
-def test_refine_matches_pad(rng, factor):
-    # the padded interpolant's values on the finer grid, bit for bit, which
-    # are the original values on every factor-th fine point
-    g = Grid(15.0, 64)
-    f = rng.standard_normal(64)
-    fine = g.refine(f, Grid(15.0, factor * 64))
-    assert np.array_equal(fine, oracles.fine(g, g.transform(f), factor))
-    assert np.max(np.abs(fine[::factor] - f)) <= 1e-13 * np.max(np.abs(f))
-
-
-@pytest.mark.parametrize("finer", [(15.0, 64), (15.0, 32), (16.0, 128)])
-def test_refine_refuses_a_grid_that_is_not_finer(finer):
-    with pytest.raises(ContractError, match="does not refine"):
-        Grid(15.0, 64).refine(np.zeros(64), Grid(*finer))
-
-
 def test_fine_and_coarse_match_pad_and_truncate(rng):
     # the one-multiply weights give the bits of the explicit pad and truncate,
     # row by row on stacked spectra
