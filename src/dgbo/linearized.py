@@ -1,13 +1,14 @@
 """The operator L = |D|^alpha + 1 - Q^{2 alpha} around a ground state.
 
-Dense collocation assembly (|D|^alpha is a symmetric circulant), a full
-eigendecomposition in two parity blocks (Q is even, so L commutes with
-x -> -x), each by LAPACK's divide-and-conquer solver (``numpy.linalg.eigh``,
-Cuppen's method, which suits the clustered continuum of L), structural
-certification per parity (one negative eigenvalue, with a positive
-eigenfunction, in the even block; a one-dimensional near-kernel, carried by
-Q', in the odd block), coercivity probes whose minimum over the Q-orthogonal
-sphere is the smallest root of a secular equation on that same
+Collocation L (|D|^alpha is a symmetric circulant) in its two parity blocks
+(Q is even, so L commutes with x -> -x), each built straight from the
+circulant column and the potential and solved on its own by LAPACK's
+divide-and-conquer solver (``numpy.linalg.eigh``, Cuppen's method, which
+suits the clustered continuum of L), so the N x N matrix is never formed;
+structural certification per parity (one negative eigenvalue, with a
+positive eigenfunction, in the even block; a one-dimensional near-kernel,
+carried by Q', in the odd block), coercivity probes whose minimum over the
+Q-orthogonal sphere is the smallest root of a secular equation on that same
 eigendecomposition, and evolution of the associated flow w_t = dx(L w),
 read out against the exact free-dispersion group.
 """
@@ -15,6 +16,7 @@ read out against the exact free-dispersion group.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import Stepper
 from .errors import CapacityError, ContractError
@@ -41,8 +43,9 @@ def apply_operator(gs: GroundState, v):
 
 @dataclass
 class LinearizedOperator:
+    """L around ``gs`` in collocation form, as its parity blocks (``parity_block``)."""
+
     gs: GroundState
-    matrix: np.ndarray
 
     @property
     def alpha(self):
@@ -52,27 +55,68 @@ class LinearizedOperator:
     def grid(self):
         return self.gs.grid
 
+    def _column(self):
+        """The circulant column of |D|^alpha, symmetrized (the average of col and
+        its reflection, so col[j] == col[N - j] bit for bit), and the diagonal
+        d = (col[0] + 1) - Q^{2 alpha}."""
+        grid = self.grid
+        col = grid.field(grid.riesz(self.alpha))
+        col = 0.5 * (col + grid.reflect(col))
+        return col, (col[0] + 1.0) - _potential(self.gs)
+
+    def parity_block(self, odd: bool) -> np.ndarray:
+        """The even (odd=False) or odd block of the collocation matrix of L.
+
+        In the bases of ``_to_grid`` with j = 1 .. N/2 - 1 the interior is
+        col[|i - j|] + col[i + j] (even) or col[|i - j|] - col[i + j] (odd), a
+        Toeplitz plus or minus a Hankel matrix, both read as strided views of
+        the column; its diagonal is d_j + col[2j] or d_j - col[2j]. The even
+        block's border rows i = 0 and N/2 are sqrt 2 col[|i - j|], with corners
+        d_0, d_{N/2} and col[N/2]. No N x N array is formed.
+        """
+        col, d = self._column()
+        n = len(col)
+        h = n // 2
+        # col[|i - j|] for i, j = 1 .. h - 1: windows of col[h-2 .. 1, 0, 1 .. h-2]
+        toeplitz = sliding_window_view(np.concatenate([col[h - 2 : 0 : -1], col[: h - 1]]), h - 1)[::-1]
+        hankel = sliding_window_view(col[2 : n - 1], h - 1)  # col[i + j]
+        if odd:
+            block = np.subtract(toeplitz, hankel)
+            np.fill_diagonal(block, d[1:h] - col[2:n:2])
+            return block
+        block = np.empty((h + 1, h + 1))
+        np.add(toeplitz, hankel, out=block[1:h, 1:h])
+        np.fill_diagonal(block, np.concatenate([d[:1], d[1:h] + col[2:n:2], d[h : h + 1]]))
+        block[0, 1:h] = block[1:h, 0] = np.sqrt(2.0) * col[1:h]
+        block[h, 1:h] = block[1:h, h] = np.sqrt(2.0) * col[h - 1 : 0 : -1]
+        block[0, h] = block[h, 0] = col[h]
+        return block
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense symmetric N x N collocation matrix of L, built on each read.
+
+        ``spectrum`` never reads it; it is the dense reference that tests and
+        tracers compare against. The circulant entries come from the
+        symmetrized column and the diagonal is written in place.
+        """
+        col, d = self._column()
+        n = len(col)
+        i = np.arange(n, dtype=np.int32)
+        mat = col[(i[:, None] - i) % n]
+        mat.flat[:: n + 1] = d
+        return mat
+
 
 def assemble(gs: GroundState) -> LinearizedOperator:
-    """Dense symmetric N x N collocation matrix of L (N <= 4096).
-
-    The circulant part is symmetrized through its column (the average of col
-    and its reflection) and the diagonal is written in place, so the only
-    N x N arrays formed are the matrix and its int32 index.
-    """
-    grid = gs.grid
-    n = grid.n
+    """The collocation L of ``gs`` (N <= 4096), ready for ``spectrum``."""
+    n = gs.grid.n
     if n > DENSE_N_LIMIT:
         raise CapacityError(
             f"dense assembly limited to N <= {DENSE_N_LIMIT}, got {n}; "
             "use apply_operator for matrix-free application"
         )
-    col = grid.field(grid.riesz(gs.alpha))
-    col = 0.5 * (col + grid.reflect(col))
-    i = np.arange(n, dtype=np.int32)
-    mat = col[(i[:, None] - i) % n]
-    mat.flat[:: n + 1] = (col[0] + 1.0) - _potential(gs)
-    return LinearizedOperator(gs=gs, matrix=mat)
+    return LinearizedOperator(gs=gs)
 
 
 @dataclass
@@ -95,25 +139,6 @@ class SpectrumReport:
     notes: list = field(default_factory=list)
 
 
-def _parity_blocks(mat):
-    """The even and odd blocks of a reflection-invariant N x N matrix.
-
-    The reflection j -> (N - j) mod N fixes 0 and N/2. The even block acts on
-    the basis e_0, (e_j + e_{N-j})/sqrt 2 for j = 1 .. N/2 - 1, then e_{N/2};
-    the odd block on (e_j - e_{N-j})/sqrt 2 for the same j.
-    """
-    n = mat.shape[0]
-    h = n // 2
-    a = mat[1:h, 1:h]
-    b = mat[1:h, n - 1 : h : -1]
-    even = np.empty((h + 1, h + 1))
-    np.add(a, b, out=even[1:h, 1:h])
-    for i in (0, h):
-        even[i, 1:h] = even[1:h, i] = np.sqrt(2.0) * mat[i, 1:h]
-        even[i, 0], even[i, h] = mat[i, 0], mat[i, h]
-    return even, a - b
-
-
 def _to_grid(c, n, odd):
     """The grid vector with coordinates c in the even (odd=False) or odd block's basis."""
     h = n // 2
@@ -125,19 +150,64 @@ def _to_grid(c, n, odd):
     return v
 
 
+@dataclass
+class _BlockSolve:
+    """What ``spectrum`` keeps of one parity block's eigendecomposition."""
+
+    odd: bool
+    eigenvalues: np.ndarray
+    band: np.ndarray                 # indices of the eigenvalues with |ev| <= the band tolerance
+    near_kernel: list                # (eigenvalue, eigenvector on the grid) over the band
+    bottom: np.ndarray               # the lowest eigenvector on the grid
+    projections: np.ndarray | None   # project @ eigenvectors
+    residual: float                  # max |L v - lambda v| over the sampled modes
+
+
+def _solve_block(op, odd, tol=None, project=None) -> _BlockSolve:
+    """``eigh`` of one parity block of ``op``; the block and its eigenvectors
+    are dropped on return.
+
+    The band is |eigenvalue| <= tol, by default KERNEL_TOL_REL times the
+    block's own largest |eigenvalue|. The residual is sampled on the four
+    lowest and the band modes as B c - lambda c mapped to the grid, which is
+    L v - lambda v for v = ``_to_grid(c)``. ``project``, a vector in the
+    block's basis, is projected on every eigenvector.
+    """
+    n = op.grid.n
+    block = op.parity_block(odd)
+    ev, vec = np.linalg.eigh(block)
+    if tol is None:
+        tol = KERNEL_TOL_REL * float(np.max(np.abs(ev)))
+    band = np.flatnonzero(np.abs(ev) <= tol)
+    sample = sorted(set(range(min(4, len(ev)))) | set(band))
+    resid = max(float(np.max(np.abs(_to_grid(block @ vec[:, j] - ev[j] * vec[:, j], n, odd))))
+                for j in sample)
+    return _BlockSolve(
+        odd=odd,
+        eigenvalues=ev,
+        band=band,
+        near_kernel=[(float(ev[j]), _to_grid(vec[:, j], n, odd)) for j in band],
+        bottom=_to_grid(vec[:, 0], n, odd),
+        projections=None if project is None else project @ vec,
+        residual=resid,
+    )
+
+
 def spectrum(op: LinearizedOperator) -> SpectrumReport:
     """Full symmetric eigendecomposition, per parity, with structural certification.
 
     Q is even, so L commutes with x -> -x and its matrix splits into an even
-    block of size N/2 + 1 and an odd block of size N/2 - 1
-    (``_parity_blocks``), each solved by divide and conquer (``syevd``
-    through ``numpy.linalg.eigh``, which suits the clustered continuum of L).
-    The eigenvalues and Q's spectral measure ``q_weights`` are merged into
-    one ascending order; Q is exactly even (every Petviashvili iterate is
+    block of size N/2 + 1 and an odd block of size N/2 - 1. Each block is
+    built from the circulant column and the potential
+    (``LinearizedOperator.parity_block``) and solved by divide and conquer
+    (``syevd`` through ``numpy.linalg.eigh``, which suits the clustered
+    continuum of L), one after the other: no N x N array is formed. The
+    eigenvalues and Q's spectral measure ``q_weights`` are merged into one
+    ascending order; Q is exactly even (every Petviashvili iterate is
     symmetrized), so its odd weights are zeros. Block eigenvectors reach the
     grid only for chi0 (the even block's lowest mode), the near-kernel modes
-    (each block's band columns) and the residual sample against the full
-    matrix. A potential that is not reflection-even raises ``ContractError``.
+    (each block's band columns) and the residual sample. A potential that is
+    not reflection-even raises ``ContractError``.
 
     The structure is tallied per parity (ker L = span{Q'}, Frank & Lenzmann,
     Acta Math. 210, 2013): the even block has one eigenvalue below
@@ -150,6 +220,7 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
     """
     grid = op.grid
     n = grid.n
+    h = n // 2
     pot = _potential(op.gs)
     pot_defect = float(np.max(np.abs(pot - grid.reflect(pot))))
     if pot_defect > 1e-12 * float(np.max(pot)):
@@ -157,13 +228,21 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
             f"potential Q^(2 alpha) not reflection-even (defect {pot_defect:.2e}); "
             "the parity split needs a ground state centred at x = 0"
         )
-    (ev_even, vec_even), (ev_odd, vec_odd) = map(np.linalg.eigh, _parity_blocks(op.matrix))
+    # Q's coordinates in the even basis; the odd ones are zeros
+    q = op.gs.values
+    q_even = np.concatenate([q[:1], (q[1:h] + q[n - 1 : h : -1]) / np.sqrt(2.0), q[h : h + 1]])
+    solves = [_solve_block(op, False, project=q_even), _solve_block(op, True)]
+    ktol = KERNEL_TOL_REL * max(float(np.max(np.abs(s.eigenvalues))) for s in solves)
+    # a block's band was cut at its own largest |eigenvalue|; if the other
+    # block's largest widens it, that block is solved again at ktol
+    solves = [s if np.sum(np.abs(s.eigenvalues) <= ktol) == len(s.band)
+              else _solve_block(op, s.odd, ktol, None if s.odd else q_even) for s in solves]
+    even, odd = solves
+    ev_even, ev_odd = even.eigenvalues, odd.eigenvalues
     merged = np.concatenate([ev_even, ev_odd])
     order = np.argsort(merged, kind="stable")
     evals = merged[order]
-    ktol = KERNEL_TOL_REL * float(np.max(np.abs(evals)))
-    bands = [np.flatnonzero(np.abs(ev) <= ktol) for ev in (ev_even, ev_odd)]
-    tally = [(int(np.sum(ev < -ktol)), len(band)) for ev, band in zip((ev_even, ev_odd), bands)]
+    tally = [(int(np.sum(s.eigenvalues < -ktol)), len(s.band)) for s in solves]
     parity_gap = float(ev_odd[0] - ev_even[0])
     ok = tally == [(1, 0), (0, 1)]
     notes = [] if ok else [
@@ -171,7 +250,7 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
         f"odd block {tally[1]}, expected (1, 0) and (0, 1)"
     ]
 
-    chi0 = _to_grid(vec_even[:, 0], n, odd=False)
+    chi0 = even.bottom
     if chi0[np.argmax(np.abs(chi0))] < 0:
         chi0 = -chi0
     chi0 = chi0 / grid.norm_l2(chi0)
@@ -190,9 +269,7 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
             ok = False
             notes.append(f"chi0 changes sign (min {-dip:.2e})")
 
-    blocks = list(zip((ev_even, ev_odd), (vec_even, vec_odd), bands, (False, True)))
-    near_kernel = [(float(ev[j]), _to_grid(vec[:, j], n, odd))
-                   for ev, vec, band, odd in blocks for j in band]
+    near_kernel = even.near_kernel + odd.near_kernel
     qp = op.gs.derivative()
     qcos = max((abs(float(np.dot(v, qp))) / np.sqrt(float(np.dot(v, v)) * float(np.dot(qp, qp)))
                 for _, v in near_kernel), default=0.0)
@@ -203,18 +280,7 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
     above = evals[evals > ktol]
     edge = float(above[0]) if len(above) else np.inf
 
-    # eigenpair residuals against the full matrix: each block's four lowest and band modes
-    resid = 0.0
-    for ev, vec, band, odd in blocks:
-        for j in sorted(set(range(min(4, len(ev)))) | set(band)):
-            v = _to_grid(vec[:, j], n, odd)
-            resid = max(resid, float(np.max(np.abs(op.matrix @ v - ev[j] * v))))
-
-    # Q's coordinates in the even basis; the odd ones are zeros
-    q = op.gs.values
-    h = n // 2
-    q_even = np.concatenate([q[:1], (q[1:h] + q[n - 1 : h : -1]) / np.sqrt(2.0), q[h : h + 1]])
-    q_weights = np.concatenate([q_even @ vec_even, np.zeros(len(ev_odd))])[order] ** 2 / float(q @ q)
+    q_weights = np.concatenate([even.projections, np.zeros(len(ev_odd))])[order] ** 2 / float(q @ q)
 
     return SpectrumReport(
         alpha=op.alpha,
@@ -230,7 +296,7 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
         chi0_even_defect=even_defect,
         parity_gap=parity_gap,
         chi0_resolved=resolved,
-        max_eig_residual=resid,
+        max_eig_residual=max(even.residual, odd.residual),
         structure_ok=ok,
         notes=notes,
     )

@@ -22,6 +22,7 @@ from .modulation import decompose
 from .spectral import Grid
 
 LAM_STOP = 0.75      # a row trips when the modulation scale contracts below this
+LAM_NET_SLACK = 1e-9  # relative slack of lambda's net comparison, above decompose's ~2e-11 noise
 SOBOLEV_TRIP = 1.3   # ... or when its H^{alpha/2} norm grows by more than this factor
 CHECKPOINT_EVERY = 100  # steps between the checkpoints of a scan row
 
@@ -108,6 +109,14 @@ class _RowWatch:
         return False
 
 
+def lambda_monotone(lam_vals) -> bool:
+    """True when a lambda track rises by at most 0.5 % per checkpoint and ends
+    no higher than it started, up to LAM_NET_SLACK relative."""
+    lam = np.asarray(lam_vals, dtype=float)
+    return bool(np.all(np.diff(lam) <= 5e-3 * lam[:-1])
+                and lam[-1] <= lam[0] * (1.0 + LAM_NET_SLACK))
+
+
 def blowup_scan(
     alpha: float,
     amplitudes,
@@ -162,9 +171,6 @@ def blowup_scan(
             w.trip_time, w.trip_reason = rec.status_t, rec.status
         lam_vals = np.array(w.lam_hist) if w.lam_hist else np.array([1.0])
         lam_min = float(np.min(lam_vals))
-        monotone = bool(
-            np.all(np.diff(lam_vals) <= 5e-3 * lam_vals[:-1]) and lam_vals[-1] <= lam_vals[0]
-        )
         sob = rec.column("sobolev_norm")
         linf = rec.column("linf")
         rows.append(
@@ -175,7 +181,7 @@ def blowup_scan(
                 supercritical=supercritical,
                 status=rec.status,
                 lambda_min=lam_min,
-                lambda_monotone=monotone,
+                lambda_monotone=lambda_monotone(lam_vals),
                 sobolev_growth=float(np.max(sob) / sob[0]),
                 linf_growth=float(np.max(linf) / linf[0]),
                 trip_time=w.trip_time,

@@ -1,6 +1,6 @@
 """Slow or closed-form references that only the tests compare against."""
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 
 from dgbo.dynamics import _padded_flux
 from dgbo.ground_state import TOL_DIFF, gkdv_profile, ladder_rungs
-from dgbo.linearized import KERNEL_TOL_REL, apply_operator
+from dgbo.linearized import KERNEL_TOL_REL, LinearizedOperator, apply_operator
 from dgbo.spectral import PAD
 
 EVALUATE_BLOCK = 1 << 20  # complex entries of the phase matrix evaluate forms at once
@@ -287,6 +287,46 @@ def etdrk4_step(stepper, F):
     if stepper.filter is not None:
         out = out * stepper.filter
     return out
+
+
+def _parity_blocks(mat):
+    """The even and odd blocks of a reflection-invariant N x N matrix.
+
+    The reflection j -> (N - j) mod N fixes 0 and N/2. The even block acts on
+    the basis e_0, (e_j + e_{N-j})/sqrt 2 for j = 1 .. N/2 - 1, then e_{N/2};
+    the odd block on (e_j - e_{N-j})/sqrt 2 for the same j. The reference of
+    ``LinearizedOperator.parity_block``.
+    """
+    n = mat.shape[0]
+    h = n // 2
+    a = mat[1:h, 1:h]
+    b = mat[1:h, n - 1 : h : -1]
+    even = np.empty((h + 1, h + 1))
+    np.add(a, b, out=even[1:h, 1:h])
+    for i in (0, h):
+        even[i, 1:h] = even[1:h, i] = np.sqrt(2.0) * mat[i, 1:h]
+        even[i, 0], even[i, h] = mat[i, 0], mat[i, h]
+    return even, a - b
+
+
+@dataclass
+class _DenseOperator(LinearizedOperator):
+    dense: np.ndarray = None
+
+    @property
+    def matrix(self):
+        return self.dense
+
+    def parity_block(self, odd):
+        return _parity_blocks(self.dense)[int(odd)]
+
+
+def with_matrix(op, mat):
+    """``op`` with its collocation matrix replaced by ``mat``, which must be
+    reflection-invariant: ``matrix`` is mat and ``parity_block`` reads mat's
+    blocks, so ``spectrum`` and ``full_eigh_spectrum`` see the same operator.
+    """
+    return _DenseOperator(gs=op.gs, dense=mat)
 
 
 def full_eigh_spectrum(op):

@@ -74,6 +74,8 @@ class TestConfig:
             EvolutionConfig(alpha=2.0, dt=-1.0, t_end=1.0)
         with pytest.raises(ContractError):
             EvolutionConfig(alpha=2.0, dt=1e-3, t_end=1.0, sign="both")
+        with pytest.raises(ContractError, match="checkpoint_every"):
+            EvolutionConfig(alpha=2.0, dt=1e-3, t_end=1.0, checkpoint_every=0)
 
     def test_stability_margin(self):
         g = Grid(50.0, 1024)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dgbo import linearized
 from dgbo import (
     Grid,
     Stepper,
@@ -21,10 +23,17 @@ from dgbo import (
 )
 from dgbo.errors import CapacityError, ContractError
 from dgbo.ground_state import scaling_generator
-from dgbo.linearized import KERNEL_TOL_REL, _parity_blocks, secular_min
+from dgbo.linearized import KERNEL_TOL_REL, secular_min
 
 from conftest import COMPACT, ground_state_for, spectrum_for
-from oracles import full_eigh_spectrum, global_structure_ok, linearized_rhs, q_orthogonal_min
+from oracles import (
+    _parity_blocks,
+    full_eigh_spectrum,
+    global_structure_ok,
+    linearized_rhs,
+    q_orthogonal_min,
+    with_matrix,
+)
 
 
 class TestAssemble:
@@ -135,13 +144,57 @@ class TestParitySplit:
         mu_ref = coercivity_probe(op, ref, trials=100).mu_est
         assert mu == pytest.approx(mu_ref, rel=1e-13)
 
+    @pytest.mark.parametrize("grid", [COMPACT, Grid(25.0, 512)], ids=["50-1024", "25-512"])
+    @pytest.mark.parametrize("alpha", [1.5, 1.9, 2.0])
+    def test_blocks_match_the_dense_split(self, alpha, grid):
+        # each block built from the column equals the block cut from the
+        # assembled matrix, bit for bit
+        op = assemble(ground_state_for(alpha, grid))
+        for odd, ref in enumerate(_parity_blocks(op.matrix)):
+            assert np.array_equal(op.parity_block(bool(odd)), ref)
+
+    def test_spectrum_forms_no_dense_matrix(self, gs2_compact):
+        # one spectrum at (50, 1024) allocates less than one N x N float64
+        # array at its peak: the blocks are built and solved one at a time
+        n = gs2_compact.grid.n
+        tracemalloc.start()
+        try:
+            spectrum(assemble(gs2_compact))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
+    def test_a_band_widened_by_the_other_block_is_solved_again(self, monkeypatch):
+        # the odd block's largest |eigenvalue| is below the even block's, so its
+        # own band tolerance misses a Q' mode raised to just under kernel_tol;
+        # the odd block is solved again at kernel_tol and the mode is kept
+        op = assemble(ground_state_for(2.0, Grid(25.0, 512)))
+        n, mat = op.grid.n, op.matrix
+        odd_p = 0.5 * (np.eye(n) - np.eye(n)[(-np.arange(n)) % n])
+        ev_odd = np.linalg.eigvalsh(_parity_blocks(mat)[1])
+        ktol = spectrum(op).kernel_tol
+        own_tol = KERNEL_TOL_REL * float(np.max(np.abs(ev_odd)))
+        assert own_tol < ktol
+        lift = 0.5 * (own_tol + ktol) - float(ev_odd[0])
+        raised = with_matrix(op, mat + lift * odd_p)
+        calls, solve = [], linearized._solve_block
+        monkeypatch.setattr(linearized, "_solve_block",
+                            lambda op, odd, *a, **kw: calls.append(odd) or solve(op, odd, *a, **kw))
+        rep = spectrum(raised)
+        assert calls == [False, True, True]
+        ref = full_eigh_spectrum(raised)
+        assert own_tol < rep.near_kernel[0][0] <= rep.kernel_tol
+        assert len(rep.near_kernel) == len(ref.near_kernel) == 1
+        assert rep.structure_ok and global_structure_ok(raised, ref)
+
     def test_odd_bottom_fails_structure(self, gs2_compact):
         # M - c (I - R)/2 stays reflection-invariant and lowers the odd block
         # by c: c = 10 puts the Q' mode at -10, below the even block's -8
         op = assemble(gs2_compact)
         n = op.grid.n
         odd_projector = 0.5 * (np.eye(n) - np.eye(n)[(-np.arange(n)) % n])
-        rep = spectrum(replace(op, matrix=op.matrix - 10.0 * odd_projector))
+        rep = spectrum(with_matrix(op, op.matrix - 10.0 * odd_projector))
         assert rep.parity_gap == pytest.approx(-2.0, abs=1e-6)
         assert not rep.structure_ok
         assert any(note.startswith("parity gap") for note in rep.notes)
@@ -154,7 +207,7 @@ class TestParitySplit:
         w = g.x * np.exp(-g.x**2)
         w = 0.5 * (w - g.reflect(w))
         w -= (w @ qp) / (qp @ qp) * qp
-        lowered = replace(op, matrix=op.matrix - 5.0 * np.outer(w, w) / (w @ w))
+        lowered = with_matrix(op, op.matrix - 5.0 * np.outer(w, w) / (w @ w))
         rep = spectrum(lowered)
         assert rep.parity_gap > 0.0 and len(rep.near_kernel) == 1
         assert not rep.structure_ok
@@ -165,11 +218,11 @@ class TestParitySplit:
         # M - c_e (I + R)/2 - c_o (I - R)/2 keeps every eigenvector and lowers
         # the even block by c_e and the odd block by c_o
         op = assemble(ground_state_for(2.0, Grid(25.0, 512)))
-        n = op.grid.n
+        n, mat = op.grid.n, op.matrix
         reflection = np.eye(n)[(-np.arange(n)) % n]
         even_p, odd_p = 0.5 * (np.eye(n) + reflection), 0.5 * (np.eye(n) - reflection)
         ktol = spectrum(op).kernel_tol
-        second_even = float(np.linalg.eigvalsh(_parity_blocks(op.matrix)[0])[1])
+        second_even = float(np.linalg.eigvalsh(_parity_blocks(mat)[0])[1])
         verdicts = set()
 
         @settings(max_examples=30, deadline=None, derandomize=True)
@@ -179,7 +232,7 @@ class TestParitySplit:
         @example(c_even=0.0, c_odd=-0.5)  # the Q' mode lifted out of the band
         @example(c_even=-9.0, c_odd=0.0)  # the even ground state lifted above -kernel_tol
         def check(c_even, c_odd):
-            shifted = replace(op, matrix=op.matrix - c_even * even_p - c_odd * odd_p)
+            shifted = with_matrix(op, mat - c_even * even_p - c_odd * odd_p)
             ref = full_eigh_spectrum(shifted)
             # at the band edge |eigenvalue| = kernel_tol the verdict is roundoff
             scale = float(np.max(np.abs(ref.eigenvalues)))

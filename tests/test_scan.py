@@ -1,4 +1,7 @@
-from dgbo.scan import blowup_scan
+import numpy as np
+import pytest
+
+from dgbo.scan import blowup_scan, lambda_monotone
 
 
 def test_supercritical_row_trips_on_contraction_inside_the_tube():
@@ -19,3 +22,13 @@ def test_batched_rows_match_single_amplitude_scans():
     rows, _ = blowup_scan(2.0, amplitudes, t_end_bounded=0.5)
     single = [blowup_scan(2.0, [a], t_end_bounded=0.5)[0][0] for a in amplitudes]
     assert sorted(rows, key=lambda r: r.amplitude) == single
+
+
+@pytest.mark.parametrize("track, monotone", [
+    (1.0 + 1e-11 * np.sin(np.arange(40.0)), True),  # constant up to 1e-11, ending 1e-11 up
+    (np.linspace(1.0, 1.0 + 1e-6, 40), False),      # a net rise of 1e-6
+    (np.linspace(1.0, 0.7, 40), True),              # a contracting track
+    (np.array([1.0, 1.01, 0.9]), False),            # a 1 % step up
+], ids=["constant", "rise-1e-6", "contracting", "step-up"])
+def test_lambda_monotone(track, monotone):
+    assert lambda_monotone(track) is monotone
