@@ -13,7 +13,7 @@ from dataclasses import asdict, is_dataclass
 import numpy as np
 
 from . import __version__
-from .dynamics import Diagnostics, RunRecord
+from .dynamics import LINF_CEILING, Diagnostics, RunRecord
 from .errors import ContractError
 from .ground_state import GroundState, Rung
 from .linearized import SpectrumReport
@@ -179,7 +179,7 @@ def write_run(run_dir, record: RunRecord, header_extra=None):
         "status": record.status,
         "status_t": record.status_t,
         "final_t": record.final_t,
-        "stability_margin": record.config.stability_margin(record.grid),
+        "linf_ceiling": LINF_CEILING,
         "n_samples": len(record.samples),
         "n_states": len(record.states),
     }

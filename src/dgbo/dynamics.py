@@ -9,7 +9,7 @@ one inverse transform of u on a padded grid, and its truncation applies dx,
 so the mean is conserved with no special case. A smooth exponential high-k
 filter is applied once per step. ``evolve_batch`` advances runs that
 share a config but for t_end as one stack of spectra, each row with the bits
-it would have alone.
+it would have alone, in ``_step_rows``: the one time loop of either flow.
 """
 
 from dataclasses import dataclass, field, replace
@@ -25,6 +25,17 @@ STATUS_RESOLUTION_LOST = "resolution_lost"
 
 N_CONTOUR = 32     # contour points of the ETDRK4 coefficient averages
 TAIL_ENERGY_LIMIT = 1e-6  # spectral tail fraction beyond which a run has lost resolution
+LINF_CEILING = 1e4  # a checkpoint with sup |u| above this has diverged
+
+
+def _step_count(dt: float, t_end: float, checkpoint_every: int) -> int:
+    """round(t_end / dt), once dt and t_end are finite and positive and
+    checkpoint_every is at least 1 (ContractError otherwise)."""
+    if not (0 < dt < np.inf and 0 < t_end < np.inf):
+        raise ContractError("dt and t_end must be finite and positive")
+    if checkpoint_every < 1:
+        raise ContractError("checkpoint_every must be >= 1")
+    return int(round(t_end / dt))
 
 
 @dataclass
@@ -36,21 +47,13 @@ class EvolutionConfig:
     filter_strength: float = 1.0    # scales the exp(-36 (|k|/kmax)^36) exponent
     checkpoint_every: int = 100
     frame_speed: float = 0.0        # observe in x - frame_speed * t
-    linf_ceiling: float = 1e4
     store_states: bool = False
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if not (0 < self.dt < np.inf and 0 < self.t_end < np.inf):
-            raise ContractError("dt and t_end must be finite and positive")
+        _step_count(self.dt, self.t_end, self.checkpoint_every)
         if self.sign not in ("focusing", "defocusing"):
             raise ContractError(f"sign must be focusing|defocusing, got {self.sign!r}")
-        if self.checkpoint_every < 1:
-            raise ContractError("checkpoint_every must be >= 1")
-
-    def stability_margin(self, grid: Grid) -> float:
-        """dt * kmax^(alpha+1): linear phase rotation per step (recorded, not enforced)."""
-        return self.dt * grid.k_max ** (self.alpha + 1.0)
 
 
 @dataclass
@@ -221,13 +224,36 @@ def _checkpoint(grid: Grid, F, t: float, rec: RunRecord, observer) -> bool:
     if cfg.store_states:
         rec.states.append((t, u.copy()))
     rec.final_state, rec.final_t = u, t
-    if not d.is_finite() or d.linf > cfg.linf_ceiling:
+    if not d.is_finite() or d.linf > LINF_CEILING:
         rec.status, rec.status_t = STATUS_DIVERGED, t
     elif grid.spectral_tail_fraction(F) > TAIL_ENERGY_LIMIT:
         rec.status, rec.status_t = STATUS_RESOLUTION_LOST, t
     else:
         return observer is not None and bool(observer(t, u, rec))
     return True
+
+
+def _step_rows(st: Stepper, F, n_steps, checkpoint_every: int, checkpoint) -> None:
+    """Step row r of the stack F n_steps[r] times (none if 0): the one time loop.
+
+    ``checkpoint(r, i, F_r)`` sees row r after every ``checkpoint_every``-th
+    step i and after its last, and returns True when the row stops there.
+    """
+    live = [r for r in range(len(F)) if n_steps[r] > 0]  # the input row of each row of F
+    F = F[live]
+    i = 0
+    while live:
+        i += 1
+        F = st.step_spectrum(F)
+        keep = []
+        for j, r in enumerate(live):
+            if i % checkpoint_every == 0 or i == n_steps[r]:
+                if checkpoint(r, i, F[j]) or i == n_steps[r]:
+                    continue  # the row stopped here or took its last step
+            keep.append(j)
+        if len(keep) < len(live):
+            F = F[keep]
+            live = [live[j] for j in keep]
 
 
 def evolve_batch(grid: Grid, u0s, cfgs, observers=None) -> list[RunRecord]:
@@ -250,7 +276,7 @@ def evolve_batch(grid: Grid, u0s, cfgs, observers=None) -> list[RunRecord]:
         raise ContractError("the runs of one batch may differ only in t_end")
     st = flow_stepper(grid, cfg)
     recs = [RunRecord(config=c, grid=grid) for c in cfgs]
-    n_steps = [int(round(c.t_end / c.dt)) for c in cfgs]
+    n_steps = [_step_count(c.dt, c.t_end, c.checkpoint_every) for c in cfgs]
     for rec, u0 in zip(recs, u0s):
         rec.samples.append(conserved(grid, u0, cfg.alpha, t=0.0))
         if cfg.store_states:
@@ -259,21 +285,8 @@ def evolve_batch(grid: Grid, u0s, cfgs, observers=None) -> list[RunRecord]:
     for r in range(len(recs)):
         if n_steps[r] == 0:
             recs[r].final_state = grid.field(F[r])
-    live = [r for r in range(len(recs)) if n_steps[r] > 0]  # the run of each row of F
-    F = F[live]
-    i = 0
-    while live:
-        i += 1
-        F = st.step_spectrum(F)
-        keep = []
-        for j, r in enumerate(live):
-            if i % cfg.checkpoint_every == 0 or i == n_steps[r]:
-                if _checkpoint(grid, F[j], i * cfg.dt, recs[r], observers[r]) or i == n_steps[r]:
-                    continue  # the run stopped here or reached its t_end
-            keep.append(j)
-        if len(keep) < len(live):
-            F = F[keep]
-            live = [live[j] for j in keep]
+    _step_rows(st, F, n_steps, cfg.checkpoint_every,
+               lambda r, i, Fr: _checkpoint(grid, Fr, i * cfg.dt, recs[r], observers[r]))
     return recs
 
 

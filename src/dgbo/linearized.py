@@ -18,15 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynamics import Stepper
+from .dynamics import Stepper, _step_count, _step_rows
 from .errors import CapacityError, ContractError
 from .ground_state import GroundState
 from .spectral import Grid
 
 DENSE_N_LIMIT = 4096
-KERNEL_TOL_REL = 1e-6  # near-kernel band |eigenvalue| <= KERNEL_TOL_REL * max |eigenvalue|
+KERNEL_TOL_REL = 1e-6  # near-kernel band |eigenvalue| <= KERNEL_TOL_REL * (1 + k_max^alpha)
 COERCIVITY_BLOCK = 64  # random trial fields per stacked transform in coercivity_probe
 COERCIVITY_TOL = 1e-6  # mu_est below -COERCIVITY_TOL is a violation
+CHECKPOINT_EVERY = 100  # steps between the kept states of evolve_linearized
 
 
 def _potential(gs: GroundState):
@@ -154,21 +155,18 @@ def _to_grid(c, n, odd):
 class _BlockSolve:
     """What ``spectrum`` keeps of one parity block's eigendecomposition."""
 
-    odd: bool
     eigenvalues: np.ndarray
-    band: np.ndarray                 # indices of the eigenvalues with |ev| <= the band tolerance
-    near_kernel: list                # (eigenvalue, eigenvector on the grid) over the band
+    near_kernel: list                # (eigenvalue, eigenvector on the grid) with |ev| <= tol
     bottom: np.ndarray               # the lowest eigenvector on the grid
     projections: np.ndarray | None   # project @ eigenvectors
     residual: float                  # max |L v - lambda v| over the sampled modes
 
 
-def _solve_block(op, odd, tol=None, project=None) -> _BlockSolve:
+def _solve_block(op, odd, tol, project=None) -> _BlockSolve:
     """``eigh`` of one parity block of ``op``; the block and its eigenvectors
     are dropped on return.
 
-    The band is |eigenvalue| <= tol, by default KERNEL_TOL_REL times the
-    block's own largest |eigenvalue|. The residual is sampled on the four
+    The band is |eigenvalue| <= tol. The residual is sampled on the four
     lowest and the band modes as B c - lambda c mapped to the grid, which is
     L v - lambda v for v = ``_to_grid(c)``. ``project``, a vector in the
     block's basis, is projected on every eigenvector.
@@ -176,16 +174,12 @@ def _solve_block(op, odd, tol=None, project=None) -> _BlockSolve:
     n = op.grid.n
     block = op.parity_block(odd)
     ev, vec = np.linalg.eigh(block)
-    if tol is None:
-        tol = KERNEL_TOL_REL * float(np.max(np.abs(ev)))
     band = np.flatnonzero(np.abs(ev) <= tol)
     sample = sorted(set(range(min(4, len(ev)))) | set(band))
     resid = max(float(np.max(np.abs(_to_grid(block @ vec[:, j] - ev[j] * vec[:, j], n, odd))))
                 for j in sample)
     return _BlockSolve(
-        odd=odd,
         eigenvalues=ev,
-        band=band,
         near_kernel=[(float(ev[j]), _to_grid(vec[:, j], n, odd)) for j in band],
         bottom=_to_grid(vec[:, 0], n, odd),
         projections=None if project is None else project @ vec,
@@ -212,7 +206,9 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
     The structure is tallied per parity (ker L = span{Q'}, Frank & Lenzmann,
     Acta Math. 210, 2013): the even block has one eigenvalue below
     -kernel_tol and none in the band |lambda| <= kernel_tol, the odd block
-    none below and one in the band, which implies ``parity_gap`` > 0. A
+    none below and one in the band, which implies ``parity_gap`` > 0. kernel_tol
+    = KERNEL_TOL_REL (1 + k_max^alpha) is fixed before either block is solved:
+    1 + k_max^alpha tops 1 + |D|^alpha on the grid, hence L (Q^{2 alpha} >= 0). A
     failed tally, a near-kernel mode poorly aligned with Q' or a
     sign-changing chi0 sets ``structure_ok=False`` with a note; a sign change
     no deeper than chi0's resolution floor, sqrt(spectral tail fraction) *
@@ -231,18 +227,13 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
     # Q's coordinates in the even basis; the odd ones are zeros
     q = op.gs.values
     q_even = np.concatenate([q[:1], (q[1:h] + q[n - 1 : h : -1]) / np.sqrt(2.0), q[h : h + 1]])
-    solves = [_solve_block(op, False, project=q_even), _solve_block(op, True)]
-    ktol = KERNEL_TOL_REL * max(float(np.max(np.abs(s.eigenvalues))) for s in solves)
-    # a block's band was cut at its own largest |eigenvalue|; if the other
-    # block's largest widens it, that block is solved again at ktol
-    solves = [s if np.sum(np.abs(s.eigenvalues) <= ktol) == len(s.band)
-              else _solve_block(op, s.odd, ktol, None if s.odd else q_even) for s in solves]
-    even, odd = solves
+    ktol = KERNEL_TOL_REL * (1.0 + grid.k_max ** op.alpha)
+    even, odd = _solve_block(op, False, ktol, q_even), _solve_block(op, True, ktol)
     ev_even, ev_odd = even.eigenvalues, odd.eigenvalues
     merged = np.concatenate([ev_even, ev_odd])
     order = np.argsort(merged, kind="stable")
     evals = merged[order]
-    tally = [(int(np.sum(s.eigenvalues < -ktol)), len(s.band)) for s in solves]
+    tally = [(int(np.sum(s.eigenvalues < -ktol)), len(s.near_kernel)) for s in (even, odd)]
     parity_gap = float(ev_odd[0] - ev_even[0])
     ok = tally == [(1, 0), (0, 1)]
     notes = [] if ok else [
@@ -405,20 +396,16 @@ class LinearizedRunRecord:
     states: list                     # the field w at each of times
 
 
-def evolve_linearized(gs: GroundState, w0, t_end: float, dt: float, *,
-                      checkpoint_every: int = 100) -> LinearizedRunRecord:
+def evolve_linearized(gs: GroundState, w0, t_end: float, dt: float) -> LinearizedRunRecord:
     """Evolve w_t = dx(L w) by ETDRK4, keeping w at t = 0, every
-    ``checkpoint_every`` steps and at t_end; a non-finite checkpoint ends the run.
+    CHECKPOINT_EVERY steps and at t_end; a non-finite checkpoint ends the run.
 
     The potential stage -dx(Q^{2 alpha} w) forms its product pointwise on the
-    grid: the collocation L of ``assemble`` and ``apply_operator``.
-    ``liouville_readout`` measures the states.
+    grid: the collocation L of ``assemble`` and ``apply_operator``. It is stepped
+    as a one-row stack by ``dynamics._step_rows``; ``liouville_readout`` reads it.
     """
     grid = gs.grid
-    if not (0 < dt < np.inf and 0 < t_end < np.inf):
-        raise ContractError("dt and t_end must be finite and positive")
-    if checkpoint_every < 1:
-        raise ContractError("checkpoint_every must be >= 1")
+    n_steps = _step_count(dt, t_end, CHECKPOINT_EVERY)
     pot, minus_ik = _potential(gs), -grid.ik
 
     def potential_term(F):
@@ -427,14 +414,13 @@ def evolve_linearized(gs: GroundState, w0, t_end: float, dt: float, *,
     st = Stepper(grid.ik * grid.riesz(gs.alpha) + grid.ik, dt, potential_term)
     F = grid.transform(grid.check_field(w0))
     times, states = [0.0], [grid.field(F)]
-    n_steps = int(round(t_end / dt))
-    for i in range(1, n_steps + 1):
-        F = st.step_spectrum(F)
-        if i % checkpoint_every == 0 or i == n_steps:
-            times.append(i * dt)
-            states.append(grid.field(F))
-            if not np.isfinite(grid.norm_l2(states[-1])):
-                break
+
+    def checkpoint(_row, i, F_row):
+        times.append(i * dt)
+        states.append(grid.field(F_row))
+        return not np.isfinite(grid.norm_l2(states[-1]))
+
+    _step_rows(st, F[None], [n_steps], CHECKPOINT_EVERY, checkpoint)
     return LinearizedRunRecord(times=np.array(times), states=states)
 
 

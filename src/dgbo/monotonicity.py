@@ -253,10 +253,10 @@ class MonotonicityReport:
         return bool(np.all(self.verdicts))
 
 
-def _select_pairs(n, max_pairs):
+def _select_pairs(n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if len(pairs) > max_pairs:
-        stride = int(np.ceil(len(pairs) / max_pairs))
+    if len(pairs) > MAX_PAIRS:
+        stride = int(np.ceil(len(pairs) / MAX_PAIRS))
         pairs = pairs[::stride]
     return pairs
 
@@ -268,9 +268,9 @@ def _check_domain(x0, mu):
         raise ContractError(f"mu must lie in (0,1), got {mu}")
 
 
-def _report(kind, times, pair_terms, weight: Weight, x0, mu, c0, max_pairs):
+def _report(kind, times, pair_terms, weight: Weight, x0, mu, c0):
     """Evaluate pair_terms(i, j) -> (lhs, base, unit_budget) on the sampled pairs."""
-    pairs = _select_pairs(len(times), max_pairs)
+    pairs = _select_pairs(len(times))
     lhs, base, unit = np.array([pair_terms(i, j) for i, j in pairs], dtype=float).reshape(-1, 3).T
     return MonotonicityReport(
         kind=kind, x0=x0, mu=mu, r=weight.r, A=weight.A, c0=c0,
@@ -283,8 +283,7 @@ def _mass_functional(grid, u, weight, center, window):
 
 
 def _check_sided(
-    kind, times, states, rhos, weight: Weight, x0: float, mu: float, c0: float,
-    grid: Grid, max_pairs: int,
+    kind, times, states, rhos, weight: Weight, x0: float, mu: float, c0: float, grid: Grid,
 ) -> MonotonicityReport:
     """Weighted mass at t2 against its t1 value, x0 to the right or left of rho.
 
@@ -310,28 +309,25 @@ def _check_sided(
             return unshifted(j), functional(i, shift), unit
         return functional(j, shift), unshifted(i), unit
 
-    return _report(kind, times, pair_terms, weight, x0, mu, c0, max_pairs)
+    return _report(kind, times, pair_terms, weight, x0, mu, c0)
 
 
 def check_right_monotonicity(
-    times, states, rhos, weight: Weight, x0: float, mu: float, c0: float,
-    grid: Grid, *, max_pairs: int = MAX_PAIRS,
+    times, states, rhos, weight: Weight, x0: float, mu: float, c0: float, grid: Grid,
 ) -> MonotonicityReport:
     """Weighted mass on the right of the soliton, mu-shift at t1."""
-    return _check_sided("right", times, states, rhos, weight, x0, mu, c0, grid, max_pairs)
+    return _check_sided("right", times, states, rhos, weight, x0, mu, c0, grid)
 
 
 def check_left_monotonicity(
-    times, states, rhos, weight: Weight, x0: float, mu: float, c0: float,
-    grid: Grid, *, max_pairs: int = MAX_PAIRS,
+    times, states, rhos, weight: Weight, x0: float, mu: float, c0: float, grid: Grid,
 ) -> MonotonicityReport:
     """Mirror statement on the left, mu-shift at t2."""
-    return _check_sided("left", times, states, rhos, weight, x0, mu, c0, grid, max_pairs)
+    return _check_sided("left", times, states, rhos, weight, x0, mu, c0, grid)
 
 
 def check_eta_monotonicity(
-    track: ModulationTrack, weight: Weight, x0: float, mu: float, c_err: float,
-    grid: Grid, *, max_pairs: int = MAX_PAIRS,
+    track: ModulationTrack, weight: Weight, x0: float, mu: float, c_err: float, grid: Grid,
 ) -> MonotonicityReport:
     """Weighted remainder mass in rescaled time, bounded-soliton regime.
 
@@ -358,7 +354,7 @@ def check_eta_monotonicity(
         integrand = track.eta_l2[i:j + 1] ** 2 / (x0 + mu * (s2 - ss)) ** (2.0 * weight.r)
         return unshifted(j), functional(i, mu * (s2 - s1)), np.trapezoid(integrand, ss)
 
-    return _report("eta", track.s, pair_terms, weight, x0, mu, c_err, max_pairs)
+    return _report("eta", track.s, pair_terms, weight, x0, mu, c_err)
 
 
 # -- calibration -----------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize
 
-from dgbo.dynamics import _padded_flux
+from dgbo.dynamics import Stepper, _padded_flux
 from dgbo.ground_state import TOL_DIFF, gkdv_profile, ladder_rungs
 from dgbo.linearized import KERNEL_TOL_REL, LinearizedOperator, apply_operator
 from dgbo.spectral import PAD
@@ -75,11 +75,13 @@ def truncate(grid, W, factor=PAD):
     """Inverse of ``pad``: keep the modes 0 .. n/2 of factor*n-point coefficients.
 
     The reference of ``Grid.coarse``. The pair +-n/2 folds back into this
-    grid's Nyquist mode, so its entry is doubled.
+    grid's Nyquist mode, so its entry is doubled. Each entry is scaled by one
+    multiply, 1/factor or 2/factor at the Nyquist mode, so a subnormal is not
+    rounded away between two scalings.
     """
-    F = W[..., : grid.n // 2 + 1] / factor
-    F[..., -1] *= 2.0
-    return F
+    weight = np.full(grid.n // 2 + 1, 1.0 / factor)
+    weight[-1] = 2.0 / factor
+    return W[..., : grid.n // 2 + 1] * weight
 
 
 def fine(grid, F, factor=PAD):
@@ -289,6 +291,34 @@ def etdrk4_step(stepper, F):
     return out
 
 
+def linearized_flow_loop(gs, w0, t_end, dt, checkpoint_every=100):
+    """w_t = dx(L w) stepped by its own one-spectrum ETDRK4 loop.
+
+    The bitwise reference of ``evolve_linearized``, which steps a one-row
+    stack through the time loop of ``dynamics``: w at t = 0, every
+    ``checkpoint_every`` steps and at t_end, a non-finite checkpoint ending
+    the run.
+    """
+    grid = gs.grid
+    pot, minus_ik = np.abs(gs.values) ** (2.0 * gs.alpha), -grid.ik
+
+    def potential_term(F):
+        return minus_ik * grid.transform(pot * grid.field(F))
+
+    st = Stepper(grid.ik * grid.riesz(gs.alpha) + grid.ik, dt, potential_term)
+    F = grid.transform(w0)
+    times, states = [0.0], [grid.field(F)]
+    n_steps = int(round(t_end / dt))
+    for i in range(1, n_steps + 1):
+        F = st.step_spectrum(F)
+        if i % checkpoint_every == 0 or i == n_steps:
+            times.append(i * dt)
+            states.append(grid.field(F))
+            if not np.isfinite(grid.norm_l2(states[-1])):
+                break
+    return np.array(times), states
+
+
 def _parity_blocks(mat):
     """The even and odd blocks of a reflection-invariant N x N matrix.
 
@@ -335,12 +365,13 @@ def full_eigh_spectrum(op):
     The reference of the parity-split ``spectrum``: eigenvalues, ``q_weights``,
     mu0, chi0 (unit L2 norm, sign-fixed positive), the near-kernel pairs and
     the parity gap, each eigenvector's parity read from the sign of (v, Rv)
-    with R the grid reflection. ``coercivity_probe`` accepts the result in
-    place of a ``SpectrumReport``.
+    with R the grid reflection, and ``spectrum``'s band rule
+    kernel_tol = KERNEL_TOL_REL * (1 + k_max^alpha). ``coercivity_probe``
+    accepts the result in place of a ``SpectrumReport``.
     """
     grid = op.grid
     evals, evecs = np.linalg.eigh(op.matrix)
-    ktol = KERNEL_TOL_REL * float(np.max(np.abs(evals)))
+    ktol = KERNEL_TOL_REL * (1.0 + grid.k_max ** op.alpha)
     chi0 = evecs[:, 0].copy()
     if chi0[np.argmax(np.abs(chi0))] < 0:
         chi0 = -chi0
@@ -355,6 +386,7 @@ def full_eigh_spectrum(op):
         mu0=float(evals[0]),
         chi0=chi0,
         near_kernel=near_kernel,
+        kernel_tol=ktol,
         parity_gap=float(evals[~even][0] - evals[even][0]),
     )
 
@@ -369,8 +401,7 @@ def global_structure_ok(op, ref):
     resolution floor sqrt(spectral tail fraction) * max chi0.
     """
     grid = op.grid
-    evals = ref.eigenvalues
-    ktol = KERNEL_TOL_REL * float(np.max(np.abs(evals)))
+    evals, ktol = ref.eigenvalues, ref.kernel_tol
     if np.sum(evals < -ktol) != 1 or len(ref.near_kernel) != 1 or not ref.parity_gap > 0.0:
         return False
     v, qp = ref.near_kernel[0][1], op.gs.derivative()

@@ -29,7 +29,7 @@ from dgbo.artifacts import (
     write_track,
 )
 from dgbo.cli import _apply_config_defaults, build_parser, main
-from dgbo.dynamics import Diagnostics, EvolutionConfig, RunRecord, Stepper, evolve
+from dgbo.dynamics import LINF_CEILING, Diagnostics, EvolutionConfig, RunRecord, Stepper, evolve
 from dgbo.errors import ContractError
 from dgbo.ground_state import GroundState
 from dgbo.modulation import ModulationTrack
@@ -118,6 +118,7 @@ class TestRoundTrips:
         write_run(str(tmp_path / "run"), rec)
         header, samples, states, grid = read_run(str(tmp_path / "run"))
         assert header["status"] == "completed"
+        assert header["linf_ceiling"] == LINF_CEILING  # the divergence threshold the run used
         assert grid == g
         assert len(samples) == len(rec.samples)
         assert len(states) == len(rec.states)

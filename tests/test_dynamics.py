@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dgbo import dynamics
 from dgbo import (
     EvolutionConfig,
     Grid,
@@ -76,11 +77,6 @@ class TestConfig:
             EvolutionConfig(alpha=2.0, dt=1e-3, t_end=1.0, sign="both")
         with pytest.raises(ContractError, match="checkpoint_every"):
             EvolutionConfig(alpha=2.0, dt=1e-3, t_end=1.0, checkpoint_every=0)
-
-    def test_stability_margin(self):
-        g = Grid(50.0, 1024)
-        cfg = EvolutionConfig(alpha=1.5, dt=1e-3, t_end=1.0)
-        assert cfg.stability_margin(g) == pytest.approx(1e-3 * g.k_max**2.5)
 
 
 class TestConserved:
@@ -212,9 +208,10 @@ class TestEvolve:
         sob = rec.column("sobolev_norm")
         assert np.max(sob) < 1.5 * sob[0]
 
-    def test_divergence_flag(self):
+    def test_divergence_flag(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "LINF_CEILING", 0.5)
         g = Grid(30.0, 256)
-        cfg = EvolutionConfig(alpha=2.0, dt=1e-3, t_end=1.0, linf_ceiling=0.5, checkpoint_every=10)
+        cfg = EvolutionConfig(alpha=2.0, dt=1e-3, t_end=1.0, checkpoint_every=10)
         rec = evolve(g, np.exp(-(g.x**2)), cfg)
         assert rec.status == "diverged"
         assert rec.status_t is not None
@@ -254,7 +251,7 @@ class TestEvolveBatch:
                                      frame_speed, filter_strength, checkpoint_every,
                                      store_states):
         # rows of unequal t_end; row 0 has an observer that stops it, and the
-        # large amplitudes cross linf_ceiling and diverge
+        # large amplitudes cross LINF_CEILING and diverge
         g = Grid(20.0, 128)
         dt = 1e-3
         u0s = []
@@ -264,18 +261,20 @@ class TestEvolveBatch:
             u0s.append(amp * np.exp(-(g.x**2) / 4.0) + np.fft.irfft(F, g.n) * (g.n / 8))
         cfgs = [EvolutionConfig(alpha=alpha, dt=dt, t_end=n * dt, sign=sign,
                                 frame_speed=frame_speed, filter_strength=filter_strength,
-                                checkpoint_every=checkpoint_every, linf_ceiling=4.0,
+                                checkpoint_every=checkpoint_every,
                                 store_states=store_states)
                 for n in steps]
 
         def stop(t, u, rec):
             return t >= stop_at * dt
 
-        batch = evolve_batch(g, u0s, cfgs, [stop, None, None])
-        for r, (u0, cfg) in enumerate(zip(u0s, cfgs)):
-            alone = evolve(g, u0, cfg, observer=stop if r == 0 else None)
-            assert_same_record(batch[r], alone)
-            assert batch[r].config is cfg
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "LINF_CEILING", 4.0)
+            batch = evolve_batch(g, u0s, cfgs, [stop, None, None])
+            for r, (u0, cfg) in enumerate(zip(u0s, cfgs)):
+                alone = evolve(g, u0, cfg, observer=stop if r == 0 else None)
+                assert_same_record(batch[r], alone)
+                assert batch[r].config is cfg
 
     def test_mismatched_configs_rejected(self):
         g = Grid(20.0, 128)

@@ -30,6 +30,7 @@ from oracles import (
     _parity_blocks,
     full_eigh_spectrum,
     global_structure_ok,
+    linearized_flow_loop,
     linearized_rhs,
     q_orthogonal_min,
     with_matrix,
@@ -124,6 +125,14 @@ class TestSpectrum:
         assert abs(spec2_compact.mu0 - fine.mu0) < 1e-4 * abs(fine.mu0)
 
 
+def count_block_solves(monkeypatch):
+    """The parity (odd: True) of each ``_solve_block`` call, in call order."""
+    calls, solve = [], linearized._solve_block
+    monkeypatch.setattr(linearized, "_solve_block",
+                        lambda op, odd, *a: calls.append(odd) or solve(op, odd, *a))
+    return calls
+
+
 class TestParitySplit:
     @pytest.mark.parametrize("alpha", [1.5, 1.9, 2.0])
     def test_matches_full_eigh(self, alpha):
@@ -137,6 +146,7 @@ class TestParitySplit:
         assert np.max(np.abs(rep.q_weights - ref.q_weights)) < 1e-12
         assert np.max(np.abs(rep.chi0 - ref.chi0)) < 1e-10
         assert len(rep.near_kernel) == len(ref.near_kernel) == 1
+        assert rep.kernel_tol == ref.kernel_tol
         (ev, v), (ev_ref, v_ref) = rep.near_kernel[0], ref.near_kernel[0]
         assert abs(ev - ev_ref) < 1e-10 * scale
         assert min(np.max(np.abs(v - v_ref)), np.max(np.abs(v + v_ref))) < 1e-10
@@ -165,26 +175,36 @@ class TestParitySplit:
             tracemalloc.stop()
         assert peak < n * n * 8
 
-    def test_a_band_widened_by_the_other_block_is_solved_again(self, monkeypatch):
-        # the odd block's largest |eigenvalue| is below the even block's, so its
-        # own band tolerance misses a Q' mode raised to just under kernel_tol;
-        # the odd block is solved again at kernel_tol and the mode is kept
+    @pytest.mark.parametrize("alpha, grid", [
+        (1.5, COMPACT), (1.9, COMPACT), (1.95, COMPACT), (2.0, COMPACT), (2.0, Grid(48.0, 1024)),
+    ], ids=["1.5-50-1024", "1.9-50-1024", "1.95-50-1024", "2-50-1024", "2-48-1024"])
+    def test_each_block_is_solved_once(self, alpha, grid, monkeypatch):
+        # kernel_tol is fixed before the solves, so no block is solved again;
+        # 1 + k_max^alpha bounds every |eigenvalue|
+        calls = count_block_solves(monkeypatch)
+        rep = spectrum(assemble(ground_state_for(alpha, grid)))
+        assert calls == [False, True]
+        assert rep.kernel_tol == KERNEL_TOL_REL * (1.0 + grid.k_max ** alpha)
+        assert np.max(np.abs(rep.eigenvalues)) <= rep.kernel_tol / KERNEL_TOL_REL
+        assert rep.structure_ok
+
+    def test_a_mode_just_under_kernel_tol_stays_in_the_band(self, monkeypatch):
+        # a Q' mode raised to just under kernel_tol, above the odd block's own
+        # KERNEL_TOL_REL * max |eigenvalue|, is kept with one solve per block
         op = assemble(ground_state_for(2.0, Grid(25.0, 512)))
         n, mat = op.grid.n, op.matrix
         odd_p = 0.5 * (np.eye(n) - np.eye(n)[(-np.arange(n)) % n])
         ev_odd = np.linalg.eigvalsh(_parity_blocks(mat)[1])
         ktol = spectrum(op).kernel_tol
-        own_tol = KERNEL_TOL_REL * float(np.max(np.abs(ev_odd)))
-        assert own_tol < ktol
-        lift = 0.5 * (own_tol + ktol) - float(ev_odd[0])
-        raised = with_matrix(op, mat + lift * odd_p)
-        calls, solve = [], linearized._solve_block
-        monkeypatch.setattr(linearized, "_solve_block",
-                            lambda op, odd, *a, **kw: calls.append(odd) or solve(op, odd, *a, **kw))
+        own_tol, target = KERNEL_TOL_REL * float(np.max(np.abs(ev_odd))), (1.0 - 1e-3) * ktol
+        assert own_tol < target
+        raised = with_matrix(op, mat + (target - float(ev_odd[0])) * odd_p)
+        calls = count_block_solves(monkeypatch)
         rep = spectrum(raised)
-        assert calls == [False, True, True]
+        assert calls == [False, True]
         ref = full_eigh_spectrum(raised)
-        assert own_tol < rep.near_kernel[0][0] <= rep.kernel_tol
+        assert rep.kernel_tol == ref.kernel_tol == ktol
+        assert own_tol < rep.near_kernel[0][0] <= ktol
         assert len(rep.near_kernel) == len(ref.near_kernel) == 1
         assert rep.structure_ok and global_structure_ok(raised, ref)
 
@@ -236,8 +256,7 @@ class TestParitySplit:
             ref = full_eigh_spectrum(shifted)
             # at the band edge |eigenvalue| = kernel_tol the verdict is roundoff
             scale = float(np.max(np.abs(ref.eigenvalues)))
-            edge = KERNEL_TOL_REL * scale
-            assume(np.min(np.abs(np.abs(ref.eigenvalues) - edge)) > 1e-9 * scale)
+            assume(np.min(np.abs(np.abs(ref.eigenvalues) - ref.kernel_tol)) > 1e-9 * scale)
             rep = spectrum(shifted)
             assert rep.structure_ok == global_structure_ok(shifted, ref), rep.notes
             verdicts.add(rep.structure_ok)
@@ -332,11 +351,12 @@ class TestCoercivity:
 
 
 class TestLinearizedFlow:
-    def test_qprime_stationary(self):
+    def test_qprime_stationary(self, monkeypatch):
+        monkeypatch.setattr(linearized, "CHECKPOINT_EVERY", 1000)
         gs = ground_state_for(2.0, Grid(100.0, 2048))
         g = gs.grid
         qp = gs.derivative()
-        rec = evolve_linearized(gs, qp, t_end=5.0, dt=1e-3, checkpoint_every=1000)
+        rec = evolve_linearized(gs, qp, t_end=5.0, dt=1e-3)
         drift = g.norm_l2(rec.states[-1] - qp) / g.norm_l2(qp)
         assert drift < 1e-8
 
@@ -344,9 +364,8 @@ class TestLinearizedFlow:
         # the readout's baseline, the exact free group, against the free flow
         # stepped by ETDRK4 through a zero stage at the run's checkpoints
         g = gs2_compact.grid
-        dt, every, window = 1e-3, 100, 10.0
-        rec = evolve_linearized(gs2_compact, np.exp(-((g.x / 2.0) ** 2)), 0.5, dt,
-                                checkpoint_every=every)
+        dt, every, window = 1e-3, linearized.CHECKPOINT_EVERY, 10.0
+        rec = evolve_linearized(gs2_compact, np.exp(-((g.x / 2.0) ** 2)), 0.5, dt)
         got = liouville_readout(gs2_compact, rec, window).free_local_mass
         st = Stepper(g.ik * g.riesz(2.0) + g.ik, dt, np.zeros_like)
         mask = np.abs(g.x) < window
@@ -358,11 +377,23 @@ class TestLinearizedFlow:
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-10
 
     @pytest.mark.parametrize("every", [0, -1])
-    def test_checkpoint_every_below_one_is_refused(self, gs2_compact, every):
-        # refused as EvolutionConfig refuses it, not a modulo by zero
+    def test_checkpoint_every_below_one_is_refused(self, gs2_compact, every, monkeypatch):
+        # refused by the check EvolutionConfig uses, not a modulo by zero
+        monkeypatch.setattr(linearized, "CHECKPOINT_EVERY", every)
         with pytest.raises(ContractError, match="checkpoint_every"):
-            evolve_linearized(gs2_compact, gs2_compact.derivative(), 0.01, 1e-3,
-                              checkpoint_every=every)
+            evolve_linearized(gs2_compact, gs2_compact.derivative(), 0.01, 1e-3)
+
+    @pytest.mark.parametrize("alpha, grid", [(1.5, COMPACT), (2.0, Grid(25.0, 512))],
+                             ids=["1.5-50-1024", "2-25-512"])
+    def test_matches_the_one_spectrum_loop(self, alpha, grid):
+        # a one-row stack through the time loop of dynamics gives the bits of
+        # the flow's own loop on one spectrum, at every checkpoint
+        gs = ground_state_for(alpha, grid)
+        w0 = np.exp(-((grid.x - 3.0) ** 2) / 4.0)
+        rec = evolve_linearized(gs, w0, t_end=0.35, dt=1e-3)
+        times, states = linearized_flow_loop(gs, w0, 0.35, 1e-3)
+        assert np.array_equal(rec.times, times) and len(rec.times) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(rec.states, states, strict=True))
 
     def test_scaling_direction_initial_velocity(self, gs2_compact):
         g = gs2_compact.grid
@@ -393,28 +424,30 @@ class TestLinearizedFlow:
         assert full.local_mass_defl[-1] < 0.05 * full.local_mass[-1]
 
     @pytest.mark.parametrize("alpha", [2.0, 1.5])
-    def test_hamiltonian_conserved_by_flow(self, alpha):
+    def test_hamiltonian_conserved_by_flow(self, alpha, monkeypatch):
         # (Lw, w) is a conserved (indefinite) quadratic form of the flow: the
         # flow's potential stage is the collocation L that apply_operator applies
+        monkeypatch.setattr(linearized, "CHECKPOINT_EVERY", 1000)
         gs = ground_state_for(alpha, COMPACT)
         chi0 = spectrum_for(alpha, COMPACT).chi0
         g = gs.grid
         w0 = np.exp(-((g.x / 2.0) ** 2))
         w0 -= g.inner(w0, chi0) * chi0
-        rec = evolve_linearized(gs, w0, t_end=4.0, dt=1e-3, checkpoint_every=1000)
+        rec = evolve_linearized(gs, w0, t_end=4.0, dt=1e-3)
         h_vals = [g.inner(apply_operator(gs, w), w) for w in rec.states]
         scale = max(abs(h) for h in h_vals)
         assert max(abs(h - h_vals[0]) for h in h_vals) < 1e-6 * scale
 
-    def test_virial_rate_fit(self, gs2_compact, spec2_compact, rng):
+    def test_virial_rate_fit(self, gs2_compact, spec2_compact, rng, monkeypatch):
         # d/dt int x w^2 <= -C |||D|^{a/2} w||^2 + C' ||w||^2 with C > 0,
         # fitted over snapshots of a localized Q'-orthogonalized run
+        monkeypatch.setattr(linearized, "CHECKPOINT_EVERY", 200)
         gs = gs2_compact
         g = gs.grid
         qp = gs.derivative()
         w0 = np.exp(-((g.x - 5.0) ** 2) / 4.0) * np.cos(0.8 * g.x)
         w0 -= g.inner(w0, qp) / g.inner(qp, qp) * qp
-        rec = evolve_linearized(gs, w0, t_end=2.0, dt=1e-3, checkpoint_every=200)
+        rec = evolve_linearized(gs, w0, t_end=2.0, dt=1e-3)
         taper = np.clip(1.0 - (np.abs(g.x) / g.half_length) ** 4, 0.0, 1.0)
         rates, d_terms, m_terms = [], [], []
         for w in rec.states:

@@ -247,7 +247,7 @@ class TestMonotonicityChecks:
         ratio = r20.error_budget[0] / r10.error_budget[0]
         assert ratio == pytest.approx(2.0 ** -(2 * R - 1), rel=1e-12)
 
-    def test_left_check_cross_validates_against_reflection(self, runs):
+    def test_left_check_cross_validates_against_reflection(self, runs, monkeypatch):
         # under x -> -x, t -> T - t the right functional of the transformed
         # run and the left functional of the original are complementary:
         # their masses add up to phi_total times the windowed mass (exact up
@@ -257,13 +257,12 @@ class TestMonotonicityChecks:
         tp, sp, tr_p = runs["pert"]
         x0 = 10.0
         n = len(tp)
-        left = check_left_monotonicity(tp, sp, tr_p.rho, w, x0, MU, 0.0, g,
-                                       max_pairs=10**6)
+        monkeypatch.setattr(monotonicity, "MAX_PAIRS", 10**6)
+        left = check_left_monotonicity(tp, sp, tr_p.rho, w, x0, MU, 0.0, g)
         times_r = [tp[-1] - t for t in reversed(tp)]
         states_r = [g.reflect(u) for u in reversed(sp)]
         rhos_r = [-r for r in reversed(tr_p.rho)]
-        right = check_right_monotonicity(times_r, states_r, rhos_r, w, x0, MU, 0.0, g,
-                                         max_pairs=10**6)
+        right = check_right_monotonicity(times_r, states_r, rhos_r, w, x0, MU, 0.0, g)
         win = seam_window(g)
         right_lhs = {p: l for p, l in zip(right.pairs, right.lhs)}
         checked = 0

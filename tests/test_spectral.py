@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -70,6 +70,8 @@ def test_parseval(n, rng):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 4, 16, 64, 256]).flatmap(
     lambda n: hnp.arrays(float, n, elements=st.floats(-1e3, 1e3))))
+@example(f=np.array([5e-324, 0.0]))  # a subnormal Nyquist coefficient, halved by the transform
+@example(f=np.array([0.0, 5e-324]))
 def test_pad_truncate_roundtrip(f):
     g = Grid(10.0, len(f))
     F = g.transform(f)
