@@ -30,12 +30,14 @@ from .ground_state import (
 )
 from .linearized import (
     LinearizedOperator,
+    NegativeMode,
     SpectrumReport,
     apply_operator,
     assemble,
     coercivity_probe,
     evolve_linearized,
     liouville_readout,
+    negative_mode,
     spectrum,
 )
 from .modulation import (

@@ -139,21 +139,29 @@ class Stepper:
 
     The phi-function coefficients are averaged over a circle of contour points
     around each dt * symbol (Kassam & Trefethen), which stays accurate where
-    dt * symbol is near zero. ``filter``, when given, multiplies every step.
+    dt * symbol is near zero; the sums run one contour point at a time, so no
+    temporary is larger than the symbol. ``filter``, when given, multiplies
+    every step.
     """
 
     def __init__(self, symbol, dt: float, nonlinear, filter=None):
         z = dt * symbol
-        r = np.exp(2j * np.pi * (np.arange(N_CONTOUR) + 0.5) / N_CONTOUR)
-        zc = z[:, None] + r[None, :]
-        ez = np.exp(zc)
         self.E = np.exp(z)
         self.E2 = np.exp(z / 2.0)
-        self.Q = dt * np.mean((np.exp(zc / 2.0) - 1.0) / zc, axis=1)
-        self.f1 = dt * np.mean((-4.0 - zc + ez * (4.0 - 3.0 * zc + zc**2)) / zc**3, axis=1)
-        self.f2 = dt * np.mean((2.0 + zc + ez * (zc - 2.0)) / zc**3, axis=1)
+        Q, f1, f2, f3 = (np.zeros(z.shape, dtype=complex) for _ in range(4))
+        for r in np.exp(2j * np.pi * (np.arange(N_CONTOUR) + 0.5) / N_CONTOUR):
+            zc = z + r
+            ez = np.exp(zc)
+            zc3 = zc**3
+            Q += (np.exp(zc / 2.0) - 1.0) / zc
+            f1 += (-4.0 - zc + ez * (4.0 - 3.0 * zc + zc**2)) / zc3
+            f2 += (2.0 + zc + ez * (zc - 2.0)) / zc3
+            f3 += (-4.0 - 3.0 * zc - zc**2 + ez * (4.0 - zc)) / zc3
+        self.Q = dt * (Q / N_CONTOUR)
+        self.f1 = dt * (f1 / N_CONTOUR)
+        self.f2 = dt * (f2 / N_CONTOUR)
         self.twice_f2 = 2.0 * self.f2
-        self.f3 = dt * np.mean((-4.0 - 3.0 * zc - zc**2 + ez * (4.0 - zc)) / zc**3, axis=1)
+        self.f3 = dt * (f3 / N_CONTOUR)
         self.nonlinear = nonlinear
         self.filter = filter
 

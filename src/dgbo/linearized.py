@@ -10,7 +10,9 @@ positive eigenfunction, in the even block; a one-dimensional near-kernel,
 carried by Q', in the odd block), coercivity probes whose minimum over the
 Q-orthogonal sphere is the smallest root of a secular equation on that same
 eigendecomposition, and evolution of the associated flow w_t = dx(L w),
-read out against the exact free-dispersion group.
+read out against the exact free-dispersion group. The negative direction
+chi0 alone comes matrix-free from ``negative_mode``, a block iteration
+preconditioned by S^{-1} = (1 + |D|^alpha)^{-1}.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import Stepper, _step_count, _step_rows
-from .errors import CapacityError, ContractError
+from .errors import CapacityError, ContractError, ConvergenceError
 from .ground_state import GroundState
 from .spectral import Grid
 
@@ -28,6 +30,8 @@ KERNEL_TOL_REL = 1e-6  # near-kernel band |eigenvalue| <= KERNEL_TOL_REL * (1 + 
 COERCIVITY_BLOCK = 64  # random trial fields per stacked transform in coercivity_probe
 COERCIVITY_TOL = 1e-6  # mu_est below -COERCIVITY_TOL is a violation
 CHECKPOINT_EVERY = 100  # steps between the kept states of evolve_linearized
+MODE_TOL_REL = 1e-14  # negative_mode stops at max|L x - mu x| <= MODE_TOL_REL (1 + k_max^alpha) max|x|
+MODE_MAX_ITERS = 100  # Rayleigh-Ritz steps of negative_mode before ConvergenceError
 
 
 def _potential(gs: GroundState):
@@ -35,10 +39,24 @@ def _potential(gs: GroundState):
     return np.abs(gs.values) ** (2.0 * gs.alpha)
 
 
+def _check_even_potential(gs: GroundState):
+    """ContractError unless Q^{2 alpha} is reflection-even, as the parity split needs."""
+    pot = _potential(gs)
+    pot_defect = float(np.max(np.abs(pot - gs.grid.reflect(pot))))
+    if pot_defect > 1e-12 * float(np.max(pot)):
+        raise ContractError(
+            f"potential Q^(2 alpha) not reflection-even (defect {pot_defect:.2e}); "
+            "the parity split needs a ground state centred at x = 0"
+        )
+
+
 def apply_operator(gs: GroundState, v):
-    """L v = |D|^alpha v + v - Q^{2 alpha} v, applied spectrally/pointwise."""
+    """L v = |D|^alpha v + v - Q^{2 alpha} v, applied spectrally/pointwise.
+
+    v may stack fields along leading axes; each row gives one L v.
+    """
     grid = gs.grid
-    v = grid.check_field(v)
+    v = grid.check_field(v, stacked=True)
     return grid.apply_riesz(v, gs.alpha) + v - _potential(gs) * v
 
 
@@ -140,6 +158,28 @@ class SpectrumReport:
     notes: list = field(default_factory=list)
 
 
+def _orient_chi0(grid, v, notes):
+    """chi0 from an eigenvector v of the bottom of L: sign-fixed positive at
+    its peak and scaled to unit L2 norm. Returns (chi0, resolved, sign_ok).
+
+    A sign change no deeper than chi0's resolution floor, sqrt(spectral tail
+    fraction) * max chi0, leaves chi0 unresolved (``resolved`` False); a
+    deeper one clears ``sign_ok``. Either appends a line to ``notes``.
+    """
+    chi0 = -v if v[np.argmax(np.abs(v))] < 0 else v
+    chi0 = chi0 / grid.norm_l2(chi0)
+    peak, dip = float(np.max(chi0)), -float(np.min(chi0))
+    if dip <= 1e-8 * peak:
+        return chi0, True, True
+    floor = np.sqrt(grid.spectral_tail_fraction(grid.transform(chi0))) * peak
+    if dip <= floor:
+        notes.append(f"chi0 changes sign (min {-dip:.2e}) within its resolution floor "
+                     f"{floor:.2e}; increase N or L")
+        return chi0, False, True
+    notes.append(f"chi0 changes sign (min {-dip:.2e})")
+    return chi0, True, False
+
+
 def _to_grid(c, n, odd):
     """The grid vector with coordinates c in the even (odd=False) or odd block's basis."""
     h = n // 2
@@ -217,13 +257,7 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
     grid = op.grid
     n = grid.n
     h = n // 2
-    pot = _potential(op.gs)
-    pot_defect = float(np.max(np.abs(pot - grid.reflect(pot))))
-    if pot_defect > 1e-12 * float(np.max(pot)):
-        raise ContractError(
-            f"potential Q^(2 alpha) not reflection-even (defect {pot_defect:.2e}); "
-            "the parity split needs a ground state centred at x = 0"
-        )
+    _check_even_potential(op.gs)
     # Q's coordinates in the even basis; the odd ones are zeros
     q = op.gs.values
     q_even = np.concatenate([q[:1], (q[1:h] + q[n - 1 : h : -1]) / np.sqrt(2.0), q[h : h + 1]])
@@ -241,24 +275,9 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
         f"odd block {tally[1]}, expected (1, 0) and (0, 1)"
     ]
 
-    chi0 = even.bottom
-    if chi0[np.argmax(np.abs(chi0))] < 0:
-        chi0 = -chi0
-    chi0 = chi0 / grid.norm_l2(chi0)
+    chi0, resolved, sign_ok = _orient_chi0(grid, even.bottom, notes)
+    ok = ok and sign_ok
     even_defect = float(np.max(np.abs(chi0 - grid.reflect(chi0)))) / float(np.max(np.abs(chi0)))
-    peak, dip = float(np.max(chi0)), -float(np.min(chi0))
-    resolved = True
-    if dip > 1e-8 * peak:
-        floor = np.sqrt(grid.spectral_tail_fraction(grid.transform(chi0))) * peak
-        if dip <= floor:
-            resolved = False
-            notes.append(
-                f"chi0 changes sign (min {-dip:.2e}) within its resolution floor "
-                f"{floor:.2e}; increase N or L"
-            )
-        else:
-            ok = False
-            notes.append(f"chi0 changes sign (min {-dip:.2e})")
 
     near_kernel = even.near_kernel + odd.near_kernel
     qp = op.gs.derivative()
@@ -289,6 +308,79 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
         chi0_resolved=resolved,
         max_eig_residual=max(even.residual, odd.residual),
         structure_ok=ok,
+        notes=notes,
+    )
+
+
+@dataclass
+class NegativeMode:
+    chi0: np.ndarray                 # unit L2 norm, sign-fixed positive
+    mu0: float
+    residual: float                  # max |L chi0 - mu0 chi0|
+    iterations: int                  # Rayleigh-Ritz steps taken
+    chi0_resolved: bool              # as in SpectrumReport
+    notes: list                      # the sign-change note of chi0, if any
+
+
+def negative_mode(gs: GroundState) -> NegativeMode:
+    """The lowest eigenpair (mu0, chi0) of L on the reflection-even fields,
+    matrix-free.
+
+    L = S - Q^{2 alpha} with S = 1 + |D|^alpha, so S^{-1} L is the identity
+    plus a compact operator, and a block iteration preconditioned by S^{-1}
+    (one real-FFT pair) converges at a rate that does not degrade with N
+    (LOBPCG, Knyazev, SIAM J. Sci. Comput. 23, 2001). Each step is a
+    Rayleigh-Ritz on the span of [x, S^{-1} r, p]: the iterate, its
+    preconditioned residual r = L x - mu x and the previous step's
+    direction, orthonormalized by a QR and solved by a 3 x 3 ``eigh``; L is
+    applied to the stack by ``apply_operator`` and every new direction is
+    projected on the even fields with ``Grid.reflect``. The seed is
+    Q^{alpha + 1}, the exact chi0 at alpha = 2 (a Poschl-Teller ground state,
+    mu0 = -8). The iteration stops at max|L x - mu x| <= MODE_TOL_REL
+    (1 + k_max^alpha) max|x|, the top of S on the grid times a margin of
+    about fifty over the roundoff floor; a solve not stopped within
+    MODE_MAX_ITERS steps raises ``ConvergenceError`` with the residual
+    history. chi0 is oriented, normalised and judged as in ``spectrum``. A
+    potential that is not reflection-even raises ``ContractError``.
+    """
+    _check_even_potential(gs)
+    grid = gs.grid
+    s_inv = 1.0 / (1.0 + grid.riesz(gs.alpha))
+
+    def even(v):
+        return 0.5 * (v + grid.reflect(v))
+
+    x = even(np.abs(gs.values) ** (gs.alpha + 1.0))
+    x = x / np.linalg.norm(x)
+    lx = apply_operator(gs, x)
+    mu, p = float(x @ lx), None
+    tol = MODE_TOL_REL * (1.0 + grid.k_max ** gs.alpha)
+    history = []
+    for it in range(MODE_MAX_ITERS + 1):
+        r = lx - mu * x
+        history.append(float(np.max(np.abs(r))) / float(np.max(np.abs(x))))
+        if history[-1] <= tol:
+            break
+        if it == MODE_MAX_ITERS:
+            raise ConvergenceError(
+                f"negative_mode: residual {history[-1]:.2e} above {tol:.2e} "
+                f"after {MODE_MAX_ITERS} steps", history)
+        w = even(grid.field(s_inv * grid.transform(r)))
+        basis = np.linalg.qr(np.stack([x, w] if p is None else [x, w, p]).T)[0].T
+        l_basis = apply_operator(gs, basis)
+        small = basis @ l_basis.T
+        c = np.linalg.eigh(0.5 * (small + small.T))[1][:, 0]
+        x, lx = c @ basis, c @ l_basis
+        p = c[1:] @ basis[1:]  # the step, orthogonal to the previous x (basis[0])
+        mu = float(x @ lx)
+    notes = []
+    chi0, resolved, _ = _orient_chi0(grid, x, notes)
+    return NegativeMode(
+        chi0=chi0,
+        mu0=mu,
+        residual=float(np.max(np.abs(apply_operator(gs, chi0) - mu * chi0))),
+        iterations=it,
+        chi0_resolved=resolved,
         notes=notes,
     )
 

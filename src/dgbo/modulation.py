@@ -3,8 +3,9 @@
 A near-soliton field is written u(x) = lam^{-1/a} (Q + eta)(lam^{-2/a} (x - rho))
 by solving the two orthogonality conditions <eta, Q'> = <eta, chi0> = 0 for
 (lam, rho) with a damped Newton iteration (analytic Jacobian, warm starts).
-The remainder eta lives on the reference grid of the ground state. chi0 must
-come from a certified spectrum on the same (alpha, grid).
+The remainder eta lives on the reference grid of the ground state. chi0 is
+the negative direction of L on the same (alpha, grid), from the dense
+``linearized.spectrum`` or from the matrix-free ``linearized.negative_mode``.
 """
 
 from dataclasses import dataclass, field

@@ -16,7 +16,7 @@ from .artifacts import write_csv, write_json, write_plot_script
 from .dynamics import STATUS_COMPLETED, EvolutionConfig, conserved, evolve_batch
 from .errors import ContractError, DecompositionError
 from .ground_state import continuation_ladder
-from .linearized import assemble, spectrum
+from .linearized import negative_mode
 from .modulation import beta as beta_fn
 from .modulation import decompose
 from .spectral import Grid
@@ -136,15 +136,17 @@ def blowup_scan(
     lambda tracking (subcritical data disperses away from the family); it is
     recorded but is not an indicator. Runs are observed in the frame moving
     at the unit soliton speed so the scan box can stay small. Rows not
-    certified supercritical run to ``min(t_end_bounded, t_end_super)``.
+    certified supercritical run to ``min(t_end_bounded, t_end_super)``. The
+    decomposition's chi0 comes from the matrix-free ``negative_mode``; the
+    context records its mu0, residual and iteration count.
     """
     if not all(0 < v < np.inf for v in (dt, t_end_super, t_end_bounded)):
         raise ContractError("dt, t_end_super and t_end_bounded must be finite and positive")
     grid = grid if grid is not None else Grid(48.0, 1024)
     t_end_bounded = min(t_end_bounded, t_end_super)
     gs = continuation_ladder(alpha, grid)
-    rep = spectrum(assemble(gs))
-    chi0 = rep.chi0
+    mode = negative_mode(gs)
+    chi0 = mode.chi0
     # E(Q) vanishes analytically; its discrete value sets the resolution floor
     # below which an energy sign is not certifiable on this grid
     energy_floor = 10.0 * abs(conserved(grid, gs.values, alpha).energy) + 1e-12
@@ -203,8 +205,10 @@ def blowup_scan(
         "sobolev_trip": SOBOLEV_TRIP,
         "rng_seed": rng_seed,
         "ground_state_residual": gs.residual,
-        "spectrum_structure_ok": rep.structure_ok,
-        "spectrum_chi0_resolved": rep.chi0_resolved,
+        "spectrum_chi0_resolved": mode.chi0_resolved,
+        "mu0": mode.mu0,
+        "chi0_residual": mode.residual,
+        "chi0_iterations": mode.iterations,
     }
     return rows, context
 

@@ -233,9 +233,9 @@ class Grid:
         return self.field(self.transform(f) * np.exp(-1j * self.k * delta))
 
     def reflect(self, f):
-        """f(-x) on the periodic grid."""
-        f = self.check_field(f)
-        return np.roll(f[::-1], 1)
+        """f(-x) on the periodic grid; f may stack fields along leading axes."""
+        f = self.check_field(f, stacked=True)
+        return np.roll(f[..., ::-1], 1, axis=-1)
 
     def symmetrize(self, f):
         """Even part about x = 0."""

@@ -7,7 +7,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize
 
-from dgbo.dynamics import Stepper, _padded_flux
+from dgbo.dynamics import N_CONTOUR, Stepper, _padded_flux
 from dgbo.ground_state import TOL_DIFF, gkdv_profile, ladder_rungs
 from dgbo.linearized import KERNEL_TOL_REL, LinearizedOperator, apply_operator
 from dgbo.spectral import PAD
@@ -289,6 +289,25 @@ def etdrk4_step(stepper, F):
     if stepper.filter is not None:
         out = out * stepper.filter
     return out
+
+
+def contour_tables(symbol, dt):
+    """The ETDRK4 tables (E, E2, Q, f1, f2, f3) of ``Stepper(symbol, dt, ...)``
+    averaged over the whole (N/2 + 1) x N_CONTOUR contour matrix with
+    ``np.mean``: the reference of ``Stepper``'s one-point-at-a-time sums.
+    """
+    z = dt * symbol
+    r = np.exp(2j * np.pi * (np.arange(N_CONTOUR) + 0.5) / N_CONTOUR)
+    zc = z[:, None] + r[None, :]
+    ez = np.exp(zc)
+    return SimpleNamespace(
+        E=np.exp(z),
+        E2=np.exp(z / 2.0),
+        Q=dt * np.mean((np.exp(zc / 2.0) - 1.0) / zc, axis=1),
+        f1=dt * np.mean((-4.0 - zc + ez * (4.0 - 3.0 * zc + zc**2)) / zc**3, axis=1),
+        f2=dt * np.mean((2.0 + zc + ez * (zc - 2.0)) / zc**3, axis=1),
+        f3=dt * np.mean((-4.0 - 3.0 * zc - zc**2 + ez * (4.0 - zc)) / zc**3, axis=1),
+    )
 
 
 def linearized_flow_loop(gs, w0, t_end, dt, checkpoint_every=100):

@@ -19,7 +19,7 @@ from dgbo import (
 from dgbo.dynamics import _abs_power_times, _padded_flux
 from dgbo.errors import ContractError
 from dgbo.ground_state import gkdv_profile
-from oracles import etdrk4_step, fine, nonlinear_term, power_flux, rescaled_config
+from oracles import contour_tables, etdrk4_step, fine, nonlinear_term, power_flux, rescaled_config
 
 
 
@@ -141,6 +141,21 @@ class TestStep:
             kept = F.copy()
             assert np.array_equal(st.step_spectrum(F), etdrk4_step(st, F))
             assert np.array_equal(F, kept)
+
+    @pytest.mark.parametrize("alpha, grid, dt", [
+        (2.0, Grid(48.0, 1024), 5e-4), (1.9, Grid(48.0, 1024), 5e-4),
+        (1.5, Grid(50.0, 1024), 1e-3), (2.0, Grid(100.0, 4096), 1e-4),
+    ], ids=["2-48-1024", "1.9-48-1024", "1.5-50-1024", "2-100-4096"])
+    def test_tables_match_the_contour_matrix(self, alpha, grid, dt):
+        # the sums run in another order than np.mean's: E and E2 keep their
+        # bits, the contour averages agree to roundoff
+        sym = grid.ik * grid.riesz(alpha) + grid.ik
+        st, ref = Stepper(sym, dt, None), contour_tables(sym, dt)
+        assert np.array_equal(st.E, ref.E) and np.array_equal(st.E2, ref.E2)
+        for name in ("Q", "f1", "f2", "f3"):
+            got, want = getattr(st, name), getattr(ref, name)
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12, name
+        assert np.array_equal(st.twice_f2, 2.0 * st.f2)
 
     def test_flux_result_survives_the_next_call(self, rng):
         g = Grid(30.0, 256)

@@ -18,10 +18,11 @@ from dgbo import (
     coercivity_probe,
     evolve_linearized,
     liouville_readout,
+    negative_mode,
     solve_ground_state,
     spectrum,
 )
-from dgbo.errors import CapacityError, ContractError
+from dgbo.errors import CapacityError, ContractError, ConvergenceError
 from dgbo.ground_state import scaling_generator
 from dgbo.linearized import KERNEL_TOL_REL, secular_min
 
@@ -123,6 +124,17 @@ class TestSpectrum:
     def test_mu0_against_doubled_resolution(self, spec2_compact):
         fine = spectrum_for(2.0, Grid(50.0, 2048))
         assert abs(spec2_compact.mu0 - fine.mu0) < 1e-4 * abs(fine.mu0)
+
+    @pytest.mark.parametrize("alpha", [1.9, 1.95, 2.0])
+    def test_chi0_evenness_witness(self, alpha):
+        # chi0_even_defect is 0 by construction (chi0 is mapped from the even
+        # block); the full N x N eigh assumes no parity, so its chi0 can fail
+        # to be even, and spectrum's chi0 must equal it
+        gs = ground_state_for(alpha, COMPACT)
+        ref = full_eigh_spectrum(assemble(gs))
+        peak = np.max(np.abs(ref.chi0))
+        assert np.max(np.abs(ref.chi0 - gs.grid.reflect(ref.chi0))) < 1e-8 * peak
+        assert np.max(np.abs(spectrum_for(alpha, COMPACT).chi0 - ref.chi0)) < 1e-10
 
 
 def count_block_solves(monkeypatch):
@@ -268,6 +280,49 @@ class TestParitySplit:
         shifted = replace(gs2_compact, values=np.roll(gs2_compact.values, 3))
         with pytest.raises(ContractError, match="reflection-even"):
             spectrum(assemble(shifted))
+
+
+class TestNegativeMode:
+    @pytest.mark.parametrize("grid", [COMPACT, Grid(25.0, 512)], ids=["50-1024", "25-512"])
+    @pytest.mark.parametrize("alpha", [1.5, 1.9, 1.95, 2.0])
+    def test_matches_both_dense_references(self, alpha, grid):
+        # the parity-split spectrum and the N x N eigh, which assumes no parity
+        gs = ground_state_for(alpha, grid)
+        mode = negative_mode(gs)
+        rep = spectrum_for(alpha, grid)
+        for ref in (rep, full_eigh_spectrum(assemble(gs))):
+            assert abs(mode.mu0 - ref.mu0) < 1e-10
+            assert np.max(np.abs(mode.chi0 - ref.chi0)) < 1e-10
+        assert mode.chi0_resolved == rep.chi0_resolved
+        assert gs.grid.norm_l2(mode.chi0) == pytest.approx(1.0, rel=1e-14)
+        lchi = apply_operator(gs, mode.chi0)
+        assert mode.residual == np.max(np.abs(lchi - mode.mu0 * mode.chi0))
+        assert mode.residual < 1e-10
+
+    def test_gkdv_seed_is_the_eigenfunction(self, gs2_compact):
+        # at alpha = 2 the seed Q^3 is chi0 (Poschl-Teller), mu0 = -8
+        mode = negative_mode(gs2_compact)
+        assert abs(mode.mu0 + 8.0) < 1e-10
+        assert mode.iterations <= 2
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(linearized, "MODE_MAX_ITERS", 1)
+        with pytest.raises(ConvergenceError) as info:
+            negative_mode(ground_state_for(1.9, COMPACT))
+        assert len(info.value.history) == 2
+
+    def test_shifted_ground_state_is_refused(self, gs2_compact):
+        shifted = replace(gs2_compact, values=np.roll(gs2_compact.values, 3))
+        with pytest.raises(ContractError, match="reflection-even"):
+            negative_mode(shifted)
+
+    def test_operator_and_reflection_act_row_by_row(self, gs2_compact, rng):
+        g = gs2_compact.grid
+        v = rng.standard_normal((3, g.n))
+        stacked, reflected = apply_operator(gs2_compact, v), g.reflect(v)
+        for j in range(3):
+            assert np.array_equal(stacked[j], apply_operator(gs2_compact, v[j]))
+            assert np.array_equal(reflected[j], g.reflect(v[j]))
 
 
 class TestCoercivity:

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from dgbo.scan import blowup_scan, lambda_monotone
+from dgbo import Grid, LinearizedOperator, assemble, continuation_ladder, spectrum
+from dgbo.scan import blowup_scan, lambda_monotone, write_scan
 
 
 def test_supercritical_row_trips_on_contraction_inside_the_tube():
@@ -32,3 +35,24 @@ def test_batched_rows_match_single_amplitude_scans():
 ], ids=["constant", "rise-1e-6", "contracting", "step-up"])
 def test_lambda_monotone(track, monotone):
     assert lambda_monotone(track) is monotone
+
+
+def test_scan_takes_chi0_without_a_dense_solve(tmp_path, monkeypatch):
+    # chi0 comes from the matrix-free negative_mode: no parity block is formed
+    def refuse(self, odd):
+        raise AssertionError("the scan formed a dense parity block")
+
+    monkeypatch.setattr(LinearizedOperator, "parity_block", refuse)
+    rows, context = blowup_scan(2.0, [1.06], grid=Grid(24.0, 256), t_end_super=0.05)
+    assert len(rows) == 1
+    write_scan(str(tmp_path), rows, context)
+    with open(tmp_path / "scan.json") as fh:
+        header = json.load(fh)
+    assert header["mu0"] == context["mu0"] == pytest.approx(-8.0, abs=1e-5)  # (24, 256) is coarse
+    assert header["chi0_residual"] == context["chi0_residual"] < 1e-10
+    assert header["chi0_iterations"] == context["chi0_iterations"]
+    assert "spectrum_structure_ok" not in header
+    # on (24, 256) chi0 dips within its resolution floor; the dense spectrum agrees
+    monkeypatch.undo()
+    rep = spectrum(assemble(continuation_ladder(2.0, Grid(24.0, 256))))
+    assert header["spectrum_chi0_resolved"] is rep.chi0_resolved is False
