@@ -54,8 +54,6 @@ from .monotonicity import (
     Weight,
     build_weight,
     calibrate,
-    calibrate_budget,
-    calibrate_eta_budget,
     check_eta_monotonicity,
     check_left_monotonicity,
     check_right_monotonicity,

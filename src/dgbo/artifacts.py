@@ -13,7 +13,7 @@ from dataclasses import asdict, is_dataclass
 import numpy as np
 
 from . import __version__
-from .dynamics import LINF_CEILING, Diagnostics, RunRecord
+from .dynamics import FILTER_STRENGTH, LINF_CEILING, Diagnostics, RunRecord
 from .errors import ContractError
 from .ground_state import GroundState, Rung
 from .linearized import SpectrumReport
@@ -180,6 +180,7 @@ def write_run(run_dir, record: RunRecord, header_extra=None):
         "status_t": record.status_t,
         "final_t": record.final_t,
         "linf_ceiling": LINF_CEILING,
+        "filter_strength": FILTER_STRENGTH,
         "n_samples": len(record.samples),
         "n_states": len(record.states),
     }
@@ -295,7 +296,8 @@ def write_track(base, record: ModulationTrack, header_extra=None):
 
 
 def read_track(base) -> ModulationTrack:
-    """A stored track without its remainder fields (``modulation.remainder`` rebuilds them)."""
+    """The stored track; ``check_eta_monotonicity`` rebuilds its remainders
+    from the run's states at the stored (lambda, rho)."""
     header = read_json(base + ".json")
     rows = np.array(read_csv(base + ".csv", TRACK_COLUMNS)).reshape(-1, len(TRACK_COLUMNS))
     t, s, lam, rho, eta_l2, eta_sob, eta_w, dlam, drho = rows.T

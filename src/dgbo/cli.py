@@ -46,7 +46,7 @@ from .errors import (
 )
 from .ground_state import continuation_ladder, solve_ground_state
 from .linearized import assemble, evolve_linearized, liouville_readout, spectrum
-from .modulation import remainder, track
+from .modulation import track
 from .monotonicity import (
     build_weight,
     calibrate,
@@ -84,6 +84,26 @@ def _read_run_states(run, gs=None):
     if gs is not None and grid != gs.grid:
         raise ConfigError("run grid does not match ground-state grid")
     return [t for t, _ in states], [u for _, u in states], grid
+
+
+def _parse_numbers(text, sep, flag):
+    """The numbers of a ``sep``-separated flag value (ConfigError: an entry not a finite number)."""
+    try:
+        values = [float(v) for v in text.split(sep)]
+    except ValueError:
+        raise ConfigError(f"{flag} {text!r} has an empty or non-numeric entry") from None
+    if not all(np.isfinite(values)):
+        raise ConfigError(f"{flag} {text!r} has a non-finite entry")
+    return values
+
+
+def _amplitudes(text):
+    """lo:hi:step as lo, lo + step, ... up to hi (ConfigError unless step > 0 and hi >= lo)."""
+    values = _parse_numbers(text, ":", "--amplitudes")
+    if len(values) != 3 or not (values[2] > 0.0 and values[1] >= values[0]):
+        raise ConfigError(f"--amplitudes needs lo:hi:step with step > 0 and hi >= lo, got {text!r}")
+    lo, hi, step = values
+    return list(np.arange(lo, hi + 0.5 * step, step))
 
 
 def _cmd_ground_state(args):
@@ -153,6 +173,7 @@ def _cmd_modulate(args):
 def _cmd_monotonicity(args):
     if (args.state is None) != (args.chi0 is None):
         raise ConfigError("the eta reports need --state and --chi0 together; got only one")
+    x0_list = _parse_numbers(args.x0, ",", "--x0")
     gs = _read_state_and_chi0(args.state, args.chi0)[0] if args.state else None
     run_times, fields, grid = _read_run_states(args.run, gs)
     tr = read_track(args.track)
@@ -163,7 +184,6 @@ def _cmd_monotonicity(args):
         )
     fields = fields[: len(times)]
     weight = build_weight(args.r, args.A)
-    x0_list = [float(v) for v in args.x0.split(",")]
     # each check runs once at c0 = 0 and is re-budgeted with its own calibration
     # (or --c0 for the sided checks); the eta constant is always calibrated
     sided = [check(times, fields, rhos, weight, x0, args.mu, 0.0, grid)
@@ -171,11 +191,8 @@ def _cmd_monotonicity(args):
     reports = [replace(rep, c0=args.c0 if args.c0 is not None else calibrate([rep]))
                for rep in sided]
     if gs is not None:
-        # the remainders at the stored (lambda, rho): one resample per frame
-        tr = replace(tr, eta_fields=[remainder(u, gs, lam, rho)
-                                     for u, lam, rho in zip(fields, tr.lam, tr.rho)])
         for x0 in x0_list:
-            rep = check_eta_monotonicity(tr, weight, x0, args.mu, 0.0, grid)
+            rep = check_eta_monotonicity(tr, fields, gs, weight, x0, args.mu, 0.0)
             reports.append(replace(rep, c0=calibrate([rep])))
     write_monotonicity(args.out, reports, header_extra={"run": args.run, "track": args.track})
     bad = [r for r in reports if not r.all_true]
@@ -184,8 +201,7 @@ def _cmd_monotonicity(args):
 
 
 def _cmd_blowup_scan(args):
-    lo, hi, step = (float(v) for v in args.amplitudes.split(":"))
-    amps = list(np.arange(lo, hi + 0.5 * step, step))
+    amps = _amplitudes(args.amplitudes)
     if args.include_bounded:
         amps = [0.9, 1.0] + amps
     grid = Grid(args.half_length, args.n)

@@ -26,6 +26,7 @@ STATUS_RESOLUTION_LOST = "resolution_lost"
 N_CONTOUR = 32     # contour points of the ETDRK4 coefficient averages
 TAIL_ENERGY_LIMIT = 1e-6  # spectral tail fraction beyond which a run has lost resolution
 LINF_CEILING = 1e4  # a checkpoint with sup |u| above this has diverged
+FILTER_STRENGTH = 1.0  # scales the exp(-36 (|k|/kmax)^36) exponent of the high-k filter
 
 
 def _step_count(dt: float, t_end: float, checkpoint_every: int) -> int:
@@ -44,7 +45,6 @@ class EvolutionConfig:
     dt: float
     t_end: float
     sign: str = "focusing"          # focusing: +|u|^{2a} u_x in the equation
-    filter_strength: float = 1.0    # scales the exp(-36 (|k|/kmax)^36) exponent
     checkpoint_every: int = 100
     frame_speed: float = 0.0        # observe in x - frame_speed * t
     store_states: bool = False
@@ -217,9 +217,7 @@ def flow_stepper(grid: Grid, cfg: EvolutionConfig) -> Stepper:
         """Spectrum of -sign * |u|^{2a} u_x, from the flux |u|^{2a} u."""
         return _padded_flux(grid, F, cfg.alpha, weight)
 
-    filt = None
-    if cfg.filter_strength > 0.0:
-        filt = np.exp(-36.0 * cfg.filter_strength * (grid.k / grid.k.max()) ** 36)
+    filt = np.exp(-36.0 * FILTER_STRENGTH * (grid.k / grid.k.max()) ** 36)
     return Stepper(sym, cfg.dt, nonlinear, filt)
 
 

@@ -79,8 +79,7 @@ class LinearizedOperator:
         its reflection, so col[j] == col[N - j] bit for bit), and the diagonal
         d = (col[0] + 1) - Q^{2 alpha}."""
         grid = self.grid
-        col = grid.field(grid.riesz(self.alpha))
-        col = 0.5 * (col + grid.reflect(col))
+        col = grid.symmetrize(grid.field(grid.riesz(self.alpha)))
         return col, (col[0] + 1.0) - _potential(self.gs)
 
     def parity_block(self, odd: bool) -> np.ndarray:
@@ -319,6 +318,7 @@ class NegativeMode:
     residual: float                  # max |L chi0 - mu0 chi0|
     iterations: int                  # Rayleigh-Ritz steps taken
     chi0_resolved: bool              # as in SpectrumReport
+    chi0_sign_ok: bool               # False: chi0 changes sign deeper than its resolution floor
     notes: list                      # the sign-change note of chi0, if any
 
 
@@ -334,23 +334,21 @@ def negative_mode(gs: GroundState) -> NegativeMode:
     preconditioned residual r = L x - mu x and the previous step's
     direction, orthonormalized by a QR and solved by a 3 x 3 ``eigh``; L is
     applied to the stack by ``apply_operator`` and every new direction is
-    projected on the even fields with ``Grid.reflect``. The seed is
+    projected on the even fields with ``Grid.symmetrize``. The seed is
     Q^{alpha + 1}, the exact chi0 at alpha = 2 (a Poschl-Teller ground state,
     mu0 = -8). The iteration stops at max|L x - mu x| <= MODE_TOL_REL
     (1 + k_max^alpha) max|x|, the top of S on the grid times a margin of
     about fifty over the roundoff floor; a solve not stopped within
     MODE_MAX_ITERS steps raises ``ConvergenceError`` with the residual
-    history. chi0 is oriented, normalised and judged as in ``spectrum``. A
-    potential that is not reflection-even raises ``ContractError``.
+    history. chi0 is oriented, normalised and judged as in ``spectrum``: a
+    sign change within its resolution floor clears ``chi0_resolved``, a
+    deeper one ``chi0_sign_ok``. A potential that is not reflection-even
+    raises ``ContractError``.
     """
     _check_even_potential(gs)
     grid = gs.grid
     s_inv = 1.0 / (1.0 + grid.riesz(gs.alpha))
-
-    def even(v):
-        return 0.5 * (v + grid.reflect(v))
-
-    x = even(np.abs(gs.values) ** (gs.alpha + 1.0))
+    x = grid.symmetrize(np.abs(gs.values) ** (gs.alpha + 1.0))
     x = x / np.linalg.norm(x)
     lx = apply_operator(gs, x)
     mu, p = float(x @ lx), None
@@ -365,7 +363,7 @@ def negative_mode(gs: GroundState) -> NegativeMode:
             raise ConvergenceError(
                 f"negative_mode: residual {history[-1]:.2e} above {tol:.2e} "
                 f"after {MODE_MAX_ITERS} steps", history)
-        w = even(grid.field(s_inv * grid.transform(r)))
+        w = grid.symmetrize(grid.field(s_inv * grid.transform(r)))
         basis = np.linalg.qr(np.stack([x, w] if p is None else [x, w, p]).T)[0].T
         l_basis = apply_operator(gs, basis)
         small = basis @ l_basis.T
@@ -374,13 +372,14 @@ def negative_mode(gs: GroundState) -> NegativeMode:
         p = c[1:] @ basis[1:]  # the step, orthogonal to the previous x (basis[0])
         mu = float(x @ lx)
     notes = []
-    chi0, resolved, _ = _orient_chi0(grid, x, notes)
+    chi0, resolved, sign_ok = _orient_chi0(grid, x, notes)
     return NegativeMode(
         chi0=chi0,
         mu0=mu,
         residual=float(np.max(np.abs(apply_operator(gs, chi0) - mu * chi0))),
         iterations=it,
         chi0_resolved=resolved,
+        chi0_sign_ok=sign_ok,
         notes=notes,
     )
 

@@ -8,7 +8,7 @@ the negative direction of L on the same (alpha, grid), from the dense
 ``linearized.spectrum`` or from the matrix-free ``linearized.negative_mode``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .spectral import Grid
 
 MAX_ITERS = 50
 STALL_ITERS = 5  # consecutive iterations without a new residual minimum that end a solve
+EPS0 = 0.3  # closeness ceiling of the remainder, relative to ||Q||_{H^{a/2}}
 
 
 @dataclass
@@ -47,14 +48,7 @@ def _orthogonality(grid, eta, qp, chi0):
     return grid.inner(eta, qp), grid.inner(eta, chi0)
 
 
-def decompose(
-    u,
-    gs: GroundState,
-    chi0,
-    guess=None,
-    *,
-    eps0: float = 0.3,
-) -> ModulationState:
+def decompose(u, gs: GroundState, chi0, guess=None) -> ModulationState:
     """Solve the orthogonality conditions for (lam, rho).
 
     ``guess`` defaults to (1, argmax |u|), which targets the unit-scale tube;
@@ -65,7 +59,7 @@ def decompose(
     DecompositionError when the iteration fails within MAX_ITERS or its
     residual sets no new minimum in STALL_ITERS consecutive iterations (the
     caller treats this as leaving the soliton tube) and ClosenessError when
-    the converged remainder exceeds the closeness ceiling eps0 (relative to
+    the converged remainder exceeds the closeness ceiling EPS0 (relative to
     ||Q||_{H^{a/2}}).
 
     Torus geometry: the rescaled frame periodizes u with image spacing
@@ -149,7 +143,7 @@ def decompose(
 
     eta_l2 = grid.norm_l2(eta)
     eta_sob = grid.h_alpha_half_norm(eta, alpha)
-    ceiling = eps0 * grid.h_alpha_half_norm(gs.values, alpha)
+    ceiling = EPS0 * grid.h_alpha_half_norm(gs.values, alpha)
     if eta_sob > ceiling:
         raise ClosenessError(
             f"remainder H^{{a/2}} norm {eta_sob:.3e} exceeds closeness ceiling {ceiling:.3e}"
@@ -183,7 +177,6 @@ class ModulationTrack:
     fitted_c: float             # max (|lam_s/lam| + |drho_rel|) / ||eta||_L2
     truncated: bool
     truncated_at: float | None
-    eta_fields: list = field(default_factory=list)
 
 
 def _central_derivative(y, s):
@@ -200,13 +193,13 @@ def track(times, states, gs: GroundState, chi0) -> ModulationTrack:
     """Per-frame decomposition with warm starts; rho is unwrapped across the seam.
 
     Frames after the first decomposition failure are dropped and the track is
-    flagged truncated.
+    flagged truncated. The remainder fields are not kept: ``remainder`` at a
+    frame's (lam, rho) rebuilds them.
     """
     grid, alpha = gs.grid, gs.alpha
     if len(times) != len(states):
         raise ContractError("times and states length mismatch")
     rows = []
-    etas = []
     guess = None
     truncated, trunc_at = False, None
     for t, u in zip(times, states):
@@ -216,7 +209,6 @@ def track(times, states, gs: GroundState, chi0) -> ModulationTrack:
             truncated, trunc_at = True, float(t)
             break
         rows.append((float(t), st))
-        etas.append(st.eta)
         guess = (st.lam, st.rho)
     if not rows:
         raise DecompositionError("no frame of the run was decomposable")
@@ -262,7 +254,6 @@ def track(times, states, gs: GroundState, chi0) -> ModulationTrack:
         fitted_c=fitted_c,
         truncated=truncated,
         truncated_at=trunc_at,
-        eta_fields=etas,
     )
 
 

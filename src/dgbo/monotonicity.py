@@ -15,7 +15,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ContractError, ConvergenceError
-from .modulation import ModulationTrack
+from .modulation import ModulationTrack, remainder
 from .spectral import Grid
 
 WINDOW_FRACTION = 0.05     # seam_window ramp width, as a fraction of the half-length
@@ -261,11 +261,14 @@ def _select_pairs(n):
     return pairs
 
 
-def _check_domain(x0, mu):
+def _check_domain(x0, mu, times, *per_frame):
+    """ContractError unless x0 > 1, 0 < mu < 1 and ``per_frame`` has one entry per time."""
     if x0 <= 1.0:
         raise ContractError(f"x0 must exceed 1, got {x0}")
     if not 0.0 < mu < 1.0:
         raise ContractError(f"mu must lie in (0,1), got {mu}")
+    if any(len(v) != len(times) for v in per_frame):
+        raise ContractError("times/states/rhos length mismatch")
 
 
 def _report(kind, times, pair_terms, weight: Weight, x0, mu, c0):
@@ -291,9 +294,7 @@ def _check_sided(
     mu-shift of the center moves the t1 functional on the right and the t2
     functional on the left; the unshifted side is evaluated once per frame.
     """
-    _check_domain(x0, mu)
-    if len(times) != len(states) or len(times) != len(rhos):
-        raise ContractError("times/states/rhos length mismatch")
+    _check_domain(x0, mu, times, states, rhos)
     side = 1.0 if kind == "right" else -1.0
     win = seam_window(grid)
     unit = x0 ** (1.0 - 2.0 * weight.r)
@@ -327,24 +328,28 @@ def check_left_monotonicity(
 
 
 def check_eta_monotonicity(
-    track: ModulationTrack, weight: Weight, x0: float, mu: float, c_err: float, grid: Grid,
+    track: ModulationTrack, states, gs, weight: Weight, x0: float, mu: float, c_err: float,
 ) -> MonotonicityReport:
     """Weighted remainder mass in rescaled time, bounded-soliton regime.
 
-    The error budget is c_err * int_{s1}^{s2} ||eta(s)||^2 (x0+mu(s2-s))^{-2r} ds,
+    ``states`` are the frames of ``track``, one per track time; each remainder
+    is rebuilt once per call by ``modulation.remainder`` at the frame's
+    stored (lam, rho), on the grid of the ground state ``gs``. The error
+    budget is c_err * int_{s1}^{s2} ||eta(s)||^2 (x0+mu(s2-s))^{-2r} ds,
     quadratured over the track samples.
     """
-    _check_domain(x0, mu)
-    if not track.eta_fields:
-        raise ContractError("track carries no remainder fields")
+    _check_domain(x0, mu, track.t, states)
+    grid, a = gs.grid, gs.alpha
+    if track.alpha != a:
+        raise ContractError(f"track of alpha {track.alpha} against a ground state of alpha {a}")
     win = seam_window(grid)
-    a = track.alpha
+    eta = cache(lambda i: remainder(states[i], gs, track.lam[i], track.rho[i]))
 
     def functional(i, shift):
         scale = track.lam[i] ** (2.0 / a)
         arg = scale * grid.x - x0 - shift
         w = (weight.phi_a(arg) - weight.phi_a(-x0 - shift)) * win
-        return grid.quadrature(track.eta_fields[i] ** 2 * w)
+        return grid.quadrature(eta(i) ** 2 * w)
 
     unshifted = cache(lambda j: functional(j, 0.0))
 
@@ -364,7 +369,9 @@ def calibrate(reports):
     """The budget constant covering the worst deficit of ``reports``, with margin.
 
     Each report's deficit per unit budget is (lhs - base) / unit_budget over
-    its pairs with a positive unit budget.
+    its pairs with a positive unit budget. On the c0 = 0 reports of a
+    reference run, one per x0, this is the constant that later checks take
+    as their c0; they are then regression checks against that run.
     """
     worst = [CALIBRATION_FLOOR]
     for rep in reports:
@@ -373,18 +380,4 @@ def calibrate(reports):
     return CALIBRATION_MARGIN * float(max(worst))
 
 
-def calibrate_budget(
-    times, states, rhos, weight: Weight, x0_list, mu: float, grid: Grid, kind: str = "right",
-):
-    """C0 from a reference run, with margin.
-
-    Later checks take it as their c0 and are then regression checks against
-    the reference run.
-    """
-    check = check_right_monotonicity if kind == "right" else check_left_monotonicity
-    return calibrate([check(times, states, rhos, weight, x0, mu, 0.0, grid) for x0 in x0_list])
-
-
-def calibrate_eta_budget(track: ModulationTrack, weight: Weight, x0_list, mu: float, grid: Grid):
-    """Reference constant for the eta-monotonicity error term."""
-    return calibrate([check_eta_monotonicity(track, weight, x0, mu, 0.0, grid) for x0 in x0_list])
+calibrate_budget = calibrate_eta_budget = calibrate  # the names perfbench/tracing.py traces

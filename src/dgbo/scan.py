@@ -205,7 +205,8 @@ def blowup_scan(
         "sobolev_trip": SOBOLEV_TRIP,
         "rng_seed": rng_seed,
         "ground_state_residual": gs.residual,
-        "spectrum_chi0_resolved": mode.chi0_resolved,
+        "chi0_resolved": mode.chi0_resolved,
+        "chi0_sign_ok": mode.chi0_sign_ok,
         "mu0": mode.mu0,
         "chi0_residual": mode.residual,
         "chi0_iterations": mode.iterations,

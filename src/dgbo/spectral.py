@@ -238,8 +238,8 @@ class Grid:
         return np.roll(f[..., ::-1], 1, axis=-1)
 
     def symmetrize(self, f):
-        """Even part about x = 0."""
-        return 0.5 * (self.check_field(f) + self.reflect(f))
+        """Even part about x = 0; f may stack fields along leading axes."""
+        return 0.5 * (self.check_field(f, stacked=True) + self.reflect(f))
 
     def resample_scaled(self, f, scale: float = 1.0, shift: float = 0.0):
         """Trigonometric interpolation of f at the points scale*x_j + shift.

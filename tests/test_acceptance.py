@@ -18,8 +18,7 @@ from dgbo import (
     apply_operator,
     assemble,
     build_weight,
-    calibrate_budget,
-    calibrate_eta_budget,
+    calibrate,
     check_eta_monotonicity,
     check_left_monotonicity,
     check_right_monotonicity,
@@ -29,6 +28,7 @@ from dgbo import (
     evolve,
     gn_report,
     j1,
+    modulation,
     solve_ground_state,
     stable_kernel,
     track,
@@ -193,7 +193,7 @@ class TestAcceptance:
         rel = abs(slope - target) / abs(target)
         report(7, rel < 0.12, f"a={alpha}: tail exponent {slope:.3f} vs {target} ({rel:.1%})")
 
-    def test_criterion_08_modulation_oracle(self):
+    def test_criterion_08_modulation_oracle(self, monkeypatch):
         gs = ground_state_for(2.0, Grid(50.0, 1024))
         chi0 = spectrum_for(2.0, Grid(50.0, 1024)).chi0
         g = gs.grid
@@ -210,9 +210,12 @@ class TestAcceptance:
             lam_bf, rho_bf = scan_decompose(u, gs, chi0)
             worst = max(worst, abs(st.lam - lam_bf), abs(st.rho - rho_bf))
         cov_worst = 0.0
+        # the covariance draws reach lam = 2, where a periodized soliton image
+        # inflates the remainder: the closeness ceiling is raised for them
+        monkeypatch.setattr(modulation, "EPS0", 5.0)
         for lam0, x0 in ((0.5, 3.0), (0.8, -4.0), (1.0, 0.0), (1.3, 6.0), (2.0, -2.0)):
             u = lam0 ** (-0.5) * gkdv_profile((g.x - x0) / lam0)
-            st = decompose(u, gs, chi0, guess=(lam0 * 1.02, x0 + 0.2), eps0=5.0)
+            st = decompose(u, gs, chi0, guess=(lam0 * 1.02, x0 + 0.2))
             cov_worst = max(cov_worst, abs(st.lam - lam0), abs(st.rho - x0))
         ok = worst < 1e-6 and cov_worst < 1e-7
         report(8, ok, f"newton vs brute force {worst:.1e}; covariance {cov_worst:.1e}")
@@ -240,17 +243,18 @@ class TestAcceptance:
         ts, ss, tr_s = runs["soliton"]
         all_ok = True
         for x0 in x0s:
-            c0r = calibrate_budget(ts, ss, tr_s.rho, weight, [x0], mu, g, kind="right")
-            c0l = calibrate_budget(ts, ss, tr_s.rho, weight, [x0], mu, g, kind="left")
+            c0r = calibrate([check_right_monotonicity(ts, ss, tr_s.rho, weight, x0, mu, 0.0, g)])
+            c0l = calibrate([check_left_monotonicity(ts, ss, tr_s.rho, weight, x0, mu, 0.0, g)])
             for _, (times, states, tr) in runs.items():
                 all_ok &= check_right_monotonicity(
                     times, states, tr.rho, weight, x0, mu, c0r, g).all_true
                 all_ok &= check_left_monotonicity(
                     times, states, tr.rho, weight, x0, mu, c0l, g).all_true
-        tr_p = runs["perturbed"][2]
-        c_eta = calibrate_eta_budget(tr_p, weight, [15.0, 30.0], mu, g)
+        _, sp, tr_p = runs["perturbed"]
+        c_eta = calibrate([check_eta_monotonicity(tr_p, sp, gs, weight, x0, mu, 0.0)
+                           for x0 in (15.0, 30.0)])
         for x0 in x0s:
-            all_ok &= check_eta_monotonicity(tr_p, weight, x0, mu, c_eta, g).all_true
+            all_ok &= check_eta_monotonicity(tr_p, sp, gs, weight, x0, mu, c_eta).all_true
         # error-budget scaling: C0/x0^{2r-1} by construction, and the eta
         # error integral must exhibit its (x0 + mu ds)^{-2r} law empirically
         budgets = [
@@ -259,7 +263,7 @@ class TestAcceptance:
         ]
         slope_b = np.polyfit(np.log(x0s), np.log(budgets), 1)[0]
         eta_terms = [
-            np.max(check_eta_monotonicity(tr_p, weight, x0, mu, 1.0, g).error_budget)
+            np.max(check_eta_monotonicity(tr_p, sp, gs, weight, x0, mu, 1.0).error_budget)
             for x0 in x0s
         ]
         slope_e = np.polyfit(np.log(x0s), np.log(eta_terms), 1)[0]

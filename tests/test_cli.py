@@ -29,7 +29,15 @@ from dgbo.artifacts import (
     write_track,
 )
 from dgbo.cli import _apply_config_defaults, build_parser, main
-from dgbo.dynamics import LINF_CEILING, Diagnostics, EvolutionConfig, RunRecord, Stepper, evolve
+from dgbo.dynamics import (
+    FILTER_STRENGTH,
+    LINF_CEILING,
+    Diagnostics,
+    EvolutionConfig,
+    RunRecord,
+    Stepper,
+    evolve,
+)
 from dgbo.errors import ContractError
 from dgbo.ground_state import GroundState
 from dgbo.modulation import ModulationTrack
@@ -119,6 +127,8 @@ class TestRoundTrips:
         header, samples, states, grid = read_run(str(tmp_path / "run"))
         assert header["status"] == "completed"
         assert header["linf_ceiling"] == LINF_CEILING  # the divergence threshold the run used
+        assert header["filter_strength"] == FILTER_STRENGTH  # and the high-k filter
+        assert "filter_strength" not in header["config"]
         assert grid == g
         assert len(samples) == len(rec.samples)
         assert len(states) == len(rec.states)
@@ -316,6 +326,27 @@ class TestCommands:
     def test_config_error_exit_code(self, tmp_path):
         rc = main(["evolve", "--state", str(tmp_path / "missing"), "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command, value", [
+        ("blowup-scan", "1:2"), ("blowup-scan", "1:2:3:4"), ("blowup-scan", "a:b:c"),
+        ("blowup-scan", "1::0.1"), ("blowup-scan", "1:2:0"), ("blowup-scan", "1:2:-0.1"),
+        ("blowup-scan", "2:1:0.1"), ("blowup-scan", "1:2:nan"),
+        ("monotonicity", "10,,20"), ("monotonicity", "10,x"), ("monotonicity", ""),
+    ])
+    def test_malformed_list_flag_is_a_config_error(self, tmp_path, capsys, command, value):
+        # refused while parsing, before any file is read or written
+        out = str(tmp_path / "out")
+        if command == "blowup-scan":
+            argv = ["blowup-scan", "--alpha", "2", "--amplitudes", value, "--out", out]
+            flag = "--amplitudes"
+        else:
+            argv = ["monotonicity", "--run", str(tmp_path / "run"), "--track",
+                    str(tmp_path / "track"), "--x0", value, "--r", "1.5", "--A", "10",
+                    "--out", out]
+            flag = "--x0"
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_spectrum_beyond_dense_limit_is_a_config_error(self, tmp_path):
         base = str(tmp_path / "gs")

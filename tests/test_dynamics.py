@@ -115,9 +115,11 @@ class TestStep:
         F[1:9] = coefs[:8] + 1j * coefs[8:]
         u = mean + np.fft.irfft(F, g.n) * (g.n / 8)
         cfg = EvolutionConfig(alpha=alpha, dt=1e-3, t_end=1.0, sign=sign,
-                              frame_speed=frame_speed, filter_strength=filter_strength)
+                              frame_speed=frame_speed)
         F0 = g.transform(u)
-        assert flow_stepper(g, cfg).step_spectrum(F0)[0] == F0[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "FILTER_STRENGTH", filter_strength)
+            assert flow_stepper(g, cfg).step_spectrum(F0)[0] == F0[0]
 
     def test_stacked_step_matches_rows(self, rng):
         g = Grid(30.0, 256)
@@ -130,12 +132,13 @@ class TestStep:
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0])
     @pytest.mark.parametrize("filter_strength", [0.0, 1.0])
-    def test_step_matches_formula_bitwise(self, alpha, filter_strength, rng):
+    def test_step_matches_formula_bitwise(self, alpha, filter_strength, rng, monkeypatch):
         # the in-place stages keep every bit of the formula written out
+        monkeypatch.setattr(dynamics, "FILTER_STRENGTH", filter_strength)
         g = Grid(30.0, 256)
         U = np.stack([np.exp(-(g.x**2) / 4.0) + 0.3, 0.8 * np.exp(-((g.x - 3.0) ** 2))])
         U = U + 0.01 * rng.standard_normal(U.shape)
-        cfg = EvolutionConfig(alpha=alpha, dt=1e-3, t_end=1.0, filter_strength=filter_strength)
+        cfg = EvolutionConfig(alpha=alpha, dt=1e-3, t_end=1.0)
         st = flow_stepper(g, cfg)
         for F in (g.transform(U), g.transform(U[1])):
             kept = F.copy()
@@ -167,9 +170,10 @@ class TestStep:
         st.nonlinear(F1)
         assert np.array_equal(W1, kept)
 
-    def test_linear_regime_matches_exact_propagator(self):
+    def test_linear_regime_matches_exact_propagator(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "FILTER_STRENGTH", 0.0)
         g = Grid(30.0, 256)
-        cfg = EvolutionConfig(alpha=1.5, dt=1e-3, t_end=1.0, filter_strength=0.0)
+        cfg = EvolutionConfig(alpha=1.5, dt=1e-3, t_end=1.0)
         st = flow_stepper(g, cfg)
         u0 = 1e-8 * np.exp(-(g.x**2) / 4.0)
         F = g.transform(u0)
@@ -275,7 +279,7 @@ class TestEvolveBatch:
             F[1:5] = c[:4] + 1j * c[4:]
             u0s.append(amp * np.exp(-(g.x**2) / 4.0) + np.fft.irfft(F, g.n) * (g.n / 8))
         cfgs = [EvolutionConfig(alpha=alpha, dt=dt, t_end=n * dt, sign=sign,
-                                frame_speed=frame_speed, filter_strength=filter_strength,
+                                frame_speed=frame_speed,
                                 checkpoint_every=checkpoint_every,
                                 store_states=store_states)
                 for n in steps]
@@ -285,6 +289,7 @@ class TestEvolveBatch:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "LINF_CEILING", 4.0)
+            mp.setattr(dynamics, "FILTER_STRENGTH", filter_strength)
             batch = evolve_batch(g, u0s, cfgs, [stop, None, None])
             for r, (u0, cfg) in enumerate(zip(u0s, cfgs)):
                 alone = evolve(g, u0, cfg, observer=stop if r == 0 else None)
@@ -296,7 +301,7 @@ class TestEvolveBatch:
         u0 = np.exp(-(g.x**2))
         base = EvolutionConfig(alpha=2.0, dt=1e-3, t_end=0.01)
         for other in (dict(alpha=1.9), dict(dt=2e-3), dict(sign="defocusing"),
-                      dict(filter_strength=0.0), dict(frame_speed=1.0),
+                      dict(frame_speed=1.0),
                       dict(checkpoint_every=5), dict(store_states=True)):
             with pytest.raises(ContractError):
                 evolve_batch(g, [u0, u0], [base, replace(base, **other)])
@@ -310,14 +315,14 @@ class TestEvolveBatch:
 
 
 class TestOrderAndSymmetry:
-    def test_fourth_order_convergence(self):
+    def test_fourth_order_convergence(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "FILTER_STRENGTH", 0.0)
         g = Grid(50.0, 512)
         q = gkdv_profile(g.x)
         u0 = q + 0.05 * np.exp(-((g.x - 3.0) ** 2))
 
         def final(dt):
-            cfg = EvolutionConfig(alpha=2.0, dt=dt, t_end=0.04, filter_strength=0.0,
-                                  checkpoint_every=10**9)
+            cfg = EvolutionConfig(alpha=2.0, dt=dt, t_end=0.04, checkpoint_every=10**9)
             return evolve(g, u0, cfg).final_state
 
         ref = final(5e-5)
@@ -351,19 +356,21 @@ class TestOrderAndSymmetry:
         F[1:9] = coefs[:8] + 1j * coefs[8:]
         u = np.fft.irfft(F, g.n) * (g.n / 8)
         cfg = EvolutionConfig(alpha=alpha, dt=1e-3, t_end=1.0, sign=sign,
-                              frame_speed=frame_speed, filter_strength=filter_strength)
-        fwd = flow_stepper(g, cfg)
+                              frame_speed=frame_speed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "FILTER_STRENGTH", filter_strength)
+            fwd = flow_stepper(g, cfg)
         sym = g.ik * g.riesz(alpha) + frame_speed * g.ik
         bwd = Stepper(sym, -cfg.dt, fwd.nonlinear, fwd.filter)
         lhs = g.reflect(g.field(fwd.step_spectrum(g.transform(u))))
         rhs = g.field(bwd.step_spectrum(g.transform(g.reflect(u))))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(u)))
 
-    def test_time_space_reflection_symmetry(self):
+    def test_time_space_reflection_symmetry(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "FILTER_STRENGTH", 0.0)
         g = Grid(40.0, 512)
         u0 = np.exp(-(g.x**2) / 4.0) + 0.3 * np.exp(-((g.x - 5.0) ** 2) / 9.0)
-        cfg = EvolutionConfig(alpha=1.5, dt=1e-4, t_end=0.05, filter_strength=0.0,
-                              checkpoint_every=10**9)
+        cfg = EvolutionConfig(alpha=1.5, dt=1e-4, t_end=0.05, checkpoint_every=10**9)
         fwd = evolve(g, u0, cfg).final_state
         back = evolve(g, g.reflect(fwd), cfg).final_state
         assert g.norm_l2(back - g.reflect(u0)) < 1e-8

@@ -8,8 +8,7 @@ from scipy.special import betainc, gamma
 from dgbo import (
     EvolutionConfig,
     build_weight,
-    calibrate_budget,
-    calibrate_eta_budget,
+    calibrate,
     check_eta_monotonicity,
     check_left_monotonicity,
     check_right_monotonicity,
@@ -220,7 +219,7 @@ class TestMonotonicityChecks:
         ts, ss, tr_s = runs["sol"]
         tp, sp, tr_p = runs["pert"]
         for x0 in (10.0, 20.0, 40.0):
-            c0 = calibrate_budget(ts, ss, tr_s.rho, w, [x0], MU, g, kind="right")
+            c0 = calibrate([check_right_monotonicity(ts, ss, tr_s.rho, w, x0, MU, 0.0, g)])
             for times, states, tr in ((ts, ss, tr_s), (tp, sp, tr_p)):
                 rep = check_right_monotonicity(times, states, tr.rho, w, x0, MU, c0, g)
                 assert rep.all_true
@@ -232,7 +231,7 @@ class TestMonotonicityChecks:
         ts, ss, tr_s = runs["sol"]
         tp, sp, tr_p = runs["pert"]
         for x0 in (10.0, 20.0, 40.0):
-            c0 = calibrate_budget(ts, ss, tr_s.rho, w, [x0], MU, g, kind="left")
+            c0 = calibrate([check_left_monotonicity(ts, ss, tr_s.rho, w, x0, MU, 0.0, g)])
             for times, states, tr in ((ts, ss, tr_s), (tp, sp, tr_p)):
                 rep = check_left_monotonicity(times, states, tr.rho, w, x0, MU, c0, g)
                 assert rep.all_true
@@ -241,7 +240,7 @@ class TestMonotonicityChecks:
         g = runs["grid"]
         w = build_weight(R, A)
         ts, ss, tr_s = runs["sol"]
-        c0 = calibrate_budget(ts, ss, tr_s.rho, w, [10.0], MU, g)
+        c0 = calibrate([check_right_monotonicity(ts, ss, tr_s.rho, w, 10.0, MU, 0.0, g)])
         r10 = check_right_monotonicity(ts, ss, tr_s.rho, w, 10.0, MU, c0, g)
         r20 = check_right_monotonicity(ts, ss, tr_s.rho, w, 20.0, MU, c0, g)
         ratio = r20.error_budget[0] / r10.error_budget[0]
@@ -275,25 +274,25 @@ class TestMonotonicityChecks:
         assert checked == len(left.pairs)
 
     def test_eta_monotonicity(self, runs):
-        g = runs["grid"]
+        gs = runs["gs"]
         w = build_weight(R, A)
-        _, _, tr_p = runs["pert"]
-        c = calibrate_eta_budget(tr_p, w, [15.0, 30.0], MU, g)
+        _, sp, tr_p = runs["pert"]
+        c = calibrate([check_eta_monotonicity(tr_p, sp, gs, w, x0, MU, 0.0) for x0 in (15.0, 30.0)])
         for x0 in (10.0, 20.0):
-            rep = check_eta_monotonicity(tr_p, w, x0, MU, c, g)
+            rep = check_eta_monotonicity(tr_p, sp, gs, w, x0, MU, c)
             assert rep.all_true
 
     def test_rebudget_matches_a_fresh_check(self, runs):
         # the CLI checks once at c0 = 0 and re-budgets that report; a check
         # run at the calibrated constant must state the same inequalities
-        g = runs["grid"]
+        g, gs = runs["grid"], runs["gs"]
         w = build_weight(R, A)
         tp, sp, tr_p = runs["pert"]
-        c0 = calibrate_budget(tp, sp, tr_p.rho, w, [10.0], MU, g)
-        c_eta = calibrate_eta_budget(tr_p, w, [10.0], MU, g)
+        c0 = calibrate([check_right_monotonicity(tp, sp, tr_p.rho, w, 10.0, MU, 0.0, g)])
+        c_eta = calibrate([check_eta_monotonicity(tr_p, sp, gs, w, 10.0, MU, 0.0)])
         for check, c in (
             (lambda c: check_right_monotonicity(tp, sp, tr_p.rho, w, 10.0, MU, c, g), c0),
-            (lambda c: check_eta_monotonicity(tr_p, w, 10.0, MU, c, g), c_eta),
+            (lambda c: check_eta_monotonicity(tr_p, sp, gs, w, 10.0, MU, c), c_eta),
         ):
             fresh, rebudgeted = check(c), replace(check(0.0), c0=c)
             assert np.array_equal(rebudgeted.rhs, fresh.rhs)
@@ -301,22 +300,20 @@ class TestMonotonicityChecks:
             assert rebudgeted.all_true
 
     def test_eta_zero_track(self, runs):
-        g = runs["grid"]
         w = build_weight(R, A)
-        _, _, tr_s = runs["sol"]
-        rep = check_eta_monotonicity(tr_s, w, 10.0, MU, 0.0, g)
+        _, ss, tr_s = runs["sol"]
+        rep = check_eta_monotonicity(tr_s, ss, runs["gs"], w, 10.0, MU, 0.0)
         scale = np.max(tr_s.eta_l2) ** 2 * w.phi_total + 1e-300
         assert np.max(np.abs(rep.lhs)) < 1e-10  # eta == 0 within solver drift
         assert np.max(np.abs(rep.rhs)) < 1e-10
 
     def test_eta_error_term_x0_scaling(self, runs):
-        g = runs["grid"]
         w = build_weight(R, A)
-        _, _, tr_p = runs["pert"]
+        _, sp, tr_p = runs["pert"]
         x0s = np.array([10.0, 20.0, 40.0])
         terms = []
         for x0 in x0s:
-            rep = check_eta_monotonicity(tr_p, w, x0, MU, 1.0, g)
+            rep = check_eta_monotonicity(tr_p, sp, runs["gs"], w, x0, MU, 1.0)
             terms.append(np.max(rep.error_budget))
         slope = np.polyfit(np.log(x0s), np.log(terms), 1)[0]
         assert abs(slope + 2 * R) < 0.15 * 2 * R
@@ -330,7 +327,9 @@ class TestMonotonicityChecks:
         with pytest.raises(ContractError):
             check_right_monotonicity(ts, ss, tr_s.rho, w, 10.0, 1.5, 0.0, g)
         with pytest.raises(ContractError):
-            check_eta_monotonicity(tr_s, w, 10.0, 1.5, 0.0, g)
+            check_eta_monotonicity(tr_s, ss, runs["gs"], w, 10.0, 1.5, 0.0)
+        with pytest.raises(ContractError, match="alpha"):  # a track of another ground state
+            check_eta_monotonicity(replace(tr_s, alpha=1.5), ss, runs["gs"], w, 10.0, MU, 0.0)
 
     def test_length_mismatch_is_a_contract_error(self, runs):
         g = runs["grid"]
@@ -339,13 +338,15 @@ class TestMonotonicityChecks:
         for check in (check_right_monotonicity, check_left_monotonicity):
             with pytest.raises(ContractError, match="length mismatch"):
                 check(ts, ss[:-1], tr_s.rho, w, 10.0, MU, 0.0, g)
+        # the eta check rebuilds each remainder from its frame: one state per track time
+        with pytest.raises(ContractError, match="length mismatch"):
+            check_eta_monotonicity(tr_s, ss[:-1], runs["gs"], w, 10.0, MU, 0.0)
 
     def test_eta_check_without_remainders_is_a_contract_error(self, runs):
-        g = runs["grid"]
+        # no frames, so no remainder can be rebuilt at any track time
         _, _, tr_s = runs["sol"]
-        with pytest.raises(ContractError, match="no remainder fields"):
-            check_eta_monotonicity(replace(tr_s, eta_fields=[]), build_weight(R, A),
-                                   10.0, MU, 0.0, g)
+        with pytest.raises(ContractError, match="length mismatch"):
+            check_eta_monotonicity(tr_s, [], runs["gs"], build_weight(R, A), 10.0, MU, 0.0)
 
     def test_seam_window_shape(self, runs):
         g = runs["grid"]

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from dgbo import Grid, LinearizedOperator, assemble, continuation_ladder, spectrum
+from dgbo import Grid, LinearizedOperator, assemble, continuation_ladder, linearized
+from dgbo import negative_mode, spectrum
 from dgbo.scan import blowup_scan, lambda_monotone, write_scan
 
 
@@ -51,8 +52,31 @@ def test_scan_takes_chi0_without_a_dense_solve(tmp_path, monkeypatch):
     assert header["mu0"] == context["mu0"] == pytest.approx(-8.0, abs=1e-5)  # (24, 256) is coarse
     assert header["chi0_residual"] == context["chi0_residual"] < 1e-10
     assert header["chi0_iterations"] == context["chi0_iterations"]
-    assert "spectrum_structure_ok" not in header
+    assert "spectrum_structure_ok" not in header and "spectrum_chi0_resolved" not in header
     # on (24, 256) chi0 dips within its resolution floor; the dense spectrum agrees
     monkeypatch.undo()
     rep = spectrum(assemble(continuation_ladder(2.0, Grid(24.0, 256))))
-    assert header["spectrum_chi0_resolved"] is rep.chi0_resolved is False
+    assert header["chi0_resolved"] is rep.chi0_resolved is False
+    assert header["chi0_sign_ok"] is True
+
+
+def test_scan_records_a_chi0_that_changes_sign(tmp_path, monkeypatch):
+    # a dip of 5 % of the peak, smooth and far deeper than chi0's resolution
+    # floor, fed to the sign verdict of negative_mode
+    orient = linearized._orient_chi0
+
+    def dipped(grid, v, notes):
+        bump = np.exp(-((np.abs(grid.x) - 6.0) ** 2))
+        return orient(grid, v - 0.05 * v[np.argmax(np.abs(v))] * bump, notes)
+
+    monkeypatch.setattr(linearized, "_orient_chi0", dipped)
+    grid = Grid(24.0, 256)
+    mode = negative_mode(continuation_ladder(2.0, grid))
+    assert mode.chi0_sign_ok is False and mode.chi0_resolved is True
+    assert np.min(mode.chi0) < -0.04 * np.max(mode.chi0)
+    assert any("changes sign" in note for note in mode.notes)
+    rows, context = blowup_scan(2.0, [1.06], grid=grid, t_end_super=0.05)
+    write_scan(str(tmp_path), rows, context)
+    with open(tmp_path / "scan.json") as fh:
+        header = json.load(fh)
+    assert header["chi0_sign_ok"] is False and header["chi0_resolved"] is True

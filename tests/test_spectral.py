@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -133,6 +134,35 @@ def test_fourier_layout_lives_in_spectral():
     users = [p.name for p in sorted(src.glob("*.py"))
              if p.name != "spectral.py" and "np.fft" in p.read_text()]
     assert users == []
+
+
+SETTABLE_VALUES = 33  # ROADMAP ("Quality of design") states the same count
+
+
+def settable_values(sources):
+    """Defaulted parameters, ``**kwargs`` and defaulted ``EvolutionConfig``
+    fields in the module sources ``sources``."""
+    count = 0
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                count += len(a.defaults) + sum(d is not None for d in a.kw_defaults)
+                count += a.kwarg is not None
+            elif isinstance(node, ast.ClassDef) and node.name == "EvolutionConfig":
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                             for s in node.body)
+    return count
+
+
+def test_settable_values_are_counted():
+    # adding a knob means raising this count and ROADMAP's together
+    sample = ("def f(a, b=1, *args, c=2, d, **kw):\n    return lambda y=0: y\n"
+              "class EvolutionConfig:\n    x: int\n    y: int = 1\n"
+              "class Other:\n    z: int = 1\n")
+    assert settable_values([sample]) == 5
+    src = Path(dgbo.__file__).parent
+    assert settable_values(p.read_text() for p in sorted(src.glob("*.py"))) == SETTABLE_VALUES
 
 
 def test_import_loads_no_scipy():
@@ -295,6 +325,12 @@ class TestResampling:
         assert np.max(np.abs(g.reflect(g.reflect(f)) - f)) == 0.0
         sym = g.symmetrize(f)
         assert np.max(np.abs(sym - g.reflect(sym))) < 1e-15
+        # a stack is symmetrized row by row, with the bits of the one-field formula
+        stack = rng.standard_normal((3, 128))
+        rows = g.symmetrize(stack)
+        for row, v in zip(rows, stack):
+            assert np.array_equal(row, g.symmetrize(v))
+            assert np.array_equal(row, 0.5 * (v + g.reflect(v)))
 
 
 def band_limited(n, coefs):
