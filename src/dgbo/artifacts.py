@@ -22,7 +22,6 @@ from .monotonicity import WINDOW_FRACTION
 from .spectral import Grid
 
 FLOAT_FMT = "%.17g"
-SPECTRUM_EIGS = 64  # lowest eigenvalues a spectrum artifact lists
 
 
 def _cell(v):
@@ -233,7 +232,7 @@ def write_spectrum(base, report: SpectrumReport):
     write_field(base + ".chi0", report.grid, report.chi0, kind="chi0", alpha=report.alpha)
     for i, (ev, vec) in enumerate(report.near_kernel):
         write_field(base + f".kernel{i}", report.grid, vec, kind="near_kernel", eigenvalue=ev)
-    edge = report.essential_edge_estimate  # inf when no eigenvalue lies above the near-kernel band
+    edge = report.essential_edge_estimate  # -inf when an inertia count is capped: no bound
     write_json(
         base + ".spectrum.json",
         {
@@ -241,7 +240,8 @@ def write_spectrum(base, report: SpectrumReport):
             "alpha": report.alpha,
             "grid": report.grid,
             "mu0": report.mu0,
-            "lowest_eigenvalues": report.eigenvalues[:SPECTRUM_EIGS],
+            "lowest_eigenvalues": report.eigenvalues,
+            "inertia": report.inertia,
             "kernel_tol": report.kernel_tol,
             "near_kernel_eigenvalues": [ev for ev, _ in report.near_kernel],
             "essential_edge_estimate": edge if np.isfinite(edge) else None,

@@ -5,12 +5,10 @@ blowup-scan, liouville-probe. A JSON config file may supply any parameter;
 command-line flags override it. Identical configs (same seed) produce
 byte-identical CSV artifacts.
 
-Exit codes: 0 success, 2 config error (also a request the code path cannot
-serve: a dense solve beyond its size limit),
-3 convergence failure (also a modulation solve that left the soliton tube:
-DecompositionError, ClosenessError), 4 resolution failure, 5 divergence
-detected outside a scan (inside a scan a divergence indicator is a successful
-finding).
+Exit codes: 0 success, 2 config error, 3 convergence failure (also a
+modulation solve that left the soliton tube: DecompositionError,
+ClosenessError), 4 resolution failure, 5 divergence detected outside a scan
+(inside a scan a divergence indicator is a successful finding).
 """
 
 import argparse
@@ -36,7 +34,6 @@ from .artifacts import (
 )
 from .dynamics import STATUS_DIVERGED, STATUS_RESOLUTION_LOST, EvolutionConfig, evolve
 from .errors import (
-    CapacityError,
     ConfigError,
     ContractError,
     ConvergenceError,
@@ -191,9 +188,8 @@ def _cmd_monotonicity(args):
     reports = [replace(rep, c0=args.c0 if args.c0 is not None else calibrate([rep]))
                for rep in sided]
     if gs is not None:
-        for x0 in x0_list:
-            rep = check_eta_monotonicity(tr, fields, gs, weight, x0, args.mu, 0.0)
-            reports.append(replace(rep, c0=calibrate([rep])))
+        reports += [replace(rep, c0=calibrate([rep]))
+                    for rep in check_eta_monotonicity(tr, fields, gs, weight, x0_list, args.mu, 0.0)]
     write_monotonicity(args.out, reports, header_extra={"run": args.run, "track": args.track})
     bad = [r for r in reports if not r.all_true]
     print(f"{len(reports)} reports, {len(bad)} with violations -> {args.out}")
@@ -314,7 +310,7 @@ def build_parser():
     e.add_argument("--out", default="run")
     e.set_defaults(func=_cmd_evolve)
 
-    s = sub.add_parser("spectrum", help="dense eigendecomposition of the linearized operator")
+    s = sub.add_parser("spectrum", help="matrix-free structural certificate of the linearized operator")
     s.add_argument("--state", required=True)
     s.add_argument("--out", default="spectrum")
     s.set_defaults(func=_cmd_spectrum)
@@ -370,8 +366,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(_apply_config_defaults(argv))
         return args.func(args)
-    except (CapacityError, ConfigError, ContractError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, ContractError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:

@@ -1,37 +1,35 @@
-"""The operator L = |D|^alpha + 1 - Q^{2 alpha} around a ground state.
+"""The operator L = |D|^alpha + 1 - Q^{2 alpha} around a ground state, matrix-free.
 
-Collocation L (|D|^alpha is a symmetric circulant) in its two parity blocks
-(Q is even, so L commutes with x -> -x), each built straight from the
-circulant column and the potential and solved on its own by LAPACK's
-divide-and-conquer solver (``numpy.linalg.eigh``, Cuppen's method, which
-suits the clustered continuum of L), so the N x N matrix is never formed;
-structural certification per parity (one negative eigenvalue, with a
-positive eigenfunction, in the even block; a one-dimensional near-kernel,
-carried by Q', in the odd block), coercivity probes whose minimum over the
-Q-orthogonal sphere is the smallest root of a secular equation on that same
-eigendecomposition, and evolution of the associated flow w_t = dx(L w),
-read out against the exact free-dispersion group. The negative direction
-chi0 alone comes matrix-free from ``negative_mode``, a block iteration
-preconditioned by S^{-1} = (1 + |D|^alpha)^{-1}.
+L is applied in collocation form (|D|^alpha spectrally, the potential
+pointwise) by ``LinearizedOperator.apply`` and by nothing else. Q is even, so
+L commutes with x -> -x and every solve runs on the even or on the odd
+fields. The structure (one negative eigenvalue, with a positive
+eigenfunction chi0, on the even fields; a one-dimensional near-kernel,
+carried by Q', on the odd ones) is certified by Birman-Schwinger inertia
+counts; the eigenpairs reported, and the coercivity minimum on the
+Q-orthogonal fields, come from one block iteration preconditioned by
+S^{-1} = (1 + |D|^alpha)^{-1}. The module also evolves the associated flow
+w_t = dx(L w), read out against the exact free-dispersion group. The dense
+collocation matrix (``LinearizedOperator.matrix``) is a test reference only.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import Stepper, _step_count, _step_rows
 from .errors import CapacityError, ContractError, ConvergenceError
 from .ground_state import GroundState
 from .spectral import Grid
 
-DENSE_N_LIMIT = 4096
+DENSE_N_LIMIT = 4096  # largest N whose dense matrix LinearizedOperator.matrix builds
 KERNEL_TOL_REL = 1e-6  # near-kernel band |eigenvalue| <= KERNEL_TOL_REL * (1 + k_max^alpha)
 COERCIVITY_BLOCK = 64  # random trial fields per stacked transform in coercivity_probe
 COERCIVITY_TOL = 1e-6  # mu_est below -COERCIVITY_TOL is a violation
 CHECKPOINT_EVERY = 100  # steps between the kept states of evolve_linearized
-MODE_TOL_REL = 1e-14  # negative_mode stops at max|L x - mu x| <= MODE_TOL_REL (1 + k_max^alpha) max|x|
-MODE_MAX_ITERS = 100  # Rayleigh-Ritz steps of negative_mode before ConvergenceError
+MODE_TOL_REL = 1e-14  # a block iteration converges at max|A x - mu x| <= MODE_TOL_REL (1 + k_max^alpha) max|x|
+MODE_MAX_ITERS = 200  # Rayleigh-Ritz steps of a block iteration before ConvergenceError
+INERTIA_ROWS = 3  # Birman-Schwinger eigenvalues per inertia count; a count of INERTIA_ROWS is capped
 
 
 def _potential(gs: GroundState):
@@ -62,7 +60,7 @@ def apply_operator(gs: GroundState, v):
 
 @dataclass
 class LinearizedOperator:
-    """L around ``gs`` in collocation form, as its parity blocks (``parity_block``)."""
+    """L around ``gs``, applied matrix-free by ``apply``."""
 
     gs: GroundState
 
@@ -74,85 +72,181 @@ class LinearizedOperator:
     def grid(self):
         return self.gs.grid
 
-    def _column(self):
-        """The circulant column of |D|^alpha, symmetrized (the average of col and
-        its reflection, so col[j] == col[N - j] bit for bit), and the diagonal
-        d = (col[0] + 1) - Q^{2 alpha}."""
-        grid = self.grid
-        col = grid.symmetrize(grid.field(grid.riesz(self.alpha)))
-        return col, (col[0] + 1.0) - _potential(self.gs)
-
-    def parity_block(self, odd: bool) -> np.ndarray:
-        """The even (odd=False) or odd block of the collocation matrix of L.
-
-        In the bases of ``_to_grid`` with j = 1 .. N/2 - 1 the interior is
-        col[|i - j|] + col[i + j] (even) or col[|i - j|] - col[i + j] (odd), a
-        Toeplitz plus or minus a Hankel matrix, both read as strided views of
-        the column; its diagonal is d_j + col[2j] or d_j - col[2j]. The even
-        block's border rows i = 0 and N/2 are sqrt 2 col[|i - j|], with corners
-        d_0, d_{N/2} and col[N/2]. No N x N array is formed.
-        """
-        col, d = self._column()
-        n = len(col)
-        h = n // 2
-        # col[|i - j|] for i, j = 1 .. h - 1: windows of col[h-2 .. 1, 0, 1 .. h-2]
-        toeplitz = sliding_window_view(np.concatenate([col[h - 2 : 0 : -1], col[: h - 1]]), h - 1)[::-1]
-        hankel = sliding_window_view(col[2 : n - 1], h - 1)  # col[i + j]
-        if odd:
-            block = np.subtract(toeplitz, hankel)
-            np.fill_diagonal(block, d[1:h] - col[2:n:2])
-            return block
-        block = np.empty((h + 1, h + 1))
-        np.add(toeplitz, hankel, out=block[1:h, 1:h])
-        np.fill_diagonal(block, np.concatenate([d[:1], d[1:h] + col[2:n:2], d[h : h + 1]]))
-        block[0, 1:h] = block[1:h, 0] = np.sqrt(2.0) * col[1:h]
-        block[h, 1:h] = block[1:h, h] = np.sqrt(2.0) * col[h - 1 : 0 : -1]
-        block[0, h] = block[h, 0] = col[h]
-        return block
+    def apply(self, v):
+        """L v by ``apply_operator`` (v may stack fields): the one way
+        ``spectrum`` and ``coercivity_probe`` apply L."""
+        return apply_operator(self.gs, v)
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense symmetric N x N collocation matrix of L, built on each read.
+        """The dense symmetric N x N collocation matrix of L, built on each
+        read; N > DENSE_N_LIMIT raises ``CapacityError``.
 
-        ``spectrum`` never reads it; it is the dense reference that tests and
-        tracers compare against. The circulant entries come from the
-        symmetrized column and the diagonal is written in place.
+        Nothing in the package reads it: it is the dense reference that tests
+        and tracers compare against. The circulant column of |D|^alpha is
+        symmetrized (col[j] == col[N - j] bit for bit) and the diagonal
+        (col[0] + 1) - Q^{2 alpha} is written in place.
         """
-        col, d = self._column()
-        n = len(col)
+        grid = self.grid
+        n = grid.n
+        if n > DENSE_N_LIMIT:
+            raise CapacityError(f"the dense matrix is limited to N <= {DENSE_N_LIMIT}, got {n}; "
+                                "apply L matrix-free with LinearizedOperator.apply")
+        col = grid.symmetrize(grid.field(grid.riesz(self.alpha)))
         i = np.arange(n, dtype=np.int32)
         mat = col[(i[:, None] - i) % n]
-        mat.flat[:: n + 1] = d
+        mat.flat[:: n + 1] = (col[0] + 1.0) - _potential(self.gs)
         return mat
 
 
 def assemble(gs: GroundState) -> LinearizedOperator:
-    """The collocation L of ``gs`` (N <= 4096), ready for ``spectrum``."""
-    n = gs.grid.n
-    if n > DENSE_N_LIMIT:
-        raise CapacityError(
-            f"dense assembly limited to N <= {DENSE_N_LIMIT}, got {n}; "
-            "use apply_operator for matrix-free application"
-        )
+    """L around ``gs``, ready for ``spectrum`` on any grid."""
     return LinearizedOperator(gs=gs)
+
+
+# -- block iteration -------------------------------------------------------------
+
+
+def _parity(grid, f, odd):
+    """The odd (odd=True) or even part of f about x = 0; f may stack fields."""
+    return 0.5 * (f - grid.reflect(f)) if odd else grid.symmetrize(f)
+
+
+def _seeds(gs, odd, m):
+    """m start fields of one parity: Q^{alpha + 1} (even; the exact chi0 at
+    alpha = 2, a Poschl-Teller ground state) or Q' (odd; the kernel), then
+    x^{2j} e^{-x^2/2}, times x for the odd ones, for j = 1 .. m - 1."""
+    x = gs.grid.x
+    first = gs.derivative() if odd else np.abs(gs.values) ** (gs.alpha + 1.0)
+    rest = [x ** (2 * j + odd) * np.exp(-0.5 * x * x) for j in range(1, m)]
+    return _parity(gs.grid, np.stack([first] + rest), odd)
+
+
+def _block_iteration(apply, x, direction, stop, what):
+    """The lowest len(x) eigenpairs of a symmetric operator A, from the start rows x.
+
+    Each step is a Rayleigh-Ritz on the span of [X, W, P] (LOBPCG, Knyazev,
+    SIAM J. Sci. Comput. 23, 2001): the rows, the directions W =
+    ``direction(R)`` made from their residuals R = A X - diag(mu) X, and the
+    previous step's directions P, orthonormalized by a QR and solved by a
+    small ``eigh``. ``apply`` applies A to stacked rows. ``stop(mu, res)``
+    reads the ascending Ritz values and the row residuals max|A x - mu x| /
+    max|x|; it is asked from the start for one row, and from the first step
+    on for a block, whose start rows are not Ritz vectors. Returns (mu, X, R,
+    steps); a solve not stopped within MODE_MAX_ITERS steps raises
+    ``ConvergenceError`` with the history of the largest row residual.
+    """
+    x = np.stack([row / np.linalg.norm(row) for row in x])
+    ax = apply(x)
+    mu = np.array([float(a @ b) for a, b in zip(x, ax)])
+    m, p, history = len(x), None, []
+    for it in range(MODE_MAX_ITERS + 1):
+        r = ax - mu[:, None] * x
+        res = [float(np.max(np.abs(ri))) / float(np.max(np.abs(xi))) for ri, xi in zip(r, x)]
+        history.append(max(res))
+        if (m == 1 or p is not None) and stop(mu, res):
+            break
+        if it == MODE_MAX_ITERS:
+            raise ConvergenceError(
+                f"{what}: residual {history[-1]:.2e} after {MODE_MAX_ITERS} steps", history)
+        w = direction(r)
+        basis = np.linalg.qr(np.concatenate([x, w] if p is None else [x, w, p]).T)[0].T
+        a_basis = apply(basis)
+        small = basis @ a_basis.T
+        c = np.linalg.eigh(0.5 * (small + small.T))[1][:, :m].T
+        # row by row, so that a one-row block takes the arithmetic of a vector
+        x, ax = np.stack([ci @ basis for ci in c]), np.stack([ci @ a_basis for ci in c])
+        p = np.stack([ci[m:] @ basis[m:] for ci in c])  # the step, orthogonal to the previous rows
+        mu = np.array([float(a @ b) for a, b in zip(x, ax)])
+    return mu, x, r, it
+
+
+def _low_modes(op, apply, start, project, what):
+    """The lowest len(start) eigenpairs of L on the fields that ``project``
+    keeps, by ``_block_iteration`` preconditioned by S^{-1} (one real-FFT
+    pair): S^{-1} L is the identity plus a compact operator, so the step
+    count does not grow with N. ``apply`` is L, or L followed by ``project``
+    where L does not keep those fields. Every row converges at max|L x - mu x|
+    <= MODE_TOL_REL (1 + k_max^alpha) max|x|: the top of S on the grid times a
+    margin of about fifty over the roundoff floor.
+    """
+    grid = op.grid
+    s_inv = 1.0 / (1.0 + grid.riesz(op.alpha))
+    tol = MODE_TOL_REL * (1.0 + grid.k_max ** op.alpha)
+    return _block_iteration(apply, start, lambda r: project(grid.field(s_inv * grid.transform(r))),
+                            lambda mu, res: max(res) <= tol, what)
+
+
+def _parity_modes(op, odd, m):
+    """The lowest m eigenpairs of L on the even (odd=False) or odd fields, from ``_seeds``."""
+    return _low_modes(op, op.apply, _seeds(op.gs, odd, m), lambda f: _parity(op.grid, f, odd),
+                      f"lowest {m} {'odd' if odd else 'even'} modes")
+
+
+def _birman_schwinger(op, sigma):
+    """y -> S^{-1/2} (L - sigma) S^{-1/2} y = (I - K_sigma) y, with S = 1 + |D|^alpha.
+
+    K_sigma = S^{-1/2} (Q^{2 alpha} + sigma) S^{-1/2} is compact: it is the
+    Birman-Schwinger operator (Reed & Simon IV, XIII.3). L is applied by
+    ``op.apply`` and S^{-1/2} by a real-FFT pair on each side; y may stack
+    fields.
+    """
+    grid = op.grid
+    s_half = (1.0 + grid.riesz(op.alpha)) ** -0.5
+
+    def shifted(y):
+        z = grid.field(s_half * grid.transform(y))
+        return grid.field(s_half * grid.transform(op.apply(z) - sigma * z))
+
+    return shifted
+
+
+def _inertia(op, sigma, odd):
+    """#{eigenvalues of L below sigma} on the even (odd=False) or odd fields,
+    matrix-free and capped at INERTIA_ROWS; returns (count, kappa_next).
+
+    By Sylvester's law of inertia the count is #{kappa > 1} over the
+    eigenvalues kappa of K_sigma (``_birman_schwinger``), taken from the top
+    of its spectrum by ``_block_iteration`` on I - K_sigma. The solve stops
+    once the count is settled: a row whose Ritz value is above 1 counts as it
+    stands (Ritz values bound the kappa from below), and the first row at or
+    below 1 has converged as in ``_low_modes``; the other rows need not
+    converge. kappa_next is that row's kappa (nan when every row counts):
+    since S >= 1, no eigenvalue of L at or above sigma lies below
+    sigma + 1 - kappa_next.
+    """
+    grid = op.grid
+    tol = MODE_TOL_REL * (1.0 + grid.k_max ** op.alpha)
+
+    def settled(nu, res):
+        j = int(np.sum(nu < 0.0))
+        return j == len(nu) or res[j] <= tol
+
+    nu = _block_iteration(_birman_schwinger(op, sigma), _seeds(op.gs, odd, INERTIA_ROWS),
+                          lambda f: _parity(grid, f, odd), settled, f"inertia below {sigma:.3e}")[0]
+    j = int(np.sum(nu < 0.0))
+    return j, (1.0 - nu[j] if j < len(nu) else np.nan)
+
+
+# -- spectrum ----------------------------------------------------------------------
 
 
 @dataclass
 class SpectrumReport:
     alpha: float
     grid: Grid
-    eigenvalues: np.ndarray
-    q_weights: np.ndarray            # (v_i . Q)^2 / |Q|^2 per eigenvector v_i: Q's spectral measure
+    eigenvalues: np.ndarray          # the low modes found, ascending: per parity those below kernel_tol, or its lowest
+    inertia: list                    # per parity, even then odd: #{ev < -kernel_tol}, #{ev < kernel_tol}, capped
     mu0: float
     chi0: np.ndarray                 # unit L2 norm, sign-fixed positive
     near_kernel: list                # (eigenvalue, eigenvector) with |ev| <= kernel_tol
     kernel_tol: float
-    essential_edge_estimate: float   # smallest eigenvalue above the near-kernel band
+    essential_edge_estimate: float   # no eigenvalue above the band lies below it; -inf when a count is capped
     qprime_cosine: float             # |cos| similarity of the near-kernel mode with Q'
     chi0_even_defect: float
     parity_gap: float                # lowest odd minus lowest even eigenvalue
     chi0_resolved: bool              # False: chi0's sign change is within its resolution floor
-    max_eig_residual: float
+    max_eig_residual: float          # max |L v - ev v| over the modes found (unit v)
     structure_ok: bool
     notes: list = field(default_factory=list)
 
@@ -179,106 +273,60 @@ def _orient_chi0(grid, v, notes):
     return chi0, True, False
 
 
-def _to_grid(c, n, odd):
-    """The grid vector with coordinates c in the even (odd=False) or odd block's basis."""
-    h = n // 2
-    v = np.zeros(n)
-    v[1:h] = (c if odd else c[1:h]) / np.sqrt(2.0)
-    v[n - 1 : h : -1] = -v[1:h] if odd else v[1:h]
-    if not odd:
-        v[0], v[h] = c[0], c[h]
-    return v
-
-
-@dataclass
-class _BlockSolve:
-    """What ``spectrum`` keeps of one parity block's eigendecomposition."""
-
-    eigenvalues: np.ndarray
-    near_kernel: list                # (eigenvalue, eigenvector on the grid) with |ev| <= tol
-    bottom: np.ndarray               # the lowest eigenvector on the grid
-    projections: np.ndarray | None   # project @ eigenvectors
-    residual: float                  # max |L v - lambda v| over the sampled modes
-
-
-def _solve_block(op, odd, tol, project=None) -> _BlockSolve:
-    """``eigh`` of one parity block of ``op``; the block and its eigenvectors
-    are dropped on return.
-
-    The band is |eigenvalue| <= tol. The residual is sampled on the four
-    lowest and the band modes as B c - lambda c mapped to the grid, which is
-    L v - lambda v for v = ``_to_grid(c)``. ``project``, a vector in the
-    block's basis, is projected on every eigenvector.
-    """
-    n = op.grid.n
-    block = op.parity_block(odd)
-    ev, vec = np.linalg.eigh(block)
-    band = np.flatnonzero(np.abs(ev) <= tol)
-    sample = sorted(set(range(min(4, len(ev)))) | set(band))
-    resid = max(float(np.max(np.abs(_to_grid(block @ vec[:, j] - ev[j] * vec[:, j], n, odd))))
-                for j in sample)
-    return _BlockSolve(
-        eigenvalues=ev,
-        near_kernel=[(float(ev[j]), _to_grid(vec[:, j], n, odd)) for j in band],
-        bottom=_to_grid(vec[:, 0], n, odd),
-        projections=None if project is None else project @ vec,
-        residual=resid,
-    )
-
-
 def spectrum(op: LinearizedOperator) -> SpectrumReport:
-    """Full symmetric eigendecomposition, per parity, with structural certification.
+    """Structural certification of L per parity, matrix-free on any grid.
 
-    Q is even, so L commutes with x -> -x and its matrix splits into an even
-    block of size N/2 + 1 and an odd block of size N/2 - 1. Each block is
-    built from the circulant column and the potential
-    (``LinearizedOperator.parity_block``) and solved by divide and conquer
-    (``syevd`` through ``numpy.linalg.eigh``, which suits the clustered
-    continuum of L), one after the other: no N x N array is formed. The
-    eigenvalues and Q's spectral measure ``q_weights`` are merged into one
-    ascending order; Q is exactly even (every Petviashvili iterate is
-    symmetrized), so its odd weights are zeros. Block eigenvectors reach the
-    grid only for chi0 (the even block's lowest mode), the near-kernel modes
-    (each block's band columns) and the residual sample. A potential that is
-    not reflection-even raises ``ContractError``.
+    Q is even, so L commutes with x -> -x. kernel_tol = KERNEL_TOL_REL
+    (1 + k_max^alpha) is fixed first: 1 + k_max^alpha tops 1 + |D|^alpha on
+    the grid, hence L (Q^{2 alpha} >= 0). Each parity's inertia, the number of
+    eigenvalues below -kernel_tol and below kernel_tol, comes from two
+    Birman-Schwinger counts (``_inertia``); L is applied only by
+    ``op.apply`` and no LAPACK routine sees more than a Rayleigh-Ritz block.
+    The structure is the tally per parity (ker L = span{Q'}, Frank &
+    Lenzmann, Acta Math. 210, 2013): the even fields have one eigenvalue below
+    -kernel_tol and none in the band |lambda| <= kernel_tol, the odd fields
+    none below and one in the band, which implies ``parity_gap`` > 0.
 
-    The structure is tallied per parity (ker L = span{Q'}, Frank & Lenzmann,
-    Acta Math. 210, 2013): the even block has one eigenvalue below
-    -kernel_tol and none in the band |lambda| <= kernel_tol, the odd block
-    none below and one in the band, which implies ``parity_gap`` > 0. kernel_tol
-    = KERNEL_TOL_REL (1 + k_max^alpha) is fixed before either block is solved:
-    1 + k_max^alpha tops 1 + |D|^alpha on the grid, hence L (Q^{2 alpha} >= 0). A
-    failed tally, a near-kernel mode poorly aligned with Q' or a
-    sign-changing chi0 sets ``structure_ok=False`` with a note; a sign change
-    no deeper than chi0's resolution floor, sqrt(spectral tail fraction) *
-    max chi0, sets ``chi0_resolved=False`` instead.
+    The eigenpairs reported are each parity's modes below kernel_tol (its
+    lowest alone if there are none, or if the count is capped), from the
+    block iteration of ``negative_mode`` seeded per parity (``_seeds``); so
+    chi0 is ``negative_mode``'s bit for bit when the even count is one. Modes
+    that disagree with the counts, a failed tally, a near-kernel mode poorly
+    aligned with Q' or a sign-changing chi0 set ``structure_ok=False`` with a
+    note; a sign change no deeper than chi0's resolution floor sets
+    ``chi0_resolved=False`` instead. A potential that is not reflection-even
+    raises ``ContractError``.
     """
     grid = op.grid
-    n = grid.n
-    h = n // 2
     _check_even_potential(op.gs)
-    # Q's coordinates in the even basis; the odd ones are zeros
-    q = op.gs.values
-    q_even = np.concatenate([q[:1], (q[1:h] + q[n - 1 : h : -1]) / np.sqrt(2.0), q[h : h + 1]])
     ktol = KERNEL_TOL_REL * (1.0 + grid.k_max ** op.alpha)
-    even, odd = _solve_block(op, False, ktol, q_even), _solve_block(op, True, ktol)
-    ev_even, ev_odd = even.eigenvalues, odd.eigenvalues
-    merged = np.concatenate([ev_even, ev_odd])
-    order = np.argsort(merged, kind="stable")
-    evals = merged[order]
-    tally = [(int(np.sum(s.eigenvalues < -ktol)), len(s.near_kernel)) for s in (even, odd)]
+    counts = [[_inertia(op, s, odd) for s in (-ktol, ktol)] for odd in (False, True)]
+    inertia = [(lo[0], hi[0]) for lo, hi in counts]
+    capped = any(n == INERTIA_ROWS for _, n in inertia)
+    modes = [_parity_modes(op, odd, n if 0 < n < INERTIA_ROWS else 1)
+             for odd, (_, n) in zip((False, True), inertia)]
+    (ev_even, vec_even, r_even, _), (ev_odd, vec_odd, r_odd, _) = modes
+    tally = [(lo, n - lo) for lo, n in inertia]
     parity_gap = float(ev_odd[0] - ev_even[0])
     ok = tally == [(1, 0), (0, 1)]
     notes = [] if ok else [
         f"parity gap {parity_gap:.2e}; (negative, near-kernel) counts: even block {tally[0]}, "
         f"odd block {tally[1]}, expected (1, 0) and (0, 1)"
+        + (f"; a count of {INERTIA_ROWS} is capped" if capped else "")
     ]
+    found = [(int(np.sum(ev < -ktol)), int(np.sum(np.abs(ev) <= ktol))) for ev in (ev_even, ev_odd)]
+    if not capped and found != tally:
+        ok = False
+        notes.append(f"the modes found, (negative, near-kernel) {found[0]} even and {found[1]} "
+                     "odd, disagree with the inertia counts")
 
-    chi0, resolved, sign_ok = _orient_chi0(grid, even.bottom, notes)
+    chi0, resolved, sign_ok = _orient_chi0(grid, vec_even[0], notes)
     ok = ok and sign_ok
     even_defect = float(np.max(np.abs(chi0 - grid.reflect(chi0)))) / float(np.max(np.abs(chi0)))
 
-    near_kernel = even.near_kernel + odd.near_kernel
+    near_kernel = [(float(ev), v) for ev, v in zip(np.concatenate([ev_even, ev_odd]),
+                                                   np.concatenate([vec_even, vec_odd]))
+                   if abs(ev) <= ktol]
     qp = op.gs.derivative()
     qcos = max((abs(float(np.dot(v, qp))) / np.sqrt(float(np.dot(v, v)) * float(np.dot(qp, qp)))
                 for _, v in near_kernel), default=0.0)
@@ -286,17 +334,15 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
         ok = False
         notes.append(f"near-kernel mode poorly aligned with Q' (cos {qcos:.6f})")
 
-    above = evals[evals > ktol]
-    edge = float(above[0]) if len(above) else np.inf
-
-    q_weights = np.concatenate([even.projections, np.zeros(len(ev_odd))])[order] ** 2 / float(q @ q)
+    kappa_next = [hi[1] for _, hi in counts]
+    edge = -np.inf if np.isnan(kappa_next).any() else ktol + 1.0 - max(kappa_next)
 
     return SpectrumReport(
         alpha=op.alpha,
         grid=grid,
-        eigenvalues=evals,
-        q_weights=q_weights,
-        mu0=float(evals[0]),
+        eigenvalues=np.sort(np.concatenate([ev_even, ev_odd])),
+        inertia=inertia,
+        mu0=float(ev_even[0]),
         chi0=chi0,
         near_kernel=near_kernel,
         kernel_tol=ktol,
@@ -305,7 +351,7 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
         chi0_even_defect=even_defect,
         parity_gap=parity_gap,
         chi0_resolved=resolved,
-        max_eig_residual=max(even.residual, odd.residual),
+        max_eig_residual=max(float(np.max(np.abs(r))) for r in (r_even, r_odd)),
         structure_ok=ok,
         notes=notes,
     )
@@ -327,57 +373,30 @@ def negative_mode(gs: GroundState) -> NegativeMode:
     matrix-free.
 
     L = S - Q^{2 alpha} with S = 1 + |D|^alpha, so S^{-1} L is the identity
-    plus a compact operator, and a block iteration preconditioned by S^{-1}
-    (one real-FFT pair) converges at a rate that does not degrade with N
-    (LOBPCG, Knyazev, SIAM J. Sci. Comput. 23, 2001). Each step is a
-    Rayleigh-Ritz on the span of [x, S^{-1} r, p]: the iterate, its
-    preconditioned residual r = L x - mu x and the previous step's
-    direction, orthonormalized by a QR and solved by a 3 x 3 ``eigh``; L is
-    applied to the stack by ``apply_operator`` and every new direction is
-    projected on the even fields with ``Grid.symmetrize``. The seed is
-    Q^{alpha + 1}, the exact chi0 at alpha = 2 (a Poschl-Teller ground state,
-    mu0 = -8). The iteration stops at max|L x - mu x| <= MODE_TOL_REL
-    (1 + k_max^alpha) max|x|, the top of S on the grid times a margin of
-    about fifty over the roundoff floor; a solve not stopped within
-    MODE_MAX_ITERS steps raises ``ConvergenceError`` with the residual
+    plus a compact operator, and the block iteration of ``_low_modes``, one
+    row preconditioned by S^{-1} (one real-FFT pair), converges at a rate
+    that does not degrade with N (LOBPCG, Knyazev, SIAM J. Sci. Comput. 23,
+    2001). Each step is a Rayleigh-Ritz on the span of [x, S^{-1} r, p]:
+    the iterate, its preconditioned residual r = L x - mu x and the previous
+    step's direction, orthonormalized by a QR and solved by a 3 x 3 ``eigh``;
+    every new direction is projected on the even fields with
+    ``Grid.symmetrize``. The seed is Q^{alpha + 1}, the exact chi0 at
+    alpha = 2 (a Poschl-Teller ground state, mu0 = -8). A solve not converged
+    within MODE_MAX_ITERS steps raises ``ConvergenceError`` with the residual
     history. chi0 is oriented, normalised and judged as in ``spectrum``: a
     sign change within its resolution floor clears ``chi0_resolved``, a
     deeper one ``chi0_sign_ok``. A potential that is not reflection-even
     raises ``ContractError``.
     """
     _check_even_potential(gs)
-    grid = gs.grid
-    s_inv = 1.0 / (1.0 + grid.riesz(gs.alpha))
-    x = grid.symmetrize(np.abs(gs.values) ** (gs.alpha + 1.0))
-    x = x / np.linalg.norm(x)
-    lx = apply_operator(gs, x)
-    mu, p = float(x @ lx), None
-    tol = MODE_TOL_REL * (1.0 + grid.k_max ** gs.alpha)
-    history = []
-    for it in range(MODE_MAX_ITERS + 1):
-        r = lx - mu * x
-        history.append(float(np.max(np.abs(r))) / float(np.max(np.abs(x))))
-        if history[-1] <= tol:
-            break
-        if it == MODE_MAX_ITERS:
-            raise ConvergenceError(
-                f"negative_mode: residual {history[-1]:.2e} above {tol:.2e} "
-                f"after {MODE_MAX_ITERS} steps", history)
-        w = grid.symmetrize(grid.field(s_inv * grid.transform(r)))
-        basis = np.linalg.qr(np.stack([x, w] if p is None else [x, w, p]).T)[0].T
-        l_basis = apply_operator(gs, basis)
-        small = basis @ l_basis.T
-        c = np.linalg.eigh(0.5 * (small + small.T))[1][:, 0]
-        x, lx = c @ basis, c @ l_basis
-        p = c[1:] @ basis[1:]  # the step, orthogonal to the previous x (basis[0])
-        mu = float(x @ lx)
+    mu, x, _, steps = _parity_modes(LinearizedOperator(gs=gs), False, 1)
     notes = []
-    chi0, resolved, sign_ok = _orient_chi0(grid, x, notes)
+    chi0, resolved, sign_ok = _orient_chi0(gs.grid, x[0], notes)
     return NegativeMode(
         chi0=chi0,
-        mu0=mu,
-        residual=float(np.max(np.abs(apply_operator(gs, chi0) - mu * chi0))),
-        iterations=it,
+        mu0=float(mu[0]),
+        residual=float(np.max(np.abs(apply_operator(gs, chi0) - mu[0] * chi0))),
+        iterations=steps,
         chi0_resolved=resolved,
         chi0_sign_ok=sign_ok,
         notes=notes,
@@ -392,41 +411,6 @@ class CoercivityReport:
     trials: int                      # random trial fields that entered mu_est
 
 
-def secular_min(eigenvalues, weights) -> float:
-    """Smallest eigenvalue of a symmetric matrix compressed to the complement of a vector q.
-
-    ``eigenvalues`` ascend and ``weights`` are w_i = (v_i . q)^2 / |q|^2 over
-    the eigenvectors v_i. The compressed eigenvalues that are not eigenvalues
-    of the matrix are the roots of the secular function
-    f(mu) = sum_i w_i / (lambda_i - mu) (Golub, SIAM Rev. 15, 1973), and by
-    Cauchy interlacing the smallest lies in [lambda_0, lambda_1]. There f is
-    increasing, and bisection on its sign closes on the answer to the last
-    bit: on the root if f changes sign; on lambda_0 if w_0 = 0 (f > 0, v_0 is
-    orthogonal to q); on lambda_1 if f < 0 throughout (then w_1 = 0 and v_1
-    is orthogonal to q). Inside the bracket lambda_0 < mu < lambda_1, so no
-    term divides by zero; but a term overflows when its gap lambda_i - mu is
-    tiny (subnormal), and two overflowing terms of opposite sign would sum to
-    nan. Then f's sign is taken from f times the smallest gap, whose terms
-    are all at most w_i in size.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    lo, hi = float(lam[0]), float(lam[1])
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return hi
-        gap = lam - mid
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = np.sum(w / gap)
-        if not np.isfinite(f):
-            f = np.sum(w * (np.min(np.abs(gap)) / gap))
-        if f < 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-
 def coercivity_probe(
     op: LinearizedOperator,
     report: SpectrumReport,
@@ -438,9 +422,11 @@ def coercivity_probe(
     Randomized smooth fields projected orthogonal to {chi0, Q'} should give a
     strictly positive H1-relative quotient; they are evaluated in stacks of at
     most COERCIVITY_BLOCK, one transform per stack. The exact minimum of
-    (Lv,v) over the Q-orthogonal unit sphere, the smallest root of the secular
-    equation on the spectrum's eigenvalues and ``q_weights`` (``secular_min``),
-    should sit at zero from above, up to discretization.
+    (Lv,v) over the Q-orthogonal unit sphere should sit at zero from above, up
+    to discretization: it is the lowest eigenvalue of L compressed to the
+    fields orthogonal to Q, from ``_low_modes`` on a block of two rows seeded
+    with the even seed of chi0 and with Q' (the odd fields are all orthogonal
+    to the even Q, and the minimum is near zero on both parities).
     """
     rng = np.random.default_rng(1) if rng is None else rng
     grid = op.grid
@@ -469,7 +455,14 @@ def coercivity_probe(
             mu_est = min(mu_est, float(np.min(form[ok] / h1[ok])))
             used += int(np.sum(ok))
 
-    min_qo = secular_min(report.eigenvalues, report.q_weights)
+    q = op.gs.values / np.linalg.norm(op.gs.values)
+
+    def q_perp(f):
+        return f - (f @ q)[..., None] * q
+
+    start = q_perp(np.concatenate([_seeds(op.gs, False, 1), _seeds(op.gs, True, 1)]))
+    min_qo = float(_low_modes(op, lambda v: q_perp(op.apply(v)), start, q_perp,
+                              "Q-orthogonal minimum")[0][0])
     return CoercivityReport(
         mu_est=float(mu_est),
         min_q_orthogonal=min_qo,

@@ -4,8 +4,9 @@ A near-soliton field is written u(x) = lam^{-1/a} (Q + eta)(lam^{-2/a} (x - rho)
 by solving the two orthogonality conditions <eta, Q'> = <eta, chi0> = 0 for
 (lam, rho) with a damped Newton iteration (analytic Jacobian, warm starts).
 The remainder eta lives on the reference grid of the ground state. chi0 is
-the negative direction of L on the same (alpha, grid), from the dense
-``linearized.spectrum`` or from the matrix-free ``linearized.negative_mode``.
+the negative direction of L on the same (alpha, grid), from
+``linearized.negative_mode`` or from ``linearized.spectrum``, which returns
+the same chi0.
 """
 
 from dataclasses import dataclass

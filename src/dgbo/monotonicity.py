@@ -328,38 +328,43 @@ def check_left_monotonicity(
 
 
 def check_eta_monotonicity(
-    track: ModulationTrack, states, gs, weight: Weight, x0: float, mu: float, c_err: float,
-) -> MonotonicityReport:
-    """Weighted remainder mass in rescaled time, bounded-soliton regime.
+    track: ModulationTrack, states, gs, weight: Weight, x0s, mu: float, c_err: float,
+) -> list:
+    """Weighted remainder mass in rescaled time, bounded-soliton regime: one
+    report per x0 of ``x0s``.
 
     ``states`` are the frames of ``track``, one per track time; each remainder
-    is rebuilt once per call by ``modulation.remainder`` at the frame's
-    stored (lam, rho), on the grid of the ground state ``gs``. The error
-    budget is c_err * int_{s1}^{s2} ||eta(s)||^2 (x0+mu(s2-s))^{-2r} ds,
+    is rebuilt once per call, for all of ``x0s``, by ``modulation.remainder``
+    at the frame's stored (lam, rho), on the grid of the ground state ``gs``.
+    The error budget is c_err * int_{s1}^{s2} ||eta(s)||^2 (x0+mu(s2-s))^{-2r} ds,
     quadratured over the track samples.
     """
-    _check_domain(x0, mu, track.t, states)
+    for x0 in x0s:
+        _check_domain(x0, mu, track.t, states)
     grid, a = gs.grid, gs.alpha
     if track.alpha != a:
         raise ContractError(f"track of alpha {track.alpha} against a ground state of alpha {a}")
     win = seam_window(grid)
     eta = cache(lambda i: remainder(states[i], gs, track.lam[i], track.rho[i]))
 
-    def functional(i, shift):
-        scale = track.lam[i] ** (2.0 / a)
-        arg = scale * grid.x - x0 - shift
-        w = (weight.phi_a(arg) - weight.phi_a(-x0 - shift)) * win
-        return grid.quadrature(eta(i) ** 2 * w)
+    def report(x0):
+        def functional(i, shift):
+            scale = track.lam[i] ** (2.0 / a)
+            arg = scale * grid.x - x0 - shift
+            w = (weight.phi_a(arg) - weight.phi_a(-x0 - shift)) * win
+            return grid.quadrature(eta(i) ** 2 * w)
 
-    unshifted = cache(lambda j: functional(j, 0.0))
+        unshifted = cache(lambda j: functional(j, 0.0))
 
-    def pair_terms(i, j):
-        s1, s2 = track.s[i], track.s[j]
-        ss = track.s[i:j + 1]
-        integrand = track.eta_l2[i:j + 1] ** 2 / (x0 + mu * (s2 - ss)) ** (2.0 * weight.r)
-        return unshifted(j), functional(i, mu * (s2 - s1)), np.trapezoid(integrand, ss)
+        def pair_terms(i, j):
+            s1, s2 = track.s[i], track.s[j]
+            ss = track.s[i:j + 1]
+            integrand = track.eta_l2[i:j + 1] ** 2 / (x0 + mu * (s2 - ss)) ** (2.0 * weight.r)
+            return unshifted(j), functional(i, mu * (s2 - s1)), np.trapezoid(integrand, ss)
 
-    return _report("eta", track.s, pair_terms, weight, x0, mu, c_err)
+        return _report("eta", track.s, pair_terms, weight, x0, mu, c_err)
+
+    return [report(x0) for x0 in x0s]
 
 
 # -- calibration -----------------------------------------------------------------

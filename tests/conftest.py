@@ -20,7 +20,7 @@ CERT_GRIDS = {
     1.0: (6400.0, 524288),
 }
 
-# compact grid used for dense spectra, modulation and dynamics tests
+# compact grid used for the dense spectral references, modulation and dynamics tests
 COMPACT = Grid(50.0, 1024)
 
 _gs_cache = {}

@@ -343,8 +343,7 @@ def _parity_blocks(mat):
 
     The reflection j -> (N - j) mod N fixes 0 and N/2. The even block acts on
     the basis e_0, (e_j + e_{N-j})/sqrt 2 for j = 1 .. N/2 - 1, then e_{N/2};
-    the odd block on (e_j - e_{N-j})/sqrt 2 for the same j. The reference of
-    ``LinearizedOperator.parity_block``.
+    the odd block on (e_j - e_{N-j})/sqrt 2 for the same j (``parity_basis``).
     """
     n = mat.shape[0]
     h = n // 2
@@ -358,6 +357,68 @@ def _parity_blocks(mat):
     return even, a - b
 
 
+def parity_basis(n, odd):
+    """The basis of ``_parity_blocks`` as the columns of an N x (N/2 + 1)
+    (even) or N x (N/2 - 1) (odd) matrix."""
+    h = n // 2
+    j = np.arange(1, h)
+    basis = np.zeros((n, h - 1 if odd else h + 1))
+    cols = j - 1 if odd else j
+    basis[j, cols] = 1.0 / np.sqrt(2.0)
+    basis[n - j, cols] = -1.0 / np.sqrt(2.0) if odd else 1.0 / np.sqrt(2.0)
+    if not odd:
+        basis[0, 0] = basis[h, h] = 1.0
+    return basis
+
+
+def block_inertia(mat, ktol, cap):
+    """Per parity, even then odd, the numbers of eigenvalues of a
+    reflection-invariant matrix below -ktol and below ktol, each capped at
+    ``cap``: the dense reference of ``SpectrumReport.inertia``."""
+    counts = []
+    for block in _parity_blocks(mat):
+        ev = np.linalg.eigvalsh(block)
+        counts.append((min(int(np.sum(ev < -ktol)), cap), min(int(np.sum(ev < ktol)), cap)))
+    return counts
+
+
+def secular_min(eigenvalues, weights) -> float:
+    """Smallest eigenvalue of a symmetric matrix compressed to the complement of a vector q.
+
+    ``eigenvalues`` ascend and ``weights`` are w_i = (v_i . q)^2 / |q|^2 over
+    the eigenvectors v_i (the ``q_weights`` of ``full_eigh_spectrum``). The
+    compressed eigenvalues that are not eigenvalues of the matrix are the
+    roots of the secular function f(mu) = sum_i w_i / (lambda_i - mu) (Golub,
+    SIAM Rev. 15, 1973), and by Cauchy interlacing the smallest lies in
+    [lambda_0, lambda_1]. There f is increasing, and bisection on its sign
+    closes on the answer to the last bit: on the root if f changes sign; on
+    lambda_0 if w_0 = 0 (f > 0, v_0 is orthogonal to q); on lambda_1 if f < 0
+    throughout (then w_1 = 0 and v_1 is orthogonal to q). Inside the bracket
+    lambda_0 < mu < lambda_1, so no term divides by zero; but a term
+    overflows when its gap lambda_i - mu is tiny (subnormal), and two
+    overflowing terms of opposite sign would sum to nan. Then f's sign is
+    taken from f times the smallest gap, whose terms are all at most w_i in
+    size. A second reference, beside ``q_orthogonal_min``, of
+    ``coercivity_probe``'s ``min_q_orthogonal``.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    lo, hi = float(lam[0]), float(lam[1])
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        gap = lam - mid
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = np.sum(w / gap)
+        if not np.isfinite(f):
+            f = np.sum(w * (np.min(np.abs(gap)) / gap))
+        if f < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 @dataclass
 class _DenseOperator(LinearizedOperator):
     dense: np.ndarray = None
@@ -366,14 +427,15 @@ class _DenseOperator(LinearizedOperator):
     def matrix(self):
         return self.dense
 
-    def parity_block(self, odd):
-        return _parity_blocks(self.dense)[int(odd)]
+    def apply(self, v):
+        return (self.dense @ np.asarray(v).T).T
 
 
 def with_matrix(op, mat):
     """``op`` with its collocation matrix replaced by ``mat``, which must be
-    reflection-invariant: ``matrix`` is mat and ``parity_block`` reads mat's
-    blocks, so ``spectrum`` and ``full_eigh_spectrum`` see the same operator.
+    reflection-invariant: ``matrix`` is mat and ``apply`` is mat @ v, so
+    ``spectrum``, ``coercivity_probe`` and ``full_eigh_spectrum`` see the same
+    operator.
     """
     return _DenseOperator(gs=op.gs, dense=mat)
 
@@ -381,8 +443,9 @@ def with_matrix(op, mat):
 def full_eigh_spectrum(op):
     """The spectrum of L from one N x N ``eigh`` of the assembled matrix.
 
-    The reference of the parity-split ``spectrum``: eigenvalues, ``q_weights``,
-    mu0, chi0 (unit L2 norm, sign-fixed positive), the near-kernel pairs and
+    The dense reference of the matrix-free ``spectrum``: all eigenvalues,
+    ``q_weights`` (Q's spectral measure, for ``secular_min``), mu0, chi0
+    (unit L2 norm, sign-fixed positive), the near-kernel pairs and
     the parity gap, each eigenvector's parity read from the sign of (v, Rv)
     with R the grid reflection, and ``spectrum``'s band rule
     kernel_tol = KERNEL_TOL_REL * (1 + k_max^alpha). ``coercivity_probe``

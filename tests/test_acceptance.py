@@ -117,7 +117,7 @@ class TestAcceptance:
         t0 = time.monotonic()
         oks = []
         for alpha in (1.9, 1.95, 2.0):
-            rep = spectrum_for(alpha)  # dense eigensolve at N=1024
+            rep = spectrum_for(alpha)  # matrix-free certificate at N=1024
             neg = np.sum(rep.eigenvalues < -rep.kernel_tol)
             oks.append(
                 rep.structure_ok
@@ -251,10 +251,9 @@ class TestAcceptance:
                 all_ok &= check_left_monotonicity(
                     times, states, tr.rho, weight, x0, mu, c0l, g).all_true
         _, sp, tr_p = runs["perturbed"]
-        c_eta = calibrate([check_eta_monotonicity(tr_p, sp, gs, weight, x0, mu, 0.0)
-                           for x0 in (15.0, 30.0)])
-        for x0 in x0s:
-            all_ok &= check_eta_monotonicity(tr_p, sp, gs, weight, x0, mu, c_eta).all_true
+        c_eta = calibrate(check_eta_monotonicity(tr_p, sp, gs, weight, [15.0, 30.0], mu, 0.0))
+        for rep in check_eta_monotonicity(tr_p, sp, gs, weight, x0s, mu, c_eta):
+            all_ok &= rep.all_true
         # error-budget scaling: C0/x0^{2r-1} by construction, and the eta
         # error integral must exhibit its (x0 + mu ds)^{-2r} law empirically
         budgets = [
@@ -262,10 +261,8 @@ class TestAcceptance:
             for x0 in x0s
         ]
         slope_b = np.polyfit(np.log(x0s), np.log(budgets), 1)[0]
-        eta_terms = [
-            np.max(check_eta_monotonicity(tr_p, sp, gs, weight, x0, mu, 1.0).error_budget)
-            for x0 in x0s
-        ]
+        eta_terms = [np.max(rep.error_budget)
+                     for rep in check_eta_monotonicity(tr_p, sp, gs, weight, x0s, mu, 1.0)]
         slope_e = np.polyfit(np.log(x0s), np.log(eta_terms), 1)[0]
         scaling_ok = abs(slope_b + (2 * r - 1)) < 0.15 * (2 * r - 1) and abs(
             slope_e + 2 * r) < 0.15 * 2 * r

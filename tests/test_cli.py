@@ -348,12 +348,22 @@ class TestCommands:
         assert flag in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
-    def test_spectrum_beyond_dense_limit_is_a_config_error(self, tmp_path):
-        base = str(tmp_path / "gs")
-        rc = main(["ground-state", "--alpha", "2.0", "--half-length", "100.0", "--n", "8192",
-                   "--out", base])
-        assert rc == 0
-        assert main(["spectrum", "--state", base, "--out", str(tmp_path / "spec")]) == 2
+    def test_spectrum_and_modulate_beyond_the_dense_limit(self, tmp_path):
+        # the certificate is matrix-free: on the alpha = 1.75 certification
+        # grid, N = 16384 > DENSE_N_LIMIT, spectrum certifies the structure and
+        # writes the chi0 that modulate reads
+        base, spec, run = (str(tmp_path / name) for name in ("gs", "spec", "run"))
+        assert main(["ground-state", "--alpha", "1.75", "--half-length", "400", "--n", "16384",
+                     "--out", base]) == 0
+        assert main(["spectrum", "--state", base, "--out", spec]) == 0
+        header = json.load(open(spec + ".spectrum.json"))
+        assert header["structure_ok"] and header["inertia"] == [[1, 1], [0, 1]]
+        assert main(["evolve", "--state", base, "--t-end", "0.02", "--dt", "1e-3",
+                     "--checkpoint-every", "10", "--perturbation", '{"scale": 1.001}',
+                     "--out", run]) == 0
+        assert main(["modulate", "--run", run, "--state", base, "--chi0", spec,
+                     "--out", str(tmp_path / "track")]) == 0
+        assert json.load(open(str(tmp_path / "track.json")))["truncated"] is False
 
     def test_spectrum_of_an_off_centre_state_is_a_contract_error(self, tmp_path):
         # the parity split needs an even potential: a shifted state exits 2

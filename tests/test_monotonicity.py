@@ -277,9 +277,8 @@ class TestMonotonicityChecks:
         gs = runs["gs"]
         w = build_weight(R, A)
         _, sp, tr_p = runs["pert"]
-        c = calibrate([check_eta_monotonicity(tr_p, sp, gs, w, x0, MU, 0.0) for x0 in (15.0, 30.0)])
-        for x0 in (10.0, 20.0):
-            rep = check_eta_monotonicity(tr_p, sp, gs, w, x0, MU, c)
+        c = calibrate(check_eta_monotonicity(tr_p, sp, gs, w, [15.0, 30.0], MU, 0.0))
+        for rep in check_eta_monotonicity(tr_p, sp, gs, w, [10.0, 20.0], MU, c):
             assert rep.all_true
 
     def test_rebudget_matches_a_fresh_check(self, runs):
@@ -289,10 +288,10 @@ class TestMonotonicityChecks:
         w = build_weight(R, A)
         tp, sp, tr_p = runs["pert"]
         c0 = calibrate([check_right_monotonicity(tp, sp, tr_p.rho, w, 10.0, MU, 0.0, g)])
-        c_eta = calibrate([check_eta_monotonicity(tr_p, sp, gs, w, 10.0, MU, 0.0)])
+        c_eta = calibrate(check_eta_monotonicity(tr_p, sp, gs, w, [10.0], MU, 0.0))
         for check, c in (
             (lambda c: check_right_monotonicity(tp, sp, tr_p.rho, w, 10.0, MU, c, g), c0),
-            (lambda c: check_eta_monotonicity(tr_p, sp, gs, w, 10.0, MU, c), c_eta),
+            (lambda c: check_eta_monotonicity(tr_p, sp, gs, w, [10.0], MU, c)[0], c_eta),
         ):
             fresh, rebudgeted = check(c), replace(check(0.0), c0=c)
             assert np.array_equal(rebudgeted.rhs, fresh.rhs)
@@ -302,7 +301,7 @@ class TestMonotonicityChecks:
     def test_eta_zero_track(self, runs):
         w = build_weight(R, A)
         _, ss, tr_s = runs["sol"]
-        rep = check_eta_monotonicity(tr_s, ss, runs["gs"], w, 10.0, MU, 0.0)
+        (rep,) = check_eta_monotonicity(tr_s, ss, runs["gs"], w, [10.0], MU, 0.0)
         scale = np.max(tr_s.eta_l2) ** 2 * w.phi_total + 1e-300
         assert np.max(np.abs(rep.lhs)) < 1e-10  # eta == 0 within solver drift
         assert np.max(np.abs(rep.rhs)) < 1e-10
@@ -311,10 +310,8 @@ class TestMonotonicityChecks:
         w = build_weight(R, A)
         _, sp, tr_p = runs["pert"]
         x0s = np.array([10.0, 20.0, 40.0])
-        terms = []
-        for x0 in x0s:
-            rep = check_eta_monotonicity(tr_p, sp, runs["gs"], w, x0, MU, 1.0)
-            terms.append(np.max(rep.error_budget))
+        terms = [np.max(rep.error_budget)
+                 for rep in check_eta_monotonicity(tr_p, sp, runs["gs"], w, x0s, MU, 1.0)]
         slope = np.polyfit(np.log(x0s), np.log(terms), 1)[0]
         assert abs(slope + 2 * R) < 0.15 * 2 * R
 
@@ -327,9 +324,9 @@ class TestMonotonicityChecks:
         with pytest.raises(ContractError):
             check_right_monotonicity(ts, ss, tr_s.rho, w, 10.0, 1.5, 0.0, g)
         with pytest.raises(ContractError):
-            check_eta_monotonicity(tr_s, ss, runs["gs"], w, 10.0, 1.5, 0.0)
+            check_eta_monotonicity(tr_s, ss, runs["gs"], w, [10.0], 1.5, 0.0)
         with pytest.raises(ContractError, match="alpha"):  # a track of another ground state
-            check_eta_monotonicity(replace(tr_s, alpha=1.5), ss, runs["gs"], w, 10.0, MU, 0.0)
+            check_eta_monotonicity(replace(tr_s, alpha=1.5), ss, runs["gs"], w, [10.0], MU, 0.0)
 
     def test_length_mismatch_is_a_contract_error(self, runs):
         g = runs["grid"]
@@ -340,13 +337,13 @@ class TestMonotonicityChecks:
                 check(ts, ss[:-1], tr_s.rho, w, 10.0, MU, 0.0, g)
         # the eta check rebuilds each remainder from its frame: one state per track time
         with pytest.raises(ContractError, match="length mismatch"):
-            check_eta_monotonicity(tr_s, ss[:-1], runs["gs"], w, 10.0, MU, 0.0)
+            check_eta_monotonicity(tr_s, ss[:-1], runs["gs"], w, [10.0], MU, 0.0)
 
     def test_eta_check_without_remainders_is_a_contract_error(self, runs):
         # no frames, so no remainder can be rebuilt at any track time
         _, _, tr_s = runs["sol"]
         with pytest.raises(ContractError, match="length mismatch"):
-            check_eta_monotonicity(tr_s, [], runs["gs"], build_weight(R, A), 10.0, MU, 0.0)
+            check_eta_monotonicity(tr_s, [], runs["gs"], build_weight(R, A), [10.0], MU, 0.0)
 
     def test_seam_window_shape(self, runs):
         g = runs["grid"]

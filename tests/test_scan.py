@@ -39,11 +39,11 @@ def test_lambda_monotone(track, monotone):
 
 
 def test_scan_takes_chi0_without_a_dense_solve(tmp_path, monkeypatch):
-    # chi0 comes from the matrix-free negative_mode: no parity block is formed
-    def refuse(self, odd):
-        raise AssertionError("the scan formed a dense parity block")
+    # chi0 comes from the matrix-free negative_mode: no dense matrix is formed
+    def refuse(self):
+        raise AssertionError("the scan formed a dense matrix")
 
-    monkeypatch.setattr(LinearizedOperator, "parity_block", refuse)
+    monkeypatch.setattr(LinearizedOperator, "matrix", property(refuse))
     rows, context = blowup_scan(2.0, [1.06], grid=Grid(24.0, 256), t_end_super=0.05)
     assert len(rows) == 1
     write_scan(str(tmp_path), rows, context)
@@ -53,7 +53,7 @@ def test_scan_takes_chi0_without_a_dense_solve(tmp_path, monkeypatch):
     assert header["chi0_residual"] == context["chi0_residual"] < 1e-10
     assert header["chi0_iterations"] == context["chi0_iterations"]
     assert "spectrum_structure_ok" not in header and "spectrum_chi0_resolved" not in header
-    # on (24, 256) chi0 dips within its resolution floor; the dense spectrum agrees
+    # on (24, 256) chi0 dips within its resolution floor; the spectrum agrees
     monkeypatch.undo()
     rep = spectrum(assemble(continuation_ladder(2.0, Grid(24.0, 256))))
     assert header["chi0_resolved"] is rep.chi0_resolved is False

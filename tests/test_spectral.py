@@ -136,7 +136,7 @@ def test_fourier_layout_lives_in_spectral():
     assert users == []
 
 
-SETTABLE_VALUES = 33  # ROADMAP ("Quality of design") states the same count
+SETTABLE_VALUES = 32  # ROADMAP ("Quality of design") states the same count
 
 
 def settable_values(sources):
