@@ -30,14 +30,11 @@ from .ground_state import (
 )
 from .linearized import (
     LinearizedOperator,
-    NegativeMode,
     SpectrumReport,
-    apply_operator,
     assemble,
     coercivity_probe,
     evolve_linearized,
     liouville_readout,
-    negative_mode,
     spectrum,
 )
 from .modulation import (

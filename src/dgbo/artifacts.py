@@ -249,6 +249,7 @@ def write_spectrum(base, report: SpectrumReport):
             "chi0_even_defect": report.chi0_even_defect,
             "parity_gap": report.parity_gap,
             "chi0_resolved": report.chi0_resolved,
+            "chi0_iterations": report.chi0_iterations,
             "max_eig_residual": report.max_eig_residual,
             "structure_ok": report.structure_ok,
             "notes": report.notes,

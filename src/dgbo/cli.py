@@ -215,6 +215,9 @@ def _cmd_blowup_scan(args):
     bad_sign = [r for r in rows if not r.sign_relation_ok]
     if bad_sign:
         print(f"WARNING: {len(bad_sign)} rows violate the E<0 => beta>0 relation")
+    if not context["structure_ok"]:
+        print("WARNING: the structure of L (one negative even mode chi0, kernel Q') is not "
+              "certified: " + "; ".join(context["notes"]))
     return EXIT_OK
 
 
@@ -259,18 +262,21 @@ def _cmd_liouville_probe(args):
 
 
 def _apply_config_defaults(args_list):
-    """If --config FILE appears, use its entries as defaults (flags still win)."""
-    if "--config" not in args_list:
+    """If --config FILE or --config=FILE appears, use the entries of FILE, a
+    JSON object or one whose "parameters" is one, as defaults (flags still win)."""
+    i = next((i for i, a in enumerate(args_list) if a.split("=", 1)[0] == "--config"), None)
+    if i is None:
         return args_list
-    i = args_list.index("--config")
-    try:
-        path = args_list[i + 1]
-    except IndexError:
-        raise ConfigError("--config needs a file argument") from None
+    inline = "=" in args_list[i]
+    if not inline and i + 1 == len(args_list):
+        raise ConfigError("--config needs a file argument")
+    path = args_list[i].split("=", 1)[1] if inline else args_list[i + 1]
     with open(path) as fh:
         payload = json.load(fh)
-    params = payload.get("parameters", payload)
-    out = list(args_list[:i]) + list(args_list[i + 2 :])
+    params = payload.get("parameters", payload) if isinstance(payload, dict) else payload
+    if not isinstance(params, dict):
+        raise ConfigError(f'config {path} must be a JSON object, or hold one under "parameters"')
+    out = list(args_list[:i]) + list(args_list[i + (1 if inline else 2) :])
     # a flag given bare or as --flag=value beats the config entry
     present = {a.split("=", 1)[0] for a in out if a.startswith("--")}
     for key, value in params.items():

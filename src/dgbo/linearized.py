@@ -37,27 +37,6 @@ def _potential(gs: GroundState):
     return np.abs(gs.values) ** (2.0 * gs.alpha)
 
 
-def _check_even_potential(gs: GroundState):
-    """ContractError unless Q^{2 alpha} is reflection-even, as the parity split needs."""
-    pot = _potential(gs)
-    pot_defect = float(np.max(np.abs(pot - gs.grid.reflect(pot))))
-    if pot_defect > 1e-12 * float(np.max(pot)):
-        raise ContractError(
-            f"potential Q^(2 alpha) not reflection-even (defect {pot_defect:.2e}); "
-            "the parity split needs a ground state centred at x = 0"
-        )
-
-
-def apply_operator(gs: GroundState, v):
-    """L v = |D|^alpha v + v - Q^{2 alpha} v, applied spectrally/pointwise.
-
-    v may stack fields along leading axes; each row gives one L v.
-    """
-    grid = gs.grid
-    v = grid.check_field(v, stacked=True)
-    return grid.apply_riesz(v, gs.alpha) + v - _potential(gs) * v
-
-
 @dataclass
 class LinearizedOperator:
     """L around ``gs``, applied matrix-free by ``apply``."""
@@ -73,9 +52,11 @@ class LinearizedOperator:
         return self.gs.grid
 
     def apply(self, v):
-        """L v by ``apply_operator`` (v may stack fields): the one way
-        ``spectrum`` and ``coercivity_probe`` apply L."""
-        return apply_operator(self.gs, v)
+        """L v = |D|^alpha v + v - Q^{2 alpha} v, spectrally and pointwise; v may
+        stack fields along leading axes. The one way ``spectrum`` and
+        ``coercivity_probe`` apply L."""
+        v = self.grid.check_field(v, stacked=True)
+        return self.grid.apply_riesz(v, self.alpha) + v - _potential(self.gs) * v
 
     @property
     def matrix(self) -> np.ndarray:
@@ -246,6 +227,7 @@ class SpectrumReport:
     chi0_even_defect: float
     parity_gap: float                # lowest odd minus lowest even eigenvalue
     chi0_resolved: bool              # False: chi0's sign change is within its resolution floor
+    chi0_iterations: int             # Rayleigh-Ritz steps of the even low-mode solve that gave chi0
     max_eig_residual: float          # max |L v - ev v| over the modes found (unit v)
     structure_ok: bool
     notes: list = field(default_factory=list)
@@ -288,24 +270,30 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
     none below and one in the band, which implies ``parity_gap`` > 0.
 
     The eigenpairs reported are each parity's modes below kernel_tol (its
-    lowest alone if there are none, or if the count is capped), from the
-    block iteration of ``negative_mode`` seeded per parity (``_seeds``); so
-    chi0 is ``negative_mode``'s bit for bit when the even count is one. Modes
-    that disagree with the counts, a failed tally, a near-kernel mode poorly
-    aligned with Q' or a sign-changing chi0 set ``structure_ok=False`` with a
-    note; a sign change no deeper than chi0's resolution floor sets
+    lowest alone if there are none, or if the count is capped), from
+    ``_low_modes`` seeded per parity (``_seeds``): the even seed Q^{alpha + 1}
+    is the exact chi0 at alpha = 2 (a Poschl-Teller ground state, mu0 = -8).
+    chi0 is the lowest even mode, oriented and normalised by ``_orient_chi0``,
+    and the package's one chi0: the blow-up scan decomposes along it too.
+    Modes that disagree with the counts, a failed tally, a near-kernel mode
+    poorly aligned with Q' or a sign-changing chi0 set ``structure_ok=False``
+    with a note; a sign change no deeper than chi0's resolution floor sets
     ``chi0_resolved=False`` instead. A potential that is not reflection-even
     raises ``ContractError``.
     """
     grid = op.grid
-    _check_even_potential(op.gs)
+    pot = _potential(op.gs)
+    pot_defect = float(np.max(np.abs(pot - grid.reflect(pot))))
+    if pot_defect > 1e-12 * float(np.max(pot)):
+        raise ContractError(f"potential Q^(2 alpha) not reflection-even (defect {pot_defect:.2e}); "
+                            "the parity split needs a ground state centred at x = 0")
     ktol = KERNEL_TOL_REL * (1.0 + grid.k_max ** op.alpha)
     counts = [[_inertia(op, s, odd) for s in (-ktol, ktol)] for odd in (False, True)]
     inertia = [(lo[0], hi[0]) for lo, hi in counts]
     capped = any(n == INERTIA_ROWS for _, n in inertia)
     modes = [_parity_modes(op, odd, n if 0 < n < INERTIA_ROWS else 1)
              for odd, (_, n) in zip((False, True), inertia)]
-    (ev_even, vec_even, r_even, _), (ev_odd, vec_odd, r_odd, _) = modes
+    (ev_even, vec_even, r_even, steps), (ev_odd, vec_odd, r_odd, _) = modes
     tally = [(lo, n - lo) for lo, n in inertia]
     parity_gap = float(ev_odd[0] - ev_even[0])
     ok = tally == [(1, 0), (0, 1)]
@@ -351,54 +339,9 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
         chi0_even_defect=even_defect,
         parity_gap=parity_gap,
         chi0_resolved=resolved,
+        chi0_iterations=steps,
         max_eig_residual=max(float(np.max(np.abs(r))) for r in (r_even, r_odd)),
         structure_ok=ok,
-        notes=notes,
-    )
-
-
-@dataclass
-class NegativeMode:
-    chi0: np.ndarray                 # unit L2 norm, sign-fixed positive
-    mu0: float
-    residual: float                  # max |L chi0 - mu0 chi0|
-    iterations: int                  # Rayleigh-Ritz steps taken
-    chi0_resolved: bool              # as in SpectrumReport
-    chi0_sign_ok: bool               # False: chi0 changes sign deeper than its resolution floor
-    notes: list                      # the sign-change note of chi0, if any
-
-
-def negative_mode(gs: GroundState) -> NegativeMode:
-    """The lowest eigenpair (mu0, chi0) of L on the reflection-even fields,
-    matrix-free.
-
-    L = S - Q^{2 alpha} with S = 1 + |D|^alpha, so S^{-1} L is the identity
-    plus a compact operator, and the block iteration of ``_low_modes``, one
-    row preconditioned by S^{-1} (one real-FFT pair), converges at a rate
-    that does not degrade with N (LOBPCG, Knyazev, SIAM J. Sci. Comput. 23,
-    2001). Each step is a Rayleigh-Ritz on the span of [x, S^{-1} r, p]:
-    the iterate, its preconditioned residual r = L x - mu x and the previous
-    step's direction, orthonormalized by a QR and solved by a 3 x 3 ``eigh``;
-    every new direction is projected on the even fields with
-    ``Grid.symmetrize``. The seed is Q^{alpha + 1}, the exact chi0 at
-    alpha = 2 (a Poschl-Teller ground state, mu0 = -8). A solve not converged
-    within MODE_MAX_ITERS steps raises ``ConvergenceError`` with the residual
-    history. chi0 is oriented, normalised and judged as in ``spectrum``: a
-    sign change within its resolution floor clears ``chi0_resolved``, a
-    deeper one ``chi0_sign_ok``. A potential that is not reflection-even
-    raises ``ContractError``.
-    """
-    _check_even_potential(gs)
-    mu, x, _, steps = _parity_modes(LinearizedOperator(gs=gs), False, 1)
-    notes = []
-    chi0, resolved, sign_ok = _orient_chi0(gs.grid, x[0], notes)
-    return NegativeMode(
-        chi0=chi0,
-        mu0=float(mu[0]),
-        residual=float(np.max(np.abs(apply_operator(gs, chi0) - mu[0] * chi0))),
-        iterations=steps,
-        chi0_resolved=resolved,
-        chi0_sign_ok=sign_ok,
         notes=notes,
     )
 
@@ -485,7 +428,7 @@ def evolve_linearized(gs: GroundState, w0, t_end: float, dt: float) -> Linearize
     CHECKPOINT_EVERY steps and at t_end; a non-finite checkpoint ends the run.
 
     The potential stage -dx(Q^{2 alpha} w) forms its product pointwise on the
-    grid: the collocation L of ``assemble`` and ``apply_operator``. It is stepped
+    grid: the collocation L of ``LinearizedOperator.apply``. It is stepped
     as a one-row stack by ``dynamics._step_rows``; ``liouville_readout`` reads it.
     """
     grid = gs.grid

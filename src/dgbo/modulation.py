@@ -5,8 +5,7 @@ by solving the two orthogonality conditions <eta, Q'> = <eta, chi0> = 0 for
 (lam, rho) with a damped Newton iteration (analytic Jacobian, warm starts).
 The remainder eta lives on the reference grid of the ground state. chi0 is
 the negative direction of L on the same (alpha, grid), from
-``linearized.negative_mode`` or from ``linearized.spectrum``, which returns
-the same chi0.
+``linearized.spectrum``.
 """
 
 from dataclasses import dataclass

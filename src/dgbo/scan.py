@@ -7,6 +7,8 @@ JSON header. ``build_initial_data`` is the perturbation vocabulary shared
 with the ``evolve`` subcommand.
 """
 
+import math
+import numbers
 import os
 from dataclasses import astuple, dataclass, fields
 
@@ -16,7 +18,7 @@ from .artifacts import write_csv, write_json, write_plot_script
 from .dynamics import STATUS_COMPLETED, EvolutionConfig, conserved, evolve_batch
 from .errors import ContractError, DecompositionError
 from .ground_state import continuation_ladder
-from .linearized import negative_mode
+from .linearized import assemble, spectrum
 from .modulation import beta as beta_fn
 from .modulation import decompose
 from .spectral import Grid
@@ -25,10 +27,39 @@ LAM_STOP = 0.75      # a row trips when the modulation scale contracts below thi
 LAM_NET_SLACK = 1e-9  # relative slack of lambda's net comparison, above decompose's ~2e-11 noise
 SOBOLEV_TRIP = 1.3   # ... or when its H^{alpha/2} norm grows by more than this factor
 CHECKPOINT_EVERY = 100  # steps between the checkpoints of a scan row
+# the perturbation vocabulary: a number, or an object of numbers under the listed keys
+PERTURBATION_KEYS = {"scale": None, "translate": None,
+                     "bump": ("amplitude", "width", "offset"), "noise": ("band", "amplitude")}
+
+
+def _check_recipe(recipe):
+    """ContractError unless ``recipe`` is an object of PERTURBATION_KEYS whose
+    entries are finite numbers (objects of them, under the listed keys, for
+    bump and noise)."""
+    if not isinstance(recipe, dict):
+        raise ContractError(f"a perturbation is a JSON object, got {recipe!r}")
+    entries = []
+    for key, value in recipe.items():
+        if key not in PERTURBATION_KEYS:
+            raise ContractError(f"unknown perturbation key {key!r}; "
+                                f"known: {list(PERTURBATION_KEYS)}")
+        sub = PERTURBATION_KEYS[key]
+        if sub is None:
+            entries.append((key, value))
+        elif isinstance(value, dict) and set(value) <= set(sub):
+            entries += [(f"{key}.{name}", v) for name, v in value.items()]
+        else:
+            raise ContractError(f"perturbation {key!r} is an object with keys among {list(sub)}, "
+                                f"got {value!r}")
+    for name, v in entries:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise ContractError(f"perturbation entry {name} must be a finite number, got {v!r}")
 
 
 def build_initial_data(grid: Grid, gs, recipe: dict, rng):
-    """Perturbation vocabulary: scale, translate, gaussian bump, band noise."""
+    """Perturbation vocabulary: scale, translate, gaussian bump, band noise
+    (PERTURBATION_KEYS; anything else raises ``ContractError``)."""
+    _check_recipe(recipe)
     u = recipe.get("scale", 1.0) * gs.values
     if recipe.get("translate"):
         u = grid.shift(u, float(recipe["translate"]))
@@ -137,16 +168,16 @@ def blowup_scan(
     recorded but is not an indicator. Runs are observed in the frame moving
     at the unit soliton speed so the scan box can stay small. Rows not
     certified supercritical run to ``min(t_end_bounded, t_end_super)``. The
-    decomposition's chi0 comes from the matrix-free ``negative_mode``; the
-    context records its mu0, residual and iteration count.
+    decomposition's chi0 comes from the matrix-free ``spectrum`` of the
+    ground state; the context records its structure certificate under the
+    keys of the spectrum artifact. A failed certificate is recorded, not raised.
     """
     if not all(0 < v < np.inf for v in (dt, t_end_super, t_end_bounded)):
         raise ContractError("dt, t_end_super and t_end_bounded must be finite and positive")
     grid = grid if grid is not None else Grid(48.0, 1024)
     t_end_bounded = min(t_end_bounded, t_end_super)
     gs = continuation_ladder(alpha, grid)
-    mode = negative_mode(gs)
-    chi0 = mode.chi0
+    rep = spectrum(assemble(gs))
     # E(Q) vanishes analytically; its discrete value sets the resolution floor
     # below which an energy sign is not certifiable on this grid
     energy_floor = 10.0 * abs(conserved(grid, gs.values, alpha).energy) + 1e-12
@@ -164,7 +195,7 @@ def blowup_scan(
             frame_speed=1.0,
             checkpoint_every=CHECKPOINT_EVERY,
         ))
-        watches.append(_RowWatch(gs, chi0, u0, d0))
+        watches.append(_RowWatch(gs, rep.chi0, u0, d0))
     recs = evolve_batch(grid, [u0 for _, u0, _, _ in starts], cfgs, watches)
     rows = []
     for (a, u0, d0, supercritical), rec, w in zip(starts, recs, watches):
@@ -205,11 +236,13 @@ def blowup_scan(
         "sobolev_trip": SOBOLEV_TRIP,
         "rng_seed": rng_seed,
         "ground_state_residual": gs.residual,
-        "chi0_resolved": mode.chi0_resolved,
-        "chi0_sign_ok": mode.chi0_sign_ok,
-        "mu0": mode.mu0,
-        "chi0_residual": mode.residual,
-        "chi0_iterations": mode.iterations,
+        "structure_ok": rep.structure_ok,
+        "inertia": rep.inertia,
+        "chi0_resolved": rep.chi0_resolved,
+        "mu0": rep.mu0,
+        "max_eig_residual": rep.max_eig_residual,
+        "chi0_iterations": rep.chi0_iterations,
+        "notes": rep.notes,
     }
     return rows, context
 

@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 
 from dgbo.dynamics import N_CONTOUR, Stepper, _padded_flux
 from dgbo.ground_state import TOL_DIFF, gkdv_profile, ladder_rungs
-from dgbo.linearized import KERNEL_TOL_REL, LinearizedOperator, apply_operator
+from dgbo.linearized import KERNEL_TOL_REL, LinearizedOperator, assemble
 from dgbo.spectral import PAD
 
 EVALUATE_BLOCK = 1 << 20  # complex entries of the phase matrix evaluate forms at once
@@ -172,7 +172,7 @@ def rescaled_config(cfg, lam0):
 
 def linearized_rhs(gs, w):
     """dx(L w) with spectral dx."""
-    return gs.grid.derivative(apply_operator(gs, w))
+    return gs.grid.derivative(assemble(gs).apply(w))
 
 
 def fit_shift(grid, f, g):

@@ -323,6 +323,25 @@ class TestCommands:
         assert args.alpha == 1.5
         assert args.n == 256
 
+    @pytest.mark.parametrize("spelling", ["separate", "equals"])
+    def test_config_in_both_spellings(self, tmp_path, spelling):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"parameters": {"alpha": 2.0, "half_length": 25.0, "n": 256}}))
+        config = {"separate": ["--config", str(cfg_file)], "equals": [f"--config={cfg_file}"]}
+        out = str(tmp_path / "gs")
+        assert main(["ground-state", *config[spelling], "--out", out]) == 0
+        gs = read_ground_state(out)
+        assert gs.alpha == 2.0 and gs.grid == Grid(25.0, 256)
+
+    @pytest.mark.parametrize("payload", [[1, 2], {"parameters": [1]}, "text", 3],
+                             ids=["list", "parameters-list", "string", "number"])
+    def test_a_config_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys, payload):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(payload))
+        assert main(["ground-state", "--config", str(cfg_file), "--out", str(tmp_path / "gs")]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_config_error_exit_code(self, tmp_path):
         rc = main(["evolve", "--state", str(tmp_path / "missing"), "--out", str(tmp_path / "x")])
         assert rc == 2
@@ -519,6 +538,20 @@ class TestSmallCommands:
                             "--amplitudes", "0.5:0.5:0.1"],
         }[command]
         assert main([command, *argv, flag, value, "--out", out]) == 2
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("perturbation", [
+        '[1]', '{"bump": 5}', '{"noise": {"band": "x"}}', '{"scale": "a"}',
+        '{"bumpp": {"amplitude": 0.01}}', '{"bump": {"amp": 0.01}}', '{"scale": true}',
+        '{"translate": NaN}',
+    ])
+    def test_evolve_refuses_a_bad_perturbation(self, small_dir, tmp_path, capsys, perturbation):
+        # a perturbation outside the vocabulary is refused before any step,
+        # not ignored and not a traceback
+        out = str(tmp_path / "run")
+        assert main(["evolve", "--state", str(small_dir / "gs25"), "--t-end", "0.01",
+                     "--perturbation", perturbation, "--out", out]) == 2
+        assert "perturbation" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_liouville_probe_steps_one_flow(self, small_dir, tmp_path, monkeypatch):

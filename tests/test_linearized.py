@@ -13,12 +13,10 @@ from dgbo import linearized
 from dgbo import (
     Grid,
     Stepper,
-    apply_operator,
     assemble,
     coercivity_probe,
     evolve_linearized,
     liouville_readout,
-    negative_mode,
     solve_ground_state,
     spectrum,
 )
@@ -49,7 +47,7 @@ class TestAssemble:
         for _ in range(10):
             v = rng.standard_normal(op.grid.n)
             a = op.matrix @ v
-            b = apply_operator(gs2_compact, v)
+            b = op.apply(v)
             assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
 
     @pytest.mark.parametrize("alpha", [2.0, 1.9])
@@ -75,13 +73,13 @@ class TestAssemble:
     def test_kernel_direction(self, gs2_compact):
         qp = gs2_compact.derivative()
         g = gs2_compact.grid
-        r = g.norm_l2(apply_operator(gs2_compact, qp)) / g.norm_l2(qp)
+        r = g.norm_l2(assemble(gs2_compact).apply(qp)) / g.norm_l2(qp)
         assert r < 1e-6
 
     def test_scaling_direction_maps_to_ground_state(self, gs2_compact):
         g = gs2_compact.grid
         lam_q = scaling_generator(gs2_compact)
-        out = apply_operator(gs2_compact, lam_q)
+        out = assemble(gs2_compact).apply(lam_q)
         inner = np.abs(g.x) <= g.half_length / 2
         err = np.sqrt(np.sum((out + 2.0 * gs2_compact.values)[inner] ** 2))
         assert err / np.sqrt(np.sum(gs2_compact.values**2)) < 1e-5
@@ -89,7 +87,15 @@ class TestAssemble:
     def test_quadratic_form_negative_on_q(self, gs2_compact):
         g = gs2_compact.grid
         q = gs2_compact.values
-        assert g.inner(apply_operator(gs2_compact, q), q) < 0.0
+        assert g.inner(assemble(gs2_compact).apply(q), q) < 0.0
+
+    def test_operator_and_reflection_act_row_by_row(self, gs2_compact, rng):
+        g, op = gs2_compact.grid, assemble(gs2_compact)
+        v = rng.standard_normal((3, g.n))
+        stacked, reflected = op.apply(v), g.reflect(v)
+        for j in range(3):
+            assert np.array_equal(stacked[j], op.apply(v[j]))
+            assert np.array_equal(reflected[j], g.reflect(v[j]))
 
 
 class TestSpectrum:
@@ -130,9 +136,10 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("alpha", [1.9, 1.95, 2.0])
     def test_chi0_evenness_witness(self, alpha):
-        # chi0_even_defect is 0 by construction (chi0 is mapped from the even
-        # block); the full N x N eigh assumes no parity, so its chi0 can fail
-        # to be even, and spectrum's chi0 must equal it
+        # chi0 comes from a solve on the even fields, so chi0_even_defect is
+        # roundoff, not 0 (about 2e-17 in the README chain); the full N x N eigh
+        # assumes no parity, so its chi0 can fail to be even, and spectrum's
+        # chi0 must equal it
         gs = ground_state_for(alpha, COMPACT)
         ref = full_eigh_spectrum(assemble(gs))
         peak = np.max(np.abs(ref.chi0))
@@ -384,55 +391,45 @@ class TestBirmanSchwinger:
 
 
 class TestNegativeMode:
+    """The negative direction (mu0, chi0) of L as ``spectrum`` reports it: the
+    package's one chi0, which the blow-up scan decomposes along too."""
+
     @pytest.mark.parametrize("grid", [COMPACT, Grid(25.0, 512)], ids=["50-1024", "25-512"])
     @pytest.mark.parametrize("alpha", [1.5, 1.9, 1.95, 2.0])
     def test_matches_both_dense_references(self, alpha, grid):
-        # the parity-split spectrum and the N x N eigh, which assumes no parity
-        gs = ground_state_for(alpha, grid)
-        mode = negative_mode(gs)
+        # the lowest eigenpair of the dense even block and of the N x N eigh,
+        # which assumes no parity
+        op = assemble(ground_state_for(alpha, grid))
         rep = spectrum_for(alpha, grid)
-        # the spectrum's chi0 is negative_mode's, bit for bit
-        assert np.array_equal(mode.chi0, rep.chi0) and mode.mu0 == rep.mu0
-        ref = full_eigh_spectrum(assemble(gs))
-        assert abs(mode.mu0 - ref.mu0) < 1e-10
-        assert np.max(np.abs(mode.chi0 - ref.chi0)) < 1e-10
-        assert mode.chi0_resolved == rep.chi0_resolved
-        assert gs.grid.norm_l2(mode.chi0) == pytest.approx(1.0, rel=1e-14)
-        lchi = apply_operator(gs, mode.chi0)
-        assert mode.residual == np.max(np.abs(lchi - mode.mu0 * mode.chi0))
-        assert mode.residual < 1e-10
+        ev, vec = np.linalg.eigh(_parity_blocks(op.matrix)[0])
+        block_chi0 = parity_basis(grid.n, False) @ vec[:, 0]
+        block_chi0 *= np.sign(block_chi0[np.argmax(np.abs(block_chi0))]) / grid.norm_l2(block_chi0)
+        ref = full_eigh_spectrum(op)
+        for mu0, chi0 in ((ev[0], block_chi0), (ref.mu0, ref.chi0)):
+            assert abs(rep.mu0 - mu0) < 1e-10
+            assert np.max(np.abs(rep.chi0 - chi0)) < 1e-10
+        assert grid.norm_l2(rep.chi0) == pytest.approx(1.0, rel=1e-14)
+        assert np.max(np.abs(op.apply(rep.chi0) - rep.mu0 * rep.chi0)) < 1e-10
 
-    def test_gkdv_seed_is_the_eigenfunction(self, gs2_compact):
-        # at alpha = 2 the seed Q^3 is chi0 (Poschl-Teller), mu0 = -8
-        mode = negative_mode(gs2_compact)
-        assert abs(mode.mu0 + 8.0) < 1e-10
-        assert mode.iterations <= 2
+    def test_gkdv_seed_is_the_eigenfunction(self, spec2_compact):
+        # at alpha = 2 the even seed Q^3 is chi0 (Poschl-Teller), mu0 = -8
+        assert abs(spec2_compact.mu0 + 8.0) < 1e-10
+        assert spec2_compact.chi0_iterations <= 2
 
     def test_iteration_cap_raises(self, monkeypatch):
+        # the even low-mode solve that gives chi0, not settled within MODE_MAX_ITERS steps
+        op = assemble(ground_state_for(1.9, COMPACT))
         monkeypatch.setattr(linearized, "MODE_MAX_ITERS", 1)
         with pytest.raises(ConvergenceError) as info:
-            negative_mode(ground_state_for(1.9, COMPACT))
+            linearized._parity_modes(op, False, 1)
         assert len(info.value.history) == 2
-
-    def test_shifted_ground_state_is_refused(self, gs2_compact):
-        shifted = replace(gs2_compact, values=np.roll(gs2_compact.values, 3))
-        with pytest.raises(ContractError, match="reflection-even"):
-            negative_mode(shifted)
-
-    def test_operator_and_reflection_act_row_by_row(self, gs2_compact, rng):
-        g = gs2_compact.grid
-        v = rng.standard_normal((3, g.n))
-        stacked, reflected = apply_operator(gs2_compact, v), g.reflect(v)
-        for j in range(3):
-            assert np.array_equal(stacked[j], apply_operator(gs2_compact, v[j]))
-            assert np.array_equal(reflected[j], g.reflect(v[j]))
 
 
 class TestCoercivity:
     def test_chi0_direction_gives_mu0(self, gs2_compact, spec2_compact):
         g = gs2_compact.grid
         v = spec2_compact.chi0
-        val = g.inner(apply_operator(gs2_compact, v), v) / g.inner(v, v)
+        val = g.inner(assemble(gs2_compact).apply(v), v) / g.inner(v, v)
         assert val == pytest.approx(spec2_compact.mu0, rel=1e-8)
 
     def test_probe(self, gs2_compact, spec2_compact):
@@ -451,7 +448,7 @@ class TestCoercivity:
         qp = gs2_compact.derivative()
         qp = qp / g.norm_l2(qp)
         chi0 = spec2_compact.chi0
-        rng = np.random.default_rng(7)
+        op, rng = assemble(gs2_compact), np.random.default_rng(7)
         quots = []
         for _ in range(150):
             width = rng.uniform(0.5, g.half_length / 4.0)
@@ -460,8 +457,8 @@ class TestCoercivity:
             v = np.exp(-(((g.x - center) / width) ** 2)) * np.cos(freq * g.x + rng.uniform(0, 7))
             v = v - g.inner(v, chi0) * chi0 - g.inner(v, qp) * qp
             nrm = g.inner(v, v) + g.sobolev_seminorm_sq(v, 2.0)
-            quots.append(g.inner(apply_operator(gs2_compact, v), v) / nrm)
-        rep = coercivity_probe(assemble(gs2_compact), spec2_compact, trials=150,
+            quots.append(g.inner(op.apply(v), v) / nrm)
+        rep = coercivity_probe(op, spec2_compact, trials=150,
                                rng=np.random.default_rng(7))
         assert rep.trials == 150
         assert rep.mu_est == pytest.approx(min(quots), rel=1e-13)
@@ -584,7 +581,7 @@ class TestLinearizedFlow:
     @pytest.mark.parametrize("alpha", [2.0, 1.5])
     def test_hamiltonian_conserved_by_flow(self, alpha, monkeypatch):
         # (Lw, w) is a conserved (indefinite) quadratic form of the flow: the
-        # flow's potential stage is the collocation L that apply_operator applies
+        # flow's potential stage is the collocation L that LinearizedOperator.apply applies
         monkeypatch.setattr(linearized, "CHECKPOINT_EVERY", 1000)
         gs = ground_state_for(alpha, COMPACT)
         chi0 = spectrum_for(alpha, COMPACT).chi0
@@ -592,7 +589,8 @@ class TestLinearizedFlow:
         w0 = np.exp(-((g.x / 2.0) ** 2))
         w0 -= g.inner(w0, chi0) * chi0
         rec = evolve_linearized(gs, w0, t_end=4.0, dt=1e-3)
-        h_vals = [g.inner(apply_operator(gs, w), w) for w in rec.states]
+        op = assemble(gs)
+        h_vals = [g.inner(op.apply(w), w) for w in rec.states]
         scale = max(abs(h) for h in h_vals)
         assert max(abs(h - h_vals[0]) for h in h_vals) < 1e-6 * scale
 

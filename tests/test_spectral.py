@@ -165,6 +165,28 @@ def test_settable_values_are_counted():
     assert settable_values(p.read_text() for p in sorted(src.glob("*.py"))) == SETTABLE_VALUES
 
 
+# ROADMAP ("Quality of design") states the same 51 names
+PUBLIC_API = {
+    "Diagnostics", "EvolutionConfig", "GNReport", "Grid", "GroundState", "LinearizedOperator",
+    "ModulationState", "ModulationTrack", "MonotonicityReport", "RunRecord", "SpectrumReport",
+    "Stepper", "Weight", "assemble", "beta", "build_weight", "calibrate",
+    "check_eta_monotonicity", "check_left_monotonicity", "check_right_monotonicity",
+    "coercivity_probe", "conserved", "continuation_ladder", "decay_fit", "decompose",
+    "equation_residual", "evolve", "evolve_batch", "evolve_linearized", "flow_stepper",
+    "gkdv_profile", "gn_report", "j1", "kato_terms", "liouville_readout",
+    "pohozaev_residuals", "remainder", "renormalize", "scaling_generator",
+    "solve_ground_state", "spectrum", "stable_kernel", "track", "weighted_mass",
+    # the submodules that the imports above bind
+    "dynamics", "errors", "ground_state", "linearized", "modulation", "monotonicity", "spectral",
+}
+
+
+def test_public_api_is_pinned():
+    # adding or removing a public name means editing this set and ROADMAP's count together
+    assert len(dgbo.__all__) == len(set(dgbo.__all__)) == len(PUBLIC_API) == 51
+    assert set(dgbo.__all__) == PUBLIC_API
+
+
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency, so no process start, the CLI's
     # included, should pay for importing any part of scipy
