@@ -424,6 +424,17 @@ class TestNegativeMode:
             linearized._parity_modes(op, False, 1)
         assert len(info.value.history) == 2
 
+    def test_shifted_ground_state_is_refused(self, gs2_compact, monkeypatch):
+        # refused by the parity contract before any count or chi0 solve runs
+        def unreachable(*args):
+            raise AssertionError("solve reached on a shifted ground state")
+
+        monkeypatch.setattr(linearized, "_inertia", unreachable)
+        monkeypatch.setattr(linearized, "_parity_modes", unreachable)
+        shifted = replace(gs2_compact, values=np.roll(gs2_compact.values, 3))
+        with pytest.raises(ContractError, match="reflection-even"):
+            spectrum(assemble(shifted))
+
 
 class TestCoercivity:
     def test_chi0_direction_gives_mu0(self, gs2_compact, spec2_compact):
