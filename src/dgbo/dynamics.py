@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractError
-from .spectral import Grid, _check_alpha
+from .spectral import Grid, _abs_power_times, _check_alpha
 
 STATUS_COMPLETED = "completed"
 STATUS_DIVERGED = "diverged"
@@ -101,26 +101,6 @@ def conserved(grid: Grid, u, alpha: float, t: float = 0.0) -> Diagnostics:
         sobolev_norm=float(np.sqrt(mass + grad2)),
         linf=float(np.max(np.abs(u))),
     )
-
-
-def _abs_power_times(v, p: float):
-    """|v|^p v in a new array, v left unchanged; by multiplication alone when
-    p = 2 alpha is an integer (2, 3 or 4).
-    """
-    if p == 2.0:
-        w = v * v
-    elif p == 4.0:
-        w = v * v
-        w *= w
-    else:
-        w = np.abs(v)
-        if p == 3.0:
-            w *= v
-            w *= v
-        else:
-            w **= p
-    w *= v
-    return w
 
 
 def _padded_flux(grid: Grid, F, alpha: float, weight):

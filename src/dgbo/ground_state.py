@@ -2,7 +2,12 @@
 
 The profile is computed by a stabilized, Anderson-mixed Petviashvili
 fixed-point iteration, walked down in alpha from the explicit alpha = 2
-profile on the half grid before one solve on the full grid. It is certified
+profile on the half grid before one solve on the full grid. Each map is
+taken in Fourier space with one forward and one inverse real FFT: the
+Rayleigh quotient by Parseval, the symmetrization as the real part of the
+image's spectrum, the mixed iterate's spectrum as the mixing's combination
+of the images' spectra, and the Gram matrix of the mixing one row per map;
+|u|^{2 alpha} u comes from the power kernel the flow uses. It is certified
 against the integral identities any solution must satisfy, against
 positivity/evenness/monotonicity, and against the expected tail law: algebraic
 |x|^(-(1+alpha)) for alpha < 2, exponential e^(-|x|) at alpha = 2.
@@ -16,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, ConvergenceError, ResolutionError, SeedError
-from .spectral import PAD, Grid, _check_alpha
+from .spectral import PAD, Grid, _abs_power_times, _check_alpha
 
 TOL_DIFF = 1e-12         # Petviashvili stop: sup|G(u) - u| of the map G
 TOL_RESIDUAL = 1e-9      # convergence: L2 norm of the equation residual
@@ -41,8 +46,7 @@ def gkdv_profile(x):
 
 def equation_residual(grid: Grid, u, alpha: float):
     """|D|^alpha u + u - |u|^{2a} u/(2a+1), evaluated spectrally/pointwise."""
-    p = 2.0 * alpha + 1.0
-    return grid.apply_riesz(u, alpha) + u - np.abs(u) ** (2.0 * alpha) * u / p
+    return grid.apply_riesz(u, alpha) + u - _abs_power_times(u, 2.0 * alpha) / (2.0 * alpha + 1.0)
 
 
 @dataclass(frozen=True)
@@ -91,71 +95,100 @@ def _sign_indefinite(u):
     return np.min(u) < -0.1 * np.max(u)
 
 
-def solve_ground_state(alpha: float, grid: Grid, seed=None) -> GroundState:
-    """Anderson-mixed Petviashvili iteration with stabilizer exponent (2a+1)/(2a).
+def _petviashvili(alpha: float, grid: Grid, u):
+    """The Anderson-mixed Petviashvili loop of ``solve_ground_state`` from the
+    seed u: (the last image, the number of maps, its sup|G(u) - u|, the
+    history of sup|G(u) - u|).
 
-    The map G(u) is one Petviashvili step followed by symmetrization about
-    x = 0, which pins the profile to the even class. The next iterate is
-    G(u) minus the combination of the last ANDERSON_DEPTH differences of G
-    whose residual differences best cancel G(u) - u in least squares
-    (type-II Anderson mixing; Walker & Ni, SIAM J. Numer. Anal. 49, 2011).
-    A sign-indefinite mixed iterate drops the history for the plain image
-    G(u); an unmixed one raises SeedError. Converged when sup|G(u) - u| <
-    TOL_DIFF within MAX_ITERS maps and the equation residual of G(u), which
-    is returned, is below TOL_RESIDUAL in L2.
+    Each map takes one forward and one inverse real FFT. The Rayleigh quotient
+    comes from the spectra U of u and NL of |u|^{2a} u by Parseval. Since
+    x_{N-j} = -x_j, a field's reflection has the conjugate spectrum, so the
+    image's even part is the field of the quotient's multiple of
+    Re NL / (1 + |k|^a). The mixed iterate and its spectrum are the same
+    combination of the images and of their spectra, so U needs no transform,
+    and the Gram matrix of the residual differences gains one row per map.
     """
-    _check_alpha(alpha)
-    if seed is None:
-        u = gkdv_profile(grid.x)
-    else:
-        u = grid.check_field(seed).copy()
     p = 2.0 * alpha + 1.0
     gamma = p / (p - 1.0)
-    riesz = grid.riesz(alpha)
-    denom = 1.0 + riesz
+    denom = 1.0 + grid.riesz(alpha)
+    weight = grid._parseval_weight
+    lin_weight = weight * denom
 
-    def image(u):
-        nl = np.abs(u) ** (2.0 * alpha) * u / p
-        lin = grid.field(riesz * grid.transform(u)) + u
-        m = float(np.sum(lin * u) / np.sum(nl * u))
-        return grid.symmetrize(grid.field(m**gamma * grid.transform(nl) / denom))
+    def image(u, U, out):
+        """The spectrum of G(u) into out, which may be U, the spectrum of u."""
+        NL = grid.transform(_abs_power_times(u, 2.0 * alpha))
+        # sum (|D|^a u + u) u over sum |u|^{2a} u u / p, the 1/N of both sums dropped
+        m = p * np.vdot(U, lin_weight * U).real / np.vdot(NL, weight * U).real
+        np.multiply(NL.real, m**gamma / p, out=out)
+        out /= denom
 
     # one block per solve, so that mixing allocates no full-length array: the
     # ring buffers of the last differences of G(u) and of the residual G(u) - u,
-    # the residuals of this map and the last, the mixing step and the mixed iterate
-    work = np.empty((2 * ANDERSON_DEPTH + 4, grid.n))
-    dg, df = work[:ANDERSON_DEPTH], work[ANDERSON_DEPTH:2 * ANDERSON_DEPTH]
-    resid, f, step, mix = work[2 * ANDERSON_DEPTH:]
+    # then the residuals of this map and the last; the mixed iterate is written
+    # where the next residual goes, which overwrites it in place. Then the ring
+    # buffer of the differences of the images' (real) spectra, and two spectra:
+    # the last image's and the other, which takes the mixed iterate's and then
+    # the next image's
+    depth_max, n, nk = ANDERSON_DEPTH, grid.n, len(grid.k)
+    work = np.empty((2 * depth_max + 2) * n + (depth_max + 2) * nk)
+    fields = work[: (2 * depth_max + 2) * n].reshape(-1, n)
+    spectra = work[(2 * depth_max + 2) * n :].reshape(-1, nk)
+    dg, df, (resid, f) = fields[:depth_max], fields[depth_max:-2], fields[-2:]
+    dG, (G, spare) = spectra[:depth_max], spectra[depth_max:]
+    gram = np.empty((depth_max, depth_max))
+    U = grid.transform(u)
     g = None
     added = 0
     mixed = False
     history = []
-    diff = np.inf
     for it in range(1, MAX_ITERS + 1):
         if mixed and _sign_indefinite(u):
-            u, g, added, mixed = g, None, 0, False
+            u, U, g, added, mixed = g, G, None, 0, False
         if _sign_indefinite(u):
             raise SeedError(f"sign-indefinite iterate at step {it} (alpha={alpha})")
-        g_new = image(u)
+        image(u, U, spare)
+        g_new = grid.field(spare)
         np.subtract(g_new, u, out=resid)
         diff = float(np.max(np.abs(resid)))
         history.append(diff)
-        u = g_new
-        if not diff >= TOL_DIFF:  # converged, or NaN, which fails the check below
-            break
+        if not diff >= TOL_DIFF:  # converged, or NaN, which fails the check of the caller
+            return g_new, it, diff, history
         if g is not None:
-            j = added % ANDERSON_DEPTH
+            j = added % depth_max
             np.subtract(g_new, g, out=dg[j])
+            np.subtract(spare, G, out=dG[j])
             np.subtract(resid, f, out=df[j])
             added += 1
-        g = g_new
+            depth = min(added, depth_max)
+            gram[j, :depth] = gram[:depth, j] = df[:depth] @ df[j]
+        u, g = g_new, g_new
+        U, G, spare = spare, spare, G  # the old image's spectrum is free now
         resid, f = f, resid
-        depth = min(added, ANDERSON_DEPTH)
+        depth = min(added, depth_max)
         mixed = depth > 0
         if mixed:
-            coef = np.linalg.lstsq(df[:depth] @ df[:depth].T, df[:depth] @ f, rcond=None)[0]
-            np.dot(coef, dg[:depth], out=step)
-            u = np.subtract(g, step, out=mix)
+            coef = np.linalg.lstsq(gram[:depth, :depth], df[:depth] @ f, rcond=None)[0]
+            u = np.subtract(g, np.dot(coef, dg[:depth], out=resid), out=resid)
+            U = np.subtract(G, np.dot(coef, dG[:depth], out=spare), out=spare)
+    return u, it, diff, history
+
+
+def solve_ground_state(alpha: float, grid: Grid, seed=None) -> GroundState:
+    """Anderson-mixed Petviashvili iteration with stabilizer exponent (2a+1)/(2a).
+
+    The map G(u) is one Petviashvili step followed by symmetrization about
+    x = 0, which pins the profile to the even class; ``_petviashvili`` takes
+    it in Fourier space. The next iterate is G(u) minus the combination of
+    the last ANDERSON_DEPTH differences of G whose residual differences best
+    cancel G(u) - u in least squares (type-II Anderson mixing; Walker & Ni,
+    SIAM J. Numer. Anal. 49, 2011). A sign-indefinite mixed iterate drops the
+    history for the plain image G(u); an unmixed one raises SeedError.
+    Converged when sup|G(u) - u| < TOL_DIFF within MAX_ITERS maps and the
+    equation residual of G(u), which is returned, is below TOL_RESIDUAL in L2.
+    """
+    _check_alpha(alpha)
+    seed = gkdv_profile(grid.x) if seed is None else grid.check_field(seed)
+    u, it, diff, history = _petviashvili(alpha, grid, seed)
     res = equation_residual(grid, u, alpha)
     res_l2 = grid.norm_l2(res)
     if not (diff < TOL_DIFF and res_l2 < TOL_RESIDUAL):

@@ -14,6 +14,7 @@ collocation matrix (``LinearizedOperator.matrix``) is a test reference only.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,11 +33,6 @@ MODE_MAX_ITERS = 200  # Rayleigh-Ritz steps of a block iteration before Converge
 INERTIA_ROWS = 3  # Birman-Schwinger eigenvalues per inertia count; a count of INERTIA_ROWS is capped
 
 
-def _potential(gs: GroundState):
-    """Q^{2 alpha}, the multiplication part of L."""
-    return np.abs(gs.values) ** (2.0 * gs.alpha)
-
-
 @dataclass
 class LinearizedOperator:
     """L around ``gs``, applied matrix-free by ``apply``."""
@@ -51,12 +47,17 @@ class LinearizedOperator:
     def grid(self):
         return self.gs.grid
 
+    @cached_property
+    def potential(self):
+        """Q^{2 alpha}, the multiplication part of L, formed on the first read only."""
+        return np.abs(self.gs.values) ** (2.0 * self.alpha)
+
     def apply(self, v):
         """L v = |D|^alpha v + v - Q^{2 alpha} v, spectrally and pointwise; v may
         stack fields along leading axes. The one way ``spectrum`` and
         ``coercivity_probe`` apply L."""
         v = self.grid.check_field(v, stacked=True)
-        return self.grid.apply_riesz(v, self.alpha) + v - _potential(self.gs) * v
+        return self.grid.apply_riesz(v, self.alpha) + v - self.potential * v
 
     @property
     def matrix(self) -> np.ndarray:
@@ -76,7 +77,7 @@ class LinearizedOperator:
         col = grid.symmetrize(grid.field(grid.riesz(self.alpha)))
         i = np.arange(n, dtype=np.int32)
         mat = col[(i[:, None] - i) % n]
-        mat.flat[:: n + 1] = (col[0] + 1.0) - _potential(self.gs)
+        mat.flat[:: n + 1] = (col[0] + 1.0) - self.potential
         return mat
 
 
@@ -282,7 +283,7 @@ def spectrum(op: LinearizedOperator) -> SpectrumReport:
     raises ``ContractError``.
     """
     grid = op.grid
-    pot = _potential(op.gs)
+    pot = op.potential
     pot_defect = float(np.max(np.abs(pot - grid.reflect(pot))))
     if pot_defect > 1e-12 * float(np.max(pot)):
         raise ContractError(f"potential Q^(2 alpha) not reflection-even (defect {pot_defect:.2e}); "
@@ -376,7 +377,7 @@ def coercivity_probe(
     qp = op.gs.derivative()
     qp = qp / grid.norm_l2(qp)
     chi0 = report.chi0
-    pot = _potential(op.gs)
+    pot = op.potential
     L = grid.half_length
     mu_est, used = np.inf, 0
     for start in range(0, trials, COERCIVITY_BLOCK):
@@ -433,7 +434,7 @@ def evolve_linearized(gs: GroundState, w0, t_end: float, dt: float) -> Linearize
     """
     grid = gs.grid
     n_steps = _step_count(dt, t_end, CHECKPOINT_EVERY)
-    pot, minus_ik = _potential(gs), -grid.ik
+    pot, minus_ik = LinearizedOperator(gs).potential, -grid.ik
 
     def potential_term(F):
         return minus_ik * grid.transform(pot * grid.field(F))

@@ -171,9 +171,15 @@ def blowup_scan(
     decomposition's chi0 comes from the matrix-free ``spectrum`` of the
     ground state; the context records its structure certificate under the
     keys of the spectrum artifact. A failed certificate is recorded, not raised.
+    ``perturbation``, in the vocabulary of ``build_initial_data``, applies to
+    every row; it may not set ``scale``, the scan's axis (``ContractError``).
     """
     if not all(0 < v < np.inf for v in (dt, t_end_super, t_end_bounded)):
         raise ContractError("dt, t_end_super and t_end_bounded must be finite and positive")
+    perturbation = {} if perturbation is None else perturbation
+    _check_recipe(perturbation)
+    if "scale" in perturbation:
+        raise ContractError("a scan's perturbation may not set scale: the amplitude is the scan's axis")
     grid = grid if grid is not None else Grid(48.0, 1024)
     t_end_bounded = min(t_end_bounded, t_end_super)
     gs = continuation_ladder(alpha, grid)
@@ -184,7 +190,7 @@ def blowup_scan(
     rng = np.random.default_rng(rng_seed)
     starts, cfgs, watches = [], [], []
     for a in amplitudes:
-        u0 = build_initial_data(grid, gs, {"scale": a, **(perturbation or {})}, rng)
+        u0 = build_initial_data(grid, gs, {"scale": a, **perturbation}, rng)
         d0 = conserved(grid, u0, alpha)
         supercritical = d0.energy < -energy_floor
         starts.append((a, u0, d0, supercritical))
@@ -235,6 +241,7 @@ def blowup_scan(
         "energy_floor": energy_floor,
         "sobolev_trip": SOBOLEV_TRIP,
         "rng_seed": rng_seed,
+        "perturbation": perturbation,
         "ground_state_residual": gs.residual,
         "structure_ok": rep.structure_ok,
         "inertia": rep.inertia,

@@ -48,6 +48,32 @@ def _exp_i_pi(a: float, q):
     return np.exp(1j * np.pi * np.fmod(half_turns, 2.0))
 
 
+def _abs_power_times(v, p: float):
+    """|v|^p v in a new array, v left unchanged: the nonlinearity |u|^{2 alpha} u
+    of the flow and of the ground-state equation, p = 2 alpha.
+
+    By multiplication alone when p is an integer (2, 3 or 4), with one square
+    root more when it is a half-integer (2.5 or 3.5), by a float power otherwise.
+    """
+    if p == 2.0 or p == 4.0:
+        w = v * v
+        if p == 4.0:
+            w *= w
+    else:
+        w = np.abs(v)
+        if p == 2.5:
+            np.sqrt(w, out=w)
+        elif p == 3.5:
+            w *= np.sqrt(w)
+        if p in (2.5, 3.0, 3.5):  # |v|^(p - 2) v v = |v|^p
+            w *= v
+            w *= v
+        else:
+            w **= p
+    w *= v
+    return w
+
+
 class Grid:
     """Uniform periodic grid on [-L, L) with N points, N an even power of two.
 

@@ -594,6 +594,18 @@ class TestSmallCommands:
             assert _files(by_config) == _files(by_flags)
             assert "states/state_000001.f64" in _files(by_flags)
 
+    def test_a_config_object_reaches_evolve_as_json(self, small_dir, tmp_path):
+        # a JSON object in a config file is the same perturbation as the flag's text
+        perturbation = {"bump": {"amplitude": 0.01}}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"parameters": {"perturbation": perturbation}}))
+        by_config, by_flag = str(tmp_path / "config"), str(tmp_path / "flag")
+        common = ["evolve", "--state", str(small_dir / "gs25"), "--t-end", "0.01"]
+        assert main(common + ["--config", str(cfg_file), "--out", by_config]) == 0
+        assert main(common + ["--perturbation", json.dumps(perturbation), "--out", by_flag]) == 0
+        headers = [read_json(os.path.join(d, "header.json"))["perturbation"] for d in (by_config, by_flag)]
+        assert headers == [perturbation, perturbation]
+
 
 class TestBlowupScan:
     def test_scan_rows_and_determinism(self, tmp_path):

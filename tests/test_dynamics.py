@@ -16,9 +16,10 @@ from dgbo import (
     evolve_batch,
     flow_stepper,
 )
-from dgbo.dynamics import _abs_power_times, _padded_flux
+from dgbo.dynamics import _padded_flux
 from dgbo.errors import ContractError
 from dgbo.ground_state import gkdv_profile
+from dgbo.spectral import _abs_power_times
 from oracles import contour_tables, etdrk4_step, fine, nonlinear_term, power_flux, rescaled_config
 
 
@@ -42,18 +43,21 @@ class TestNonlinearTerm:
         got = nonlinear_term(g, q, 2.0)
         assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 1.75, 2.0])
     def test_integer_power_flux_matches_float_power(self, alpha, rng):
-        # signed data, so that |v| and v differ where the odd power 3 is taken
+        # signed data, so that |v| and v differ where the odd power 3 or a
+        # half-integer power 2.5 or 3.5 is taken
         g = Grid(30.0, 256)
         u = np.exp(-(g.x**2) / 8.0) * (1.0 + 0.3 * np.cos(1.3 * g.x)) - 0.2
         F = g.transform(u + 0.01 * rng.standard_normal(g.n))
         v = fine(g, F)
         kept = v.copy()
-        _abs_power_times(v, 2.0 * alpha)
+        power = _abs_power_times(v, 2.0 * alpha)
         assert np.array_equal(v, kept)
+        float_power = np.abs(v) ** (2.0 * alpha) * v
+        assert np.max(np.abs(power - float_power)) <= 1e-14 * np.max(np.abs(float_power))
         weight = g.truncation(1.0)
-        want = g.coarse(np.abs(v) ** (2.0 * alpha) * v, weight)
+        want = g.coarse(float_power, weight)
         got = _padded_flux(g, F, alpha, weight)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 

@@ -73,6 +73,38 @@ class TestSolve:
             solve_ground_state(1.5, Grid(50.0, 512), seed=np.zeros(512))
         assert len(info.value.history) == 1
 
+    def test_a_map_takes_two_transforms(self, monkeypatch):
+        # one forward transform of |u|^{2 alpha} u and one inverse of the
+        # image per map; once per solve come the seed's spectrum, the
+        # equation residual's |D|^alpha u (a pair) and the Pohozaev residuals'
+        # seminorm (one forward)
+        counts = {"transform": 0, "field": 0}
+
+        def counted(name):
+            method = getattr(Grid, name)
+
+            def call(self, *args):
+                counts[name] += 1
+                return method(self, *args)
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(Grid, name, counted(name))
+        gs = solve_ground_state(1.5, Grid(50.0, 512))
+        assert gs.iterations > 10
+        assert counts == {"transform": gs.iterations + 3, "field": gs.iterations + 1}
+
+    def test_a_seed_that_is_not_even_converges_to_the_even_profile(self):
+        # the first map's quotient takes the seed's whole (complex) spectrum;
+        # its image, and every one after it, is even
+        g = Grid(50.0, 512)
+        seed = np.roll(gkdv_profile(g.x), 3)
+        kept = seed.copy()
+        got = solve_ground_state(2.0, g, seed=seed)
+        assert np.array_equal(seed, kept)
+        assert shape_certificate(got)["even_defect"] < 1e-12
+        assert np.max(np.abs(got.values - solve_ground_state(2.0, g).values)) < 1e-10
+
     def test_a_sign_indefinite_mixed_iterate_falls_back_to_the_plain_image(self, monkeypatch):
         # the third sign test is the first one on a mixed iterate (maps 1 and
         # 2 have no difference to mix yet): flagging it drops the history and

@@ -50,6 +50,18 @@ class TestAssemble:
             b = op.apply(v)
             assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
 
+    def test_the_potential_is_formed_once_per_operator(self, gs2_compact, rng):
+        # Q^{2 alpha} is formed by the float power on the first read, and
+        # every apply after it reads that array
+        op = assemble(gs2_compact)
+        v = rng.standard_normal((2, op.grid.n))
+        first = op.apply(v)
+        pot = op.potential
+        assert np.array_equal(pot, np.abs(gs2_compact.values) ** 4.0)
+        assert np.array_equal(first, op.grid.apply_riesz(v, 2.0) + v - pot * v)
+        op.apply(v)
+        assert op.potential is pot
+
     @pytest.mark.parametrize("alpha", [2.0, 1.9])
     def test_symmetry_and_diagonal_pinned(self, alpha):
         gs = ground_state_for(alpha, COMPACT)

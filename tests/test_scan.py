@@ -6,6 +6,7 @@ import pytest
 from dgbo import Grid, LinearizedOperator, assemble, continuation_ladder, linearized
 from dgbo import spectrum
 from dgbo.cli import main
+from dgbo.errors import ContractError
 from dgbo.scan import blowup_scan, build_initial_data, lambda_monotone, write_scan
 
 
@@ -38,6 +39,29 @@ def test_initial_data_takes_the_whole_perturbation_vocabulary():
     moved = build_initial_data(grid, gs, {"scale": 1.01, "translate": 0.5}, None)
     assert np.max(np.abs(moved - 1.01 * gs.values)) > 0.1  # translated
     assert 0.008 < np.max(np.abs(u - moved)) < 0.012  # the bump, 0.01, and the noise, 1e-3
+
+
+def test_a_scan_perturbation_may_not_set_the_amplitude():
+    # the amplitude is the scan's axis: a scale there would start every row
+    # from the same data while scan.csv lists the amplitudes asked for
+    with pytest.raises(ContractError, match="scale"):
+        blowup_scan(2.0, [0.9, 1.0], grid=Grid(24.0, 256), t_end_super=0.05,
+                    perturbation={"scale": 1.02})
+
+
+def test_blowup_scan_refuses_a_scale_perturbation_and_passes_on_the_others(tmp_path):
+    argv = ["blowup-scan", "--alpha", "2", "--half-length", "24", "--n", "256",
+            "--amplitudes", "0.9:1.0:0.1", "--t-end", "0.05"]
+    refused = tmp_path / "refused"
+    assert main(argv + ["--perturbation", '{"scale": 1.02}', "--out", str(refused)]) == 2
+    assert not refused.exists()
+    plain, bumped = tmp_path / "plain", tmp_path / "bumped"
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert main(argv + ["--perturbation", '{"bump": {"amplitude": 0.01}}', "--out", str(bumped)]) == 0
+    with open(plain / "scan.json") as fh, open(bumped / "scan.json") as gh:
+        assert (json.load(fh)["perturbation"], json.load(gh)["perturbation"]) == (
+            {}, {"bump": {"amplitude": 0.01}})
+    assert (plain / "scan.csv").read_bytes() != (bumped / "scan.csv").read_bytes()
 
 
 @pytest.mark.parametrize("track, monotone", [
