@@ -117,8 +117,10 @@ def _petviashvili(alpha: float, grid: Grid, u):
     def image(u, U, out):
         """The spectrum of G(u) into out, which may be U, the spectrum of u."""
         NL = grid.transform(_abs_power_times(u, 2.0 * alpha))
-        # sum (|D|^a u + u) u over sum |u|^{2a} u u / p, the 1/N of both sums dropped
-        m = p * np.vdot(U, lin_weight * U).real / np.vdot(NL, weight * U).real
+        # sum (|D|^a u + u) u over sum |u|^{2a} u u / p, the 1/N of both sums
+        # dropped; real products only, so that no complex BLAS routine is loaded
+        conj_U = np.conj(U)
+        m = p * (lin_weight @ (U * conj_U).real) / (weight @ (NL * conj_U).real)
         np.multiply(NL.real, m**gamma / p, out=out)
         out /= denom
 
