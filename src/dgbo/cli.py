@@ -208,7 +208,6 @@ def _cmd_blowup_scan(args):
         dt=args.dt,
         t_end_super=args.t_end,
         rng_seed=args.rng_seed,
-        perturbation=json.loads(args.perturbation) if args.perturbation else None,
     )
     write_scan(args.out, rows, context)
     n_trip = sum(r.tripped for r in rows)
@@ -353,8 +352,6 @@ def build_parser():
     b.add_argument("--dt", type=float, default=5e-4)
     b.add_argument("--t-end", type=float, default=80.0)
     b.add_argument("--rng-seed", type=int, default=0)
-    b.add_argument("--perturbation", default=None,
-                   help="JSON perturbation spec of every row, without scale (the scan's axis)")
     b.add_argument("--out", default="scan")
     b.set_defaults(func=_cmd_blowup_scan)
 

@@ -33,6 +33,11 @@ MODE_MAX_ITERS = 200  # Rayleigh-Ritz steps of a block iteration before Converge
 INERTIA_ROWS = 3  # Birman-Schwinger eigenvalues per inertia count; a count of INERTIA_ROWS is capped
 
 
+def _potential(gs: GroundState):
+    """Q^{2 alpha}, the multiplication part of L."""
+    return np.abs(gs.values) ** (2.0 * gs.alpha)
+
+
 @dataclass
 class LinearizedOperator:
     """L around ``gs``, applied matrix-free by ``apply``."""
@@ -49,8 +54,8 @@ class LinearizedOperator:
 
     @cached_property
     def potential(self):
-        """Q^{2 alpha}, the multiplication part of L, formed on the first read only."""
-        return np.abs(self.gs.values) ** (2.0 * self.alpha)
+        """``_potential`` of ``gs``, formed on the first read only."""
+        return _potential(self.gs)
 
     def apply(self, v):
         """L v = |D|^alpha v + v - Q^{2 alpha} v, spectrally and pointwise; v may
@@ -434,7 +439,7 @@ def evolve_linearized(gs: GroundState, w0, t_end: float, dt: float) -> Linearize
     """
     grid = gs.grid
     n_steps = _step_count(dt, t_end, CHECKPOINT_EVERY)
-    pot, minus_ik = LinearizedOperator(gs).potential, -grid.ik
+    pot, minus_ik = _potential(gs), -grid.ik
 
     def potential_term(F):
         return minus_ik * grid.transform(pot * grid.field(F))

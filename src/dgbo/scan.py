@@ -241,7 +241,6 @@ def blowup_scan(
         "energy_floor": energy_floor,
         "sobolev_trip": SOBOLEV_TRIP,
         "rng_seed": rng_seed,
-        "perturbation": perturbation,
         "ground_state_residual": gs.residual,
         "structure_ok": rep.structure_ok,
         "inertia": rep.inertia,

@@ -143,6 +143,16 @@ class TestLadder:
         # the padded coarse profile leaves the full grid little to do
         assert gs.ladder[-1].iterations < iterations[-1]
 
+    def test_the_fine_alpha_1_ladder_keeps_its_recorded_figures(self):
+        # the Pohozaev residuals are 5e-8 defects, so a 5e-14 relative change of
+        # the profile's scale moves them by 2e-6 relative: a Rayleigh quotient
+        # summed mode after mode (a BLAS dot) biases the scale that much on
+        # this 2^19-point grid, numpy's pairwise sums by roundoff only
+        gs = ground_state_for(1.0)
+        assert [r.iterations for r in gs.ladder] == [1, 12, 14, 16, 19, 7]
+        assert gs.pohozaev_residuals == pytest.approx(
+            (1.0923736569745795e-07, 5.4618683208412135e-08, 5.461868857534186e-08), rel=5e-7, abs=0.0)
+
     def test_records_every_rung(self):
         gs = continuation_ladder(1.5, COMPACT, step=0.25)
         assert [(r.alpha, r.n) for r in gs.ladder] == [

@@ -49,21 +49,6 @@ def test_a_scan_perturbation_may_not_set_the_amplitude():
                     perturbation={"scale": 1.02})
 
 
-def test_blowup_scan_refuses_a_scale_perturbation_and_passes_on_the_others(tmp_path):
-    argv = ["blowup-scan", "--alpha", "2", "--half-length", "24", "--n", "256",
-            "--amplitudes", "0.9:1.0:0.1", "--t-end", "0.05"]
-    refused = tmp_path / "refused"
-    assert main(argv + ["--perturbation", '{"scale": 1.02}', "--out", str(refused)]) == 2
-    assert not refused.exists()
-    plain, bumped = tmp_path / "plain", tmp_path / "bumped"
-    assert main(argv + ["--out", str(plain)]) == 0
-    assert main(argv + ["--perturbation", '{"bump": {"amplitude": 0.01}}', "--out", str(bumped)]) == 0
-    with open(plain / "scan.json") as fh, open(bumped / "scan.json") as gh:
-        assert (json.load(fh)["perturbation"], json.load(gh)["perturbation"]) == (
-            {}, {"bump": {"amplitude": 0.01}})
-    assert (plain / "scan.csv").read_bytes() != (bumped / "scan.csv").read_bytes()
-
-
 @pytest.mark.parametrize("track, monotone", [
     (1.0 + 1e-11 * np.sin(np.arange(40.0)), True),  # constant up to 1e-11, ending 1e-11 up
     (np.linspace(1.0, 1.0 + 1e-6, 40), False),      # a net rise of 1e-6
