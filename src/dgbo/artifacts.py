@@ -147,7 +147,7 @@ def read_ground_state(base) -> GroundState:
 RUN_COLUMNS = ("t", "mass", "energy", "mean", "sobolev", "linf")
 
 
-def write_plot_script(path, csv_name, columns, title="", indices=None):
+def write_plot_script(path, csv_name, columns, title, indices=None):
     """Small gnuplot script plotting CSV columns against the first.
 
     ``indices`` selects 1-based file columns when the CSV interleaves
@@ -228,32 +228,36 @@ def read_run(run_dir):
 # -- spectrum -------------------------------------------------------------------
 
 
+def spectrum_certificate(report: SpectrumReport) -> dict:
+    """The structure certificate of ``report`` under ``.spectrum.json``'s key
+    names, which the blow-up scan's header shares."""
+    edge = report.essential_edge_estimate  # -inf when an inertia count is capped: no bound
+    return {
+        "mu0": report.mu0,
+        "lowest_eigenvalues": report.eigenvalues,
+        "inertia": report.inertia,
+        "kernel_tol": report.kernel_tol,
+        "near_kernel_eigenvalues": [ev for ev, _ in report.near_kernel],
+        "essential_edge_estimate": edge if np.isfinite(edge) else None,
+        "qprime_cosine": report.qprime_cosine,
+        "chi0_even_defect": report.chi0_even_defect,
+        "parity_gap": report.parity_gap,
+        "chi0_resolved": report.chi0_resolved,
+        "chi0_iterations": report.chi0_iterations,
+        "max_eig_residual": report.max_eig_residual,
+        "structure_ok": report.structure_ok,
+        "notes": report.notes,
+    }
+
+
 def write_spectrum(base, report: SpectrumReport):
     write_field(base + ".chi0", report.grid, report.chi0, kind="chi0", alpha=report.alpha)
     for i, (ev, vec) in enumerate(report.near_kernel):
         write_field(base + f".kernel{i}", report.grid, vec, kind="near_kernel", eigenvalue=ev)
-    edge = report.essential_edge_estimate  # -inf when an inertia count is capped: no bound
     write_json(
         base + ".spectrum.json",
-        {
-            "kind": "spectrum",
-            "alpha": report.alpha,
-            "grid": report.grid,
-            "mu0": report.mu0,
-            "lowest_eigenvalues": report.eigenvalues,
-            "inertia": report.inertia,
-            "kernel_tol": report.kernel_tol,
-            "near_kernel_eigenvalues": [ev for ev, _ in report.near_kernel],
-            "essential_edge_estimate": edge if np.isfinite(edge) else None,
-            "qprime_cosine": report.qprime_cosine,
-            "chi0_even_defect": report.chi0_even_defect,
-            "parity_gap": report.parity_gap,
-            "chi0_resolved": report.chi0_resolved,
-            "chi0_iterations": report.chi0_iterations,
-            "max_eig_residual": report.max_eig_residual,
-            "structure_ok": report.structure_ok,
-            "notes": report.notes,
-        },
+        {"kind": "spectrum", "alpha": report.alpha, "grid": report.grid,
+         **spectrum_certificate(report)},
     )
 
 

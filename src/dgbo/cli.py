@@ -41,7 +41,7 @@ from .errors import (
     DgboError,
     ResolutionError,
 )
-from .ground_state import continuation_ladder, solve_ground_state
+from .ground_state import continuation_ladder
 from .linearized import assemble, evolve_linearized, liouville_readout, spectrum
 from .modulation import track
 from .monotonicity import (
@@ -60,6 +60,9 @@ EXIT_CONVERGENCE = 3
 EXIT_RESOLUTION = 4
 EXIT_DIVERGENCE = 5
 
+PROBE_WIDTH = 2.0    # liouville-probe: w0 is exp(-(x / PROBE_WIDTH)^2) before deflation
+PROBE_WINDOW = 10.0  # liouville-probe: the local masses are taken over |x| < PROBE_WINDOW
+
 
 # -- subcommand implementations ---------------------------------------------------
 
@@ -73,7 +76,7 @@ def _read_state_and_chi0(state, chi0):
     return gs, chi0_values
 
 
-def _read_run_states(run, gs=None):
+def _read_run_states(run, gs):
     """Times, fields and grid of a run's checkpoints (ConfigError: none, or not on gs's grid)."""
     _header, _samples, states, grid = read_run(run)
     if not states:
@@ -104,14 +107,7 @@ def _amplitudes(text):
 
 
 def _cmd_ground_state(args):
-    grid = Grid(args.half_length, args.n)
-    if args.continue_from:
-        seed_gs = read_ground_state(args.continue_from)
-        if seed_gs.grid != grid:
-            raise ConfigError("continuation seed grid does not match requested grid")
-        gs = solve_ground_state(args.alpha, grid, seed=seed_gs.values)
-    else:
-        gs = continuation_ladder(args.alpha, grid, step=args.ladder_step)
+    gs = continuation_ladder(args.alpha, Grid(args.half_length, args.n), step=args.ladder_step)
     write_ground_state(args.out, gs)
     print(f"ground state alpha={args.alpha}: residual {gs.residual:.3e}, "
           f"{gs.iterations} iterations -> {args.out}")
@@ -129,7 +125,6 @@ def _cmd_evolve(args):
         dt=args.dt,
         t_end=args.t_end,
         sign=args.sign,
-        frame_speed=args.frame_speed,
         checkpoint_every=args.checkpoint_every,
         store_states=True,
     )
@@ -207,7 +202,6 @@ def _cmd_blowup_scan(args):
         grid=grid,
         dt=args.dt,
         t_end_super=args.t_end,
-        rng_seed=args.rng_seed,
     )
     write_scan(args.out, rows, context)
     n_trip = sum(r.tripped for r in rows)
@@ -225,11 +219,11 @@ def _cmd_liouville_probe(args):
     gs, chi0 = _read_state_and_chi0(args.state, args.chi0)
     grid = gs.grid
     qp = gs.derivative()
-    w0 = np.exp(-(((grid.x - args.offset) / args.width) ** 2))
+    w0 = np.exp(-((grid.x / PROBE_WIDTH) ** 2))
     for basis in (chi0 / grid.norm_l2(chi0), qp / grid.norm_l2(qp)):
         w0 = w0 - grid.inner(w0, basis) * basis
     rec = evolve_linearized(gs, w0, args.t_end, args.dt)
-    r = liouville_readout(gs, rec, args.window)
+    r = liouville_readout(gs, rec, PROBE_WINDOW)
     base = args.out
     write_csv(
         base + ".csv",
@@ -244,7 +238,7 @@ def _cmd_liouville_probe(args):
             "kind": "liouville_probe",
             "alpha": gs.alpha,
             "grid": grid,
-            "window": args.window,
+            "window": PROBE_WINDOW,
             "t_end": args.t_end,
             "dt": args.dt,
             "free_flow_decayed": bool(free[-1] < free[0]),
@@ -281,7 +275,7 @@ def _apply_config_defaults(args_list):
     present = {a.split("=", 1)[0] for a in out if a.startswith("--")}
     for key, value in params.items():
         flag = "--" + key.replace("_", "-")
-        if flag not in present:
+        if flag not in present and value is not None:  # a null entry leaves the flag's default
             if isinstance(value, bool):
                 if value:
                     out.append(flag)
@@ -301,7 +295,6 @@ def build_parser():
     g.add_argument("--alpha", type=float, required=True)
     g.add_argument("--half-length", type=float, default=200.0)
     g.add_argument("--n", type=int, default=4096)
-    g.add_argument("--continue-from", default=None)
     g.add_argument("--ladder-step", type=float, default=0.25)
     g.add_argument("--out", default="ground_state")
     g.set_defaults(func=_cmd_ground_state)
@@ -311,7 +304,6 @@ def build_parser():
     e.add_argument("--t-end", type=float, default=1.0)
     e.add_argument("--dt", type=float, default=1e-4)
     e.add_argument("--sign", choices=["focusing", "defocusing"], default="focusing")
-    e.add_argument("--frame-speed", type=float, default=0.0)
     e.add_argument("--checkpoint-every", type=int, default=100)
     e.add_argument("--perturbation", default=None, help="JSON perturbation spec")
     e.add_argument("--rng-seed", type=int, default=0)
@@ -351,7 +343,6 @@ def build_parser():
     b.add_argument("--n", type=int, default=1024)
     b.add_argument("--dt", type=float, default=5e-4)
     b.add_argument("--t-end", type=float, default=80.0)
-    b.add_argument("--rng-seed", type=int, default=0)
     b.add_argument("--out", default="scan")
     b.set_defaults(func=_cmd_blowup_scan)
 
@@ -360,9 +351,6 @@ def build_parser():
     lp.add_argument("--chi0", required=True)
     lp.add_argument("--t-end", type=float, default=5.0)
     lp.add_argument("--dt", type=float, default=1e-3)
-    lp.add_argument("--window", type=float, default=10.0)
-    lp.add_argument("--offset", type=float, default=0.0)
-    lp.add_argument("--width", type=float, default=2.0)
     lp.add_argument("--out", default="liouville")
     lp.set_defaults(func=_cmd_liouville_probe)
     return p

@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .artifacts import write_csv, write_json, write_plot_script
+from .artifacts import spectrum_certificate, write_csv, write_json, write_plot_script
 from .dynamics import STATUS_COMPLETED, EvolutionConfig, conserved, evolve_batch
 from .errors import ContractError, DecompositionError
 from .ground_state import continuation_ladder
@@ -242,13 +242,7 @@ def blowup_scan(
         "sobolev_trip": SOBOLEV_TRIP,
         "rng_seed": rng_seed,
         "ground_state_residual": gs.residual,
-        "structure_ok": rep.structure_ok,
-        "inertia": rep.inertia,
-        "chi0_resolved": rep.chi0_resolved,
-        "mu0": rep.mu0,
-        "max_eig_residual": rep.max_eig_residual,
-        "chi0_iterations": rep.chi0_iterations,
-        "notes": rep.notes,
+        **spectrum_certificate(rep),
     }
     return rows, context
 

@@ -2,6 +2,7 @@ import gc
 import json
 from dataclasses import replace
 import os
+import shlex
 import shutil
 import tempfile
 import warnings
@@ -44,6 +45,8 @@ from dgbo.modulation import ModulationTrack
 from dgbo.spectral import Grid
 
 from conftest import ground_state_for, COMPACT
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 @pytest.fixture(scope="module")
@@ -446,6 +449,35 @@ class TestCommands:
         with open(out) as fh:
             assert [rep["check"] for rep in json.load(fh)["reports"]] == ["right", "left", "eta"]
 
+    def test_monotonicity_c0_fixes_the_sided_budgets(self, artifacts_dir, tmp_path):
+        # --c0 re-budgets the right and left reports, rhs = base + c0 * unit_budget,
+        # while the eta report stays calibrated on its own run
+        gs, spec = str(artifacts_dir / "gs"), str(artifacts_dir / "spec")
+        run, track_base = str(tmp_path / "run"), str(tmp_path / "track")
+        assert main(["evolve", "--state", gs, "--t-end", "0.02", "--dt", "2e-4",
+                     "--checkpoint-every", "50",
+                     "--perturbation", '{"bump": {"amplitude": 0.01, "width": 2.0}}',
+                     "--out", run]) == 0
+        assert main(["modulate", "--run", run, "--state", gs, "--chi0", spec,
+                     "--out", track_base]) == 0
+        reports = {}
+        for name, extra in (("calibrated", []), ("fixed", ["--c0", "2.5"])):
+            out = str(tmp_path / f"{name}.json")
+            assert main(["monotonicity", "--run", run, "--track", track_base, "--x0", "10",
+                         "--r", "1.5", "--A", "10", "--state", gs, "--chi0", spec,
+                         *extra, "--out", out]) == 0
+            reports[name] = read_json(out)["reports"]
+        calibrated, fixed = reports["calibrated"], reports["fixed"]
+        assert [rep["check"] for rep in fixed] == ["right", "left", "eta"]
+        for cal, rep in zip(calibrated[:2], fixed[:2]):
+            assert cal["c0"] > 0 and rep["c0"] == 2.5
+            base = np.array(cal["rhs"]) - np.array(cal["error_budget"])
+            unit_budget = np.array(cal["error_budget"]) / cal["c0"]
+            assert np.array(rep["error_budget"]) == pytest.approx(2.5 * unit_budget, rel=1e-12)
+            assert np.array(rep["rhs"]) == pytest.approx(base + 2.5 * unit_budget,
+                                                         rel=1e-12, abs=1e-15)
+        assert fixed[2] == calibrated[2]
+
     def test_run_without_states_is_a_config_error(self, artifacts_dir, tmp_path):
         gs, spec = str(artifacts_dir / "gs"), str(artifacts_dir / "spec")
         run, track_base = str(tmp_path / "run"), str(tmp_path / "track")
@@ -606,6 +638,33 @@ class TestSmallCommands:
         headers = [read_json(os.path.join(d, "header.json"))["perturbation"] for d in (by_config, by_flag)]
         assert headers == [perturbation, perturbation]
 
+    def test_a_null_config_entry_leaves_the_flag_default(self, tmp_path):
+        # "ladder_step": null is the config without the key, not the text "None"
+        params = {"alpha": 2.0, "half_length": 25.0, "n": 256}
+        certs = []
+        for name, extra in (("null", {"ladder_step": None}), ("absent", {})):
+            cfg_file = tmp_path / f"{name}.json"
+            cfg_file.write_text(json.dumps({"parameters": {**params, **extra}}))
+            out = str(tmp_path / name)
+            assert main(["ground-state", "--config", str(cfg_file), "--out", out]) == 0
+            with open(out + ".cert.json", "rb") as fh:
+                certs.append(fh.read())
+        assert certs[0] == certs[1]
+
+    def test_evolve_rng_seed_draws_the_noise(self, small_dir, tmp_path):
+        # the same seed repeats every byte; another seed draws other noise
+        runs = {}
+        for name, seed in (("a", "1"), ("b", "1"), ("c", "2")):
+            runs[name] = str(tmp_path / name)
+            assert main(["evolve", "--state", str(small_dir / "gs25"), "--t-end", "0.01",
+                         "--perturbation", '{"noise": {"amplitude": 1e-3}}',
+                         "--rng-seed", seed, "--out", runs[name]]) == 0
+        files = {name: _files(run) for name, run in runs.items()}
+        assert files["a"] == files["b"]
+        first = os.path.join("states", "state_000000.f64")
+        assert files["a"][first] != files["c"][first]
+        assert [read_json(os.path.join(runs[n], "header.json"))["rng_seed"] for n in "ac"] == [1, 2]
+
 
 class TestBlowupScan:
     def test_scan_rows_and_determinism(self, tmp_path):
@@ -640,3 +699,15 @@ class TestBlowupScan:
         ]) == 0
         with open(os.path.join(out, "scan.json")) as fh:
             assert json.load(fh)["t_end_bounded"] == 0.05
+
+
+def test_readme_recipe_parses():
+    # every dgbo line of README's command block names a subcommand and flags
+    # the parser knows, so a deleted or renamed flag cannot linger in the docs
+    with open(README) as fh:
+        text = fh.read()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("dgbo ")]
+    commands = [build_parser().parse_args(shlex.split(line)[1:]).command for line in lines]
+    assert commands == ["ground-state", "spectrum", "evolve", "modulate", "monotonicity",
+                        "blowup-scan", "liouville-probe"]

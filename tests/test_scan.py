@@ -5,6 +5,7 @@ import pytest
 
 from dgbo import Grid, LinearizedOperator, assemble, continuation_ladder, linearized
 from dgbo import spectrum
+from dgbo.artifacts import read_json, write_spectrum
 from dgbo.cli import main
 from dgbo.errors import ContractError
 from dgbo.scan import blowup_scan, build_initial_data, lambda_monotone, write_scan
@@ -75,15 +76,17 @@ def test_scan_takes_chi0_without_a_dense_solve(tmp_path, monkeypatch):
     assert header["max_eig_residual"] == context["max_eig_residual"] < 1e-10
     assert header["structure_ok"] is context["structure_ok"] is True
     assert not {"chi0_sign_ok", "chi0_residual"} & set(header)
-    # the same numbers as a direct spectrum of the same ground state; on
-    # (24, 256) chi0 dips within its resolution floor
+    # the whole certificate of a direct spectrum of the same ground state, as
+    # .spectrum.json writes it; on (24, 256) chi0 dips within its resolution floor
     monkeypatch.undo()
     rep = spectrum(assemble(continuation_ladder(2.0, Grid(24.0, 256))))
-    assert header["mu0"] == rep.mu0
-    assert header["inertia"] == [list(counts) for counts in rep.inertia] == [[1, 1], [0, 1]]
-    assert header["chi0_iterations"] == rep.chi0_iterations
-    assert header["chi0_resolved"] is rep.chi0_resolved is False
-    assert header["notes"] == rep.notes and "resolution floor" in rep.notes[0]
+    write_spectrum(str(tmp_path / "spec"), rep)
+    spec = read_json(str(tmp_path / "spec.spectrum.json"))
+    del spec["kind"]
+    assert {key: header[key] for key in spec} == spec
+    assert header["inertia"] == [[1, 1], [0, 1]]
+    assert header["chi0_resolved"] is False
+    assert "resolution floor" in header["notes"][0]
 
 
 def test_scan_records_a_chi0_that_changes_sign(tmp_path, monkeypatch, capsys):

@@ -136,7 +136,7 @@ def test_fourier_layout_lives_in_spectral():
     assert users == []
 
 
-SETTABLE_VALUES = 32  # ROADMAP ("Quality of design") states the same count
+SETTABLE_VALUES = 30  # ROADMAP ("Quality of design") states the same count
 
 
 def settable_values(sources):
@@ -163,6 +163,33 @@ def test_settable_values_are_counted():
     assert settable_values([sample]) == 5
     src = Path(dgbo.__file__).parent
     assert settable_values(p.read_text() for p in sorted(src.glob("*.py"))) == SETTABLE_VALUES
+
+
+CLI_OPTIONS = 29  # ROADMAP ("Quality of design") states the same count
+
+
+def cli_options(text):
+    """The ``add_argument`` calls in the module source ``text`` that are not
+    ``required=True``, ``--version`` aside."""
+    count = 0
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            names = [a.value for a in node.args if isinstance(a, ast.Constant)]
+            required = any(k.arg == "required" and getattr(k.value, "value", None) is True
+                           for k in node.keywords)
+            count += not required and names != ["--version"]
+    return count
+
+
+def test_cli_options_are_counted():
+    # adding a flag means raising this count and ROADMAP's together
+    sample = ('p.add_argument("--version", action="version")\n'
+              'g.add_argument("--alpha", type=float, required=True)\n'
+              'g.add_argument("--n", type=int, default=4096)\n'
+              'g.add_argument("--flag", action="store_true")\n')
+    assert cli_options(sample) == 2
+    src = Path(dgbo.__file__).parent
+    assert cli_options((src / "cli.py").read_text()) == CLI_OPTIONS
 
 
 # ROADMAP ("Quality of design") states the same 51 names
