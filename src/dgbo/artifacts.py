@@ -169,7 +169,7 @@ def write_plot_script(path, csv_name, columns, title, indices=None):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_run(run_dir, record: RunRecord, header_extra=None):
+def write_run(run_dir, record: RunRecord, header_extra):
     os.makedirs(run_dir, exist_ok=True)
     header = {
         "kind": "run",
@@ -182,9 +182,8 @@ def write_run(run_dir, record: RunRecord, header_extra=None):
         "filter_strength": FILTER_STRENGTH,
         "n_samples": len(record.samples),
         "n_states": len(record.states),
+        **header_extra,
     }
-    if header_extra:
-        header.update(header_extra)
     write_json(os.path.join(run_dir, "header.json"), header)
     write_csv(
         os.path.join(run_dir, "series.csv"), RUN_COLUMNS,
@@ -262,8 +261,9 @@ def write_spectrum(base, report: SpectrumReport):
 
 
 def read_chi0(base):
-    grid, values, _ = read_field(base + ".chi0")
-    return grid, values
+    """Grid, values and alpha of a stored chi0."""
+    grid, values, meta = read_field(base + ".chi0")
+    return grid, values, meta["alpha"]
 
 
 # -- modulation tracks -----------------------------------------------------------
@@ -274,7 +274,7 @@ TRACK_COLUMNS = (
 )
 
 
-def write_track(base, record: ModulationTrack, header_extra=None):
+def write_track(base, record: ModulationTrack, header_extra):
     header = {
         "kind": "modulation_track",
         "alpha": record.alpha,
@@ -286,9 +286,8 @@ def write_track(base, record: ModulationTrack, header_extra=None):
         # quantity than the plain L2 norm; logged for comparison
         "eta_weighted_max": float(np.max(record.eta_weighted)) if len(record.t) else 0.0,
         "eta_l2_max": float(np.max(record.eta_l2)) if len(record.t) else 0.0,
+        **header_extra,
     }
-    if header_extra:
-        header.update(header_extra)
     write_json(base + ".json", header)
     write_csv(base + ".csv", TRACK_COLUMNS, zip(
         record.t, record.s, record.lam, record.rho,
@@ -317,7 +316,7 @@ def read_track(base) -> ModulationTrack:
 # -- monotonicity reports ----------------------------------------------------------
 
 
-def write_monotonicity(path, reports, header_extra=None):
+def write_monotonicity(path, reports, header_extra):
     payload = {
         "kind": "monotonicity",
         "reports": [
@@ -339,7 +338,6 @@ def write_monotonicity(path, reports, header_extra=None):
             }
             for r in reports
         ],
+        **header_extra,
     }
-    if header_extra:
-        payload.update(header_extra)
     write_json(path, payload)

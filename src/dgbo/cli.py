@@ -68,21 +68,22 @@ PROBE_WINDOW = 10.0  # liouville-probe: the local masses are taken over |x| < PR
 
 
 def _read_state_and_chi0(state, chi0):
-    """A ground state and a chi0 of the same grid (ConfigError otherwise)."""
+    """A ground state and a chi0 of the same grid and alpha (ConfigError otherwise)."""
     gs = read_ground_state(state)
-    cgrid, chi0_values = read_chi0(chi0)
-    if cgrid != gs.grid:
-        raise ConfigError("chi0 grid does not match ground-state grid")
+    cgrid, chi0_values, calpha = read_chi0(chi0)
+    if (cgrid, calpha) != (gs.grid, gs.alpha):
+        raise ConfigError(f"chi0 grid or alpha ({calpha}) does not match the ground state's ({gs.alpha})")
     return gs, chi0_values
 
 
-def _read_run_states(run, gs):
-    """Times, fields and grid of a run's checkpoints (ConfigError: none, or not on gs's grid)."""
-    _header, _samples, states, grid = read_run(run)
+def _read_run_states(run, alpha, gs):
+    """Times, fields and grid of a run's checkpoints (ConfigError: none, not of ``alpha``, or not on gs's grid)."""
+    header, _samples, states, grid = read_run(run)
     if not states:
         raise ConfigError(f"run directory {run} holds no checkpointed states")
-    if gs is not None and grid != gs.grid:
-        raise ConfigError("run grid does not match ground-state grid")
+    run_alpha = header["config"]["alpha"]
+    if run_alpha != alpha or (gs is not None and grid != gs.grid):
+        raise ConfigError(f"run grid or alpha ({run_alpha}) does not match its inputs' (alpha {alpha})")
     return [t for t, _ in states], [u for _, u in states], grid
 
 
@@ -154,7 +155,7 @@ def _cmd_spectrum(args):
 
 def _cmd_modulate(args):
     gs, chi0 = _read_state_and_chi0(args.state, args.chi0)
-    times, fields, _grid = _read_run_states(args.run, gs)
+    times, fields, _grid = _read_run_states(args.run, gs.alpha, gs)
     tr = track(times, fields, gs, chi0)
     write_track(args.out, tr, header_extra={"run": args.run})
     print(f"track: {len(tr.t)} frames, fitted C {tr.fitted_c:.3g}, "
@@ -167,8 +168,8 @@ def _cmd_monotonicity(args):
         raise ConfigError("the eta reports need --state and --chi0 together; got only one")
     x0_list = _parse_numbers(args.x0, ",", "--x0")
     gs = _read_state_and_chi0(args.state, args.chi0)[0] if args.state else None
-    run_times, fields, grid = _read_run_states(args.run, gs)
     tr = read_track(args.track)
+    run_times, fields, grid = _read_run_states(args.run, tr.alpha, gs)
     times, rhos = list(tr.t), list(tr.rho)
     if times != run_times[: len(times)]:
         raise ConfigError(

@@ -44,8 +44,8 @@ class EvolutionConfig:
     alpha: float
     dt: float
     t_end: float
+    checkpoint_every: int
     sign: str = "focusing"          # focusing: +|u|^{2a} u_x in the equation
-    checkpoint_every: int = 100
     frame_speed: float = 0.0        # observe in x - frame_speed * t
     store_states: bool = False
 
@@ -242,7 +242,7 @@ def _step_rows(st: Stepper, F, n_steps, checkpoint_every: int, checkpoint) -> No
             live = [live[j] for j in keep]
 
 
-def evolve_batch(grid: Grid, u0s, cfgs, observers=None) -> list[RunRecord]:
+def evolve_batch(grid: Grid, u0s, cfgs, observers) -> list[RunRecord]:
     """Evolve several runs as one stack of spectra; one RunRecord per run.
 
     The configs must agree in everything but ``t_end`` (ContractError
@@ -251,8 +251,7 @@ def evolve_batch(grid: Grid, u0s, cfgs, observers=None) -> list[RunRecord]:
     give it alone, and leaves the stack when it stops or reaches its t_end.
     """
     u0s = [grid.check_field(u) for u in u0s]
-    cfgs = list(cfgs)
-    observers = [None] * len(u0s) if observers is None else list(observers)
+    cfgs, observers = list(cfgs), list(observers)
     if not len(cfgs) == len(observers) == len(u0s):
         raise ContractError("need one config and one observer entry per initial field")
     if not u0s:

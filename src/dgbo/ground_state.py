@@ -348,9 +348,8 @@ def random_smooth_field(grid: Grid, rng):
     return v, kind
 
 
-def gn_report(gs: GroundState, rng=None) -> GNReport:
-    """Evaluate j1 on the ground state and on randomized smooth trial fields."""
-    rng = np.random.default_rng(0) if rng is None else rng
+def gn_report(gs: GroundState, rng) -> GNReport:
+    """Evaluate j1 on the ground state and on randomized smooth trial fields drawn from ``rng``."""
     grid, alpha = gs.grid, gs.alpha
     j1_q = j1(grid, gs.values, alpha)
     vals = []

@@ -429,6 +429,11 @@ class LinearizedRunRecord:
     states: list                     # the field w at each of times
 
 
+def _free_symbol(gs: GroundState):
+    """ik(|k|^alpha + 1): the symbol of dx(|D|^alpha + 1), the linearized flow without its potential."""
+    return gs.grid.ik * gs.grid.riesz(gs.alpha) + gs.grid.ik
+
+
 def evolve_linearized(gs: GroundState, w0, t_end: float, dt: float) -> LinearizedRunRecord:
     """Evolve w_t = dx(L w) by ETDRK4, keeping w at t = 0, every
     CHECKPOINT_EVERY steps and at t_end; a non-finite checkpoint ends the run.
@@ -444,7 +449,7 @@ def evolve_linearized(gs: GroundState, w0, t_end: float, dt: float) -> Linearize
     def potential_term(F):
         return minus_ik * grid.transform(pot * grid.field(F))
 
-    st = Stepper(grid.ik * grid.riesz(gs.alpha) + grid.ik, dt, potential_term)
+    st = Stepper(_free_symbol(gs), dt, potential_term)
     F = grid.transform(grid.check_field(w0))
     times, states = [0.0], [grid.field(F)]
 
@@ -482,7 +487,7 @@ def liouville_readout(gs: GroundState, rec: LinearizedRunRecord, window: float) 
     qp = gs.derivative()
     qp_n2 = grid.inner(qp, qp) or 1.0
     mask = np.abs(grid.x) < window
-    sym, F0 = grid.ik * grid.riesz(gs.alpha) + grid.ik, grid.transform(ws[0])
+    sym, F0 = _free_symbol(gs), grid.transform(ws[0])
 
     def window_mass(w):
         return grid.h * float(np.sum(w[mask] ** 2))

@@ -135,8 +135,8 @@ def build_weight(r: float, A: float) -> Weight:
         raise ContractError(f"r must exceed 1/2, got {r}")
     if r > 1.5:
         raise ContractError(f"r must not exceed (alpha+1)/2 <= 3/2, got {r}")
-    if A < 1.0:
-        raise ContractError(f"A must be >= 1, got {A}")
+    if not 1.0 <= A < math.inf:
+        raise ContractError(f"A must be finite and >= 1, got {A}")
     a = float(r) - 0.5
     inner = _chebyshev_table(1.0 - a, 0.5, 1.5)
     outer = _chebyshev_table(0.5, a, a + 1.0)

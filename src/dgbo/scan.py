@@ -152,11 +152,10 @@ def blowup_scan(
     alpha: float,
     amplitudes,
     *,
-    grid: Grid | None = None,
-    dt: float = 5e-4,
+    grid: Grid,
+    dt: float,
     t_end_super: float = 80.0,
     t_end_bounded: float = 20.0,
-    rng_seed: int = 0,
     perturbation: dict | None = None,
 ):
     """Scan a*Q initial data; a divergence indicator on a row is a finding.
@@ -172,25 +171,24 @@ def blowup_scan(
     ground state; the context records its structure certificate under the
     keys of the spectrum artifact. A failed certificate is recorded, not raised.
     ``perturbation``, in the vocabulary of ``build_initial_data``, applies to
-    every row; it may not set ``scale``, the scan's axis (``ContractError``).
+    every row but may not set ``scale`` or ``noise`` (``ContractError``).
     """
     if not all(0 < v < np.inf for v in (dt, t_end_super, t_end_bounded)):
         raise ContractError("dt, t_end_super and t_end_bounded must be finite and positive")
     perturbation = {} if perturbation is None else perturbation
     _check_recipe(perturbation)
-    if "scale" in perturbation:
-        raise ContractError("a scan's perturbation may not set scale: the amplitude is the scan's axis")
-    grid = grid if grid is not None else Grid(48.0, 1024)
+    for key, why in (("scale", "the amplitude is the scan's axis"), ("noise", "a scan draws no random numbers")):
+        if key in perturbation:
+            raise ContractError(f"a scan's perturbation may not set {key}: {why}")
     t_end_bounded = min(t_end_bounded, t_end_super)
     gs = continuation_ladder(alpha, grid)
     rep = spectrum(assemble(gs))
     # E(Q) vanishes analytically; its discrete value sets the resolution floor
     # below which an energy sign is not certifiable on this grid
     energy_floor = 10.0 * abs(conserved(grid, gs.values, alpha).energy) + 1e-12
-    rng = np.random.default_rng(rng_seed)
     starts, cfgs, watches = [], [], []
     for a in amplitudes:
-        u0 = build_initial_data(grid, gs, {"scale": a, **perturbation}, rng)
+        u0 = build_initial_data(grid, gs, {"scale": a, **perturbation}, None)
         d0 = conserved(grid, u0, alpha)
         supercritical = d0.energy < -energy_floor
         starts.append((a, u0, d0, supercritical))
@@ -240,7 +238,6 @@ def blowup_scan(
         "lam_stop": LAM_STOP,
         "energy_floor": energy_floor,
         "sobolev_trip": SOBOLEV_TRIP,
-        "rng_seed": rng_seed,
         "ground_state_residual": gs.residual,
         **spectrum_certificate(rep),
     }

@@ -275,7 +275,7 @@ class TestAcceptance:
         all_ok = True
         details = []
         for alpha in (1.9, 2.0):
-            rows, context = blowup_scan(alpha, amplitudes, rng_seed=0)
+            rows, context = blowup_scan(alpha, amplitudes, grid=Grid(48.0, 1024), dt=5e-4)
             for row in rows:
                 if row.supercritical:  # energy certifiably negative on this grid
                     row_ok = (
@@ -296,8 +296,8 @@ class TestAcceptance:
                        + ("" if all_ok else f"; failures: {details}"))
 
         # criterion 12: identical configs and seeds give identical bytes
-        rows1, ctx1 = blowup_scan(2.0, [1.05, 1.08], rng_seed=3, t_end_super=10.0)
-        rows2, ctx2 = blowup_scan(2.0, [1.05, 1.08], rng_seed=3, t_end_super=10.0)
+        rows1, ctx1 = blowup_scan(2.0, [1.05, 1.08], grid=Grid(48.0, 1024), dt=5e-4, t_end_super=10.0)
+        rows2, ctx2 = blowup_scan(2.0, [1.05, 1.08], grid=Grid(48.0, 1024), dt=5e-4, t_end_super=10.0)
         write_scan(str(tmp_path / "d1"), rows1, ctx1)
         write_scan(str(tmp_path / "d2"), rows2, ctx2)
         b1 = open(os.path.join(str(tmp_path / "d1"), "scan.csv"), "rb").read()

@@ -126,7 +126,7 @@ class TestRoundTrips:
         cfg = EvolutionConfig(alpha=1.5, dt=1e-3, t_end=0.02, checkpoint_every=5,
                               store_states=True)
         rec = evolve(g, np.exp(-(g.x**2)), cfg)
-        write_run(str(tmp_path / "run"), rec)
+        write_run(str(tmp_path / "run"), rec, header_extra={})
         header, samples, states, grid = read_run(str(tmp_path / "run"))
         assert header["status"] == "completed"
         assert header["linf_ceiling"] == LINF_CEILING  # the divergence threshold the run used
@@ -222,7 +222,7 @@ class TestByteStableRoundTrips:
             status_t=data.draw(st.none() | finite),
         )
         with tempfile.TemporaryDirectory() as d1, tempfile.TemporaryDirectory() as d2:
-            write_run(d1, rec)
+            write_run(d1, rec, header_extra={})
             header, samples2, states2, _ = read_run(d1)
             final = None
             if os.path.exists(os.path.join(d1, "final.f64")):
@@ -233,7 +233,7 @@ class TestByteStableRoundTrips:
                 grid=Grid(g["half_length"], g["n_points"]), samples=samples2, states=states2,
                 final_state=final, final_t=header["final_t"],
                 status=header["status"], status_t=header["status_t"],
-            ))
+            ), header_extra={})
             assert _files(d1) == _files(d2)
 
     @settings(max_examples=20, deadline=None)
@@ -244,8 +244,9 @@ class TestByteStableRoundTrips:
         tr = ModulationTrack(1.5, *columns, fitted_c=fitted_c, truncated=truncated,
                              truncated_at=truncated_at)
         with tempfile.TemporaryDirectory() as d1, tempfile.TemporaryDirectory() as d2:
-            write_track(os.path.join(d1, "track"), tr)
-            write_track(os.path.join(d2, "track"), read_track(os.path.join(d1, "track")))
+            write_track(os.path.join(d1, "track"), tr, header_extra={})
+            write_track(os.path.join(d2, "track"), read_track(os.path.join(d1, "track")),
+                        header_extra={})
             assert sorted(_files(d1)) == ["track.csv", "track.gp", "track.json"]
             assert _files(d1) == _files(d2)
 
@@ -532,7 +533,44 @@ def small_dir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def mixed_alpha(small_dir, tmp_path_factory):
+    """Paths of inputs on small_dir's (25, 256) grid: its alpha = 2 gs25 and
+    spec25, an alpha = 1.5 ground state gs15 with a run run15, and the
+    alpha = 2 track25 of a run from gs25."""
+    root = tmp_path_factory.mktemp("mixed")
+    p = {name: str(small_dir / name) for name in ("gs25", "spec25")}
+    p.update({name: str(root / name) for name in ("gs15", "run15", "run25", "track25")})
+    assert main(["ground-state", "--alpha", "1.5", "--half-length", "25", "--n", "256",
+                 "--out", p["gs15"]]) == 0
+    for gs, run in (("gs15", "run15"), ("gs25", "run25")):
+        assert main(["evolve", "--state", p[gs], "--t-end", "0.01", "--dt", "1e-3",
+                     "--out", p[run]]) == 0
+    assert main(["modulate", "--run", p["run25"], "--state", p["gs25"], "--chi0", p["spec25"],
+                 "--out", p["track25"]]) == 0
+    return p
+
+
 class TestSmallCommands:
+    @pytest.mark.parametrize("argv", [
+        "modulate --run run15 --state gs25 --chi0 spec25",
+        "modulate --run run15 --state gs15 --chi0 spec25",
+        "liouville-probe --state gs15 --chi0 spec25",
+        "monotonicity --run run15 --track track25 --x0 5 --r 1.25 --A 10",
+    ], ids=["modulate-run", "modulate-chi0", "liouville-probe-chi0", "monotonicity-track"])
+    def test_inputs_of_another_alpha_are_a_config_error(self, mixed_alpha, tmp_path, capsys, argv):
+        # every input is on the (25, 256) grid, but alpha 1.5 meets alpha 2
+        argv = [mixed_alpha.get(a, a) for a in argv.split()]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "alpha" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("half_length", ["nan", "inf"])
+    def test_ground_state_refuses_a_non_finite_half_length(self, tmp_path, half_length):
+        assert main(["ground-state", "--alpha", "2", "--half-length", half_length, "--n", "256",
+                     "--out", str(tmp_path / "gs")]) == 2
+        assert os.listdir(tmp_path) == []
+
     def test_liouville_probe_rejects_a_chi0_of_another_grid(self, small_dir, tmp_path):
         out = str(tmp_path / "liouville")
         assert main(["liouville-probe", "--state", str(small_dir / "gs40"),

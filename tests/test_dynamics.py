@@ -25,7 +25,7 @@ from oracles import contour_tables, etdrk4_step, fine, nonlinear_term, power_flu
 
 
 def soliton_cfg(dt=1e-4, t_end=0.1, **kw):
-    return EvolutionConfig(alpha=2.0, dt=dt, t_end=t_end, **kw)
+    return EvolutionConfig(alpha=2.0, dt=dt, t_end=t_end, checkpoint_every=100, **kw)
 
 
 class TestNonlinearTerm:
@@ -76,9 +76,9 @@ class TestNonlinearTerm:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ContractError):
-            EvolutionConfig(alpha=2.0, dt=-1.0, t_end=1.0)
+            EvolutionConfig(alpha=2.0, dt=-1.0, t_end=1.0, checkpoint_every=100)
         with pytest.raises(ContractError):
-            EvolutionConfig(alpha=2.0, dt=1e-3, t_end=1.0, sign="both")
+            EvolutionConfig(alpha=2.0, dt=1e-3, t_end=1.0, checkpoint_every=100, sign="both")
         with pytest.raises(ContractError, match="checkpoint_every"):
             EvolutionConfig(alpha=2.0, dt=1e-3, t_end=1.0, checkpoint_every=0)
 
@@ -118,7 +118,7 @@ class TestStep:
         F = np.zeros(g.n // 2 + 1, dtype=complex)
         F[1:9] = coefs[:8] + 1j * coefs[8:]
         u = mean + np.fft.irfft(F, g.n) * (g.n / 8)
-        cfg = EvolutionConfig(alpha=alpha, dt=1e-3, t_end=1.0, sign=sign,
+        cfg = EvolutionConfig(alpha=alpha, dt=1e-3, t_end=1.0, checkpoint_every=100, sign=sign,
                               frame_speed=frame_speed)
         F0 = g.transform(u)
         with pytest.MonkeyPatch.context() as mp:
@@ -142,7 +142,7 @@ class TestStep:
         g = Grid(30.0, 256)
         U = np.stack([np.exp(-(g.x**2) / 4.0) + 0.3, 0.8 * np.exp(-((g.x - 3.0) ** 2))])
         U = U + 0.01 * rng.standard_normal(U.shape)
-        cfg = EvolutionConfig(alpha=alpha, dt=1e-3, t_end=1.0)
+        cfg = EvolutionConfig(alpha=alpha, dt=1e-3, t_end=1.0, checkpoint_every=100)
         st = flow_stepper(g, cfg)
         for F in (g.transform(U), g.transform(U[1])):
             kept = F.copy()
@@ -177,7 +177,7 @@ class TestStep:
     def test_linear_regime_matches_exact_propagator(self, monkeypatch):
         monkeypatch.setattr(dynamics, "FILTER_STRENGTH", 0.0)
         g = Grid(30.0, 256)
-        cfg = EvolutionConfig(alpha=1.5, dt=1e-3, t_end=1.0)
+        cfg = EvolutionConfig(alpha=1.5, dt=1e-3, t_end=1.0, checkpoint_every=100)
         st = flow_stepper(g, cfg)
         u0 = 1e-8 * np.exp(-(g.x**2) / 4.0)
         F = g.transform(u0)
@@ -218,7 +218,7 @@ class TestEvolve:
     def test_zero_mode_exact_on_rough_data(self, rng):
         g = Grid(30.0, 256)
         u0 = np.exp(-(g.x**2)) + 0.1 * rng.standard_normal(256)
-        cfg = EvolutionConfig(alpha=1.5, dt=5e-5, t_end=0.005)
+        cfg = EvolutionConfig(alpha=1.5, dt=5e-5, t_end=0.005, checkpoint_every=100)
         rec = evolve(g, u0, cfg)
         mean = rec.column("mean")
         assert np.max(np.abs(mean - mean[0])) < 1e-13 * max(1.0, abs(mean[0]))
@@ -303,18 +303,18 @@ class TestEvolveBatch:
     def test_mismatched_configs_rejected(self):
         g = Grid(20.0, 128)
         u0 = np.exp(-(g.x**2))
-        base = EvolutionConfig(alpha=2.0, dt=1e-3, t_end=0.01)
+        base = EvolutionConfig(alpha=2.0, dt=1e-3, t_end=0.01, checkpoint_every=100)
         for other in (dict(alpha=1.9), dict(dt=2e-3), dict(sign="defocusing"),
                       dict(frame_speed=1.0),
                       dict(checkpoint_every=5), dict(store_states=True)):
             with pytest.raises(ContractError):
-                evolve_batch(g, [u0, u0], [base, replace(base, **other)])
+                evolve_batch(g, [u0, u0], [base, replace(base, **other)], [None, None])
         with pytest.raises(ContractError):
-            evolve_batch(g, [u0, u0], [base])
+            evolve_batch(g, [u0, u0], [base], [None, None])
         with pytest.raises(ContractError):
             evolve_batch(g, [u0], [base], [None, None])
         # t_end alone may differ
-        recs = evolve_batch(g, [u0, u0], [base, replace(base, t_end=0.02)])
+        recs = evolve_batch(g, [u0, u0], [base, replace(base, t_end=0.02)], [None, None])
         assert [r.final_t for r in recs] == pytest.approx([0.01, 0.02])
 
 
@@ -359,7 +359,7 @@ class TestOrderAndSymmetry:
         F = np.zeros(g.n // 2 + 1, dtype=complex)
         F[1:9] = coefs[:8] + 1j * coefs[8:]
         u = np.fft.irfft(F, g.n) * (g.n / 8)
-        cfg = EvolutionConfig(alpha=alpha, dt=1e-3, t_end=1.0, sign=sign,
+        cfg = EvolutionConfig(alpha=alpha, dt=1e-3, t_end=1.0, checkpoint_every=100, sign=sign,
                               frame_speed=frame_speed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "FILTER_STRENGTH", filter_strength)

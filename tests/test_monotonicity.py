@@ -124,7 +124,8 @@ class TestWeight:
             build_weight(1.25, 1.0)
 
     def test_domain_errors(self):
-        for r, a in [(0.5, 5.0), (0.4, 5.0), (1.6, 5.0), (1.0, 0.5)]:
+        # A = nan would give a nan weight and A = inf one whose phi_A' is 0 everywhere
+        for r, a in [(0.5, 5.0), (0.4, 5.0), (1.6, 5.0), (1.0, 0.5), (1.25, np.nan), (1.25, np.inf)]:
             with pytest.raises(ContractError):
                 build_weight(r, a)
 

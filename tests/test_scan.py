@@ -14,7 +14,7 @@ from dgbo.scan import blowup_scan, build_initial_data, lambda_monotone, write_sc
 def test_supercritical_row_trips_on_contraction_inside_the_tube():
     # a = 1.02 at alpha = 2 stays decomposable while lam contracts, so the row
     # trips on lam < lam_stop near t = 2.2 and never leaves the tube
-    (row,), _ = blowup_scan(2.0, [1.02], t_end_super=3)
+    (row,), _ = blowup_scan(2.0, [1.02], grid=Grid(48.0, 1024), dt=5e-4, t_end_super=3)
     assert row.supercritical
     assert row.trip_reason == "lambda_contraction"
     assert 2.0 < row.trip_time < 2.4
@@ -26,8 +26,10 @@ def test_batched_rows_match_single_amplitude_scans():
     # the same row a scan of its amplitude alone gives (bounded, tube exit,
     # Sobolev and lambda trips of unequal lifetimes)
     amplitudes = [0.9, 1.0, 1.06, 1.08]
-    rows, _ = blowup_scan(2.0, amplitudes, t_end_bounded=0.5)
-    single = [blowup_scan(2.0, [a], t_end_bounded=0.5)[0][0] for a in amplitudes]
+    grid = Grid(48.0, 1024)
+    rows, _ = blowup_scan(2.0, amplitudes, grid=grid, dt=5e-4, t_end_bounded=0.5)
+    single = [blowup_scan(2.0, [a], grid=grid, dt=5e-4, t_end_bounded=0.5)[0][0]
+              for a in amplitudes]
     assert sorted(rows, key=lambda r: r.amplitude) == single
 
 
@@ -46,8 +48,26 @@ def test_a_scan_perturbation_may_not_set_the_amplitude():
     # the amplitude is the scan's axis: a scale there would start every row
     # from the same data while scan.csv lists the amplitudes asked for
     with pytest.raises(ContractError, match="scale"):
-        blowup_scan(2.0, [0.9, 1.0], grid=Grid(24.0, 256), t_end_super=0.05,
+        blowup_scan(2.0, [0.9, 1.0], grid=Grid(24.0, 256), dt=5e-4, t_end_super=0.05,
                     perturbation={"scale": 1.02})
+
+
+def test_a_scan_perturbation_may_not_draw_noise():
+    # a scan draws no random numbers, so noise would have no seed to come from
+    with pytest.raises(ContractError, match="noise"):
+        blowup_scan(2.0, [0.9, 1.0], grid=Grid(24.0, 256), dt=5e-4, t_end_super=0.05,
+                    perturbation={"noise": {"amplitude": 1e-3}})
+
+
+def test_scan_json_records_no_seed(tmp_path):
+    # the scan's inputs are recorded; no seed is, since a scan draws nothing
+    out = tmp_path / "scan"
+    assert main(["blowup-scan", "--alpha", "2", "--half-length", "24", "--n", "256",
+                 "--amplitudes", "1.06:1.06:0.01", "--t-end", "0.05", "--out", str(out)]) == 0
+    header = read_json(str(out / "scan.json"))
+    assert header["grid"] == {"half_length": 24.0, "n_points": 256}
+    assert (header["dt"], header["t_end_super"], header["t_end_bounded"]) == (5e-4, 0.05, 0.05)
+    assert "rng_seed" not in header
 
 
 @pytest.mark.parametrize("track, monotone", [
@@ -67,7 +87,7 @@ def test_scan_takes_chi0_without_a_dense_solve(tmp_path, monkeypatch):
         raise AssertionError("the scan formed a dense matrix")
 
     monkeypatch.setattr(LinearizedOperator, "matrix", property(refuse))
-    rows, context = blowup_scan(2.0, [1.06], grid=Grid(24.0, 256), t_end_super=0.05)
+    rows, context = blowup_scan(2.0, [1.06], grid=Grid(24.0, 256), dt=5e-4, t_end_super=0.05)
     assert len(rows) == 1
     write_scan(str(tmp_path), rows, context)
     with open(tmp_path / "scan.json") as fh:
