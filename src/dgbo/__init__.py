@@ -43,7 +43,6 @@ from .modulation import (
     beta,
     decompose,
     remainder,
-    renormalize,
     track,
 )
 from .monotonicity import (

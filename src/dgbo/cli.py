@@ -41,7 +41,7 @@ from .errors import (
     DgboError,
     ResolutionError,
 )
-from .ground_state import continuation_ladder
+from .ground_state import LADDER_STEP, continuation_ladder
 from .linearized import assemble, evolve_linearized, liouville_readout, spectrum
 from .modulation import track
 from .monotonicity import (
@@ -51,7 +51,7 @@ from .monotonicity import (
     check_left_monotonicity,
     check_right_monotonicity,
 )
-from .scan import blowup_scan, build_initial_data, write_scan
+from .scan import T_END_SUPER, blowup_scan, build_initial_data, write_scan
 from .spectral import Grid
 
 EXIT_OK = 0
@@ -169,6 +169,8 @@ def _cmd_monotonicity(args):
     x0_list = _parse_numbers(args.x0, ",", "--x0")
     gs = _read_state_and_chi0(args.state, args.chi0)[0] if args.state else None
     tr = read_track(args.track)
+    if gs is not None and gs.alpha != tr.alpha:
+        raise ConfigError(f"ground state alpha ({gs.alpha}) does not match the track's ({tr.alpha})")
     run_times, fields, grid = _read_run_states(args.run, tr.alpha, gs)
     times, rhos = list(tr.t), list(tr.rho)
     if times != run_times[: len(times)]:
@@ -296,7 +298,7 @@ def build_parser():
     g.add_argument("--alpha", type=float, required=True)
     g.add_argument("--half-length", type=float, default=200.0)
     g.add_argument("--n", type=int, default=4096)
-    g.add_argument("--ladder-step", type=float, default=0.25)
+    g.add_argument("--ladder-step", type=float, default=LADDER_STEP)
     g.add_argument("--out", default="ground_state")
     g.set_defaults(func=_cmd_ground_state)
 
@@ -343,7 +345,7 @@ def build_parser():
     b.add_argument("--half-length", type=float, default=48.0)
     b.add_argument("--n", type=int, default=1024)
     b.add_argument("--dt", type=float, default=5e-4)
-    b.add_argument("--t-end", type=float, default=80.0)
+    b.add_argument("--t-end", type=float, default=T_END_SUPER)
     b.add_argument("--out", default="scan")
     b.set_defaults(func=_cmd_blowup_scan)
 

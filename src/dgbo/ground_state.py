@@ -27,6 +27,7 @@ TOL_DIFF = 1e-12         # Petviashvili stop: sup|G(u) - u| of the map G
 TOL_RESIDUAL = 1e-9      # convergence: L2 norm of the equation residual
 MAX_ITERS = 2000
 ANDERSON_DEPTH = 3       # differences of past iterates the Petviashvili mixing keeps
+LADDER_STEP = 0.25       # continuation_ladder's spacing of the rungs in alpha
 RUNG_MERGE = 1e-9        # a ladder rung this close above the target alpha is dropped
 DECAY_WINDOW = (0.25, 0.5)   # decay_fit's window, as fractions of the half-length
 TAIL_GUARD = 0.05        # shape_certificate skips this fraction of (0, L) at the seam
@@ -227,7 +228,7 @@ def ladder_rungs(alpha: float, step: float):
     return rungs + [alpha]
 
 
-def continuation_ladder(alpha: float, grid: Grid, step: float = 0.25) -> GroundState:
+def continuation_ladder(alpha: float, grid: Grid, step: float = LADDER_STEP) -> GroundState:
     """Walk alpha down from 2.0, each converged profile seeding the next rung.
 
     With more than one rung, every rung, alpha included, is solved on the

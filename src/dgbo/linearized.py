@@ -363,8 +363,8 @@ class CoercivityReport:
 def coercivity_probe(
     op: LinearizedOperator,
     report: SpectrumReport,
-    trials: int = 500,
-    rng=None,
+    trials: int,
+    rng,
 ) -> CoercivityReport:
     """Probe the two quadratic-form statements attached to L.
 
@@ -377,7 +377,6 @@ def coercivity_probe(
     with the even seed of chi0 and with Q' (the odd fields are all orthogonal
     to the even Q, and the minimum is near zero on both parities).
     """
-    rng = np.random.default_rng(1) if rng is None else rng
     grid = op.grid
     qp = op.gs.derivative()
     qp = qp / grid.norm_l2(qp)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClosenessError, ContractError, DecompositionError, ResolutionError
+from .errors import ClosenessError, ContractError, DecompositionError
 from .ground_state import GroundState
 from .spectral import Grid
 
@@ -263,27 +263,3 @@ def beta(u, gs: GroundState) -> float:
     u = grid.check_field(u)
     return grid.inner(u, u) - gs.mass()
 
-
-def renormalize(u, gs: GroundState):
-    """Rescale u so its |D|^{a/2} seminorm matches the ground state's.
-
-    Returns (ubar, lam_bar) with ubar(x) = lam^{1/a} u(lam^{2/a} x) resampled
-    on the reference grid; certifies that the critical rescaling preserved the
-    mass and hit the gradient target to 1e-8 relative, else raises.
-    """
-    grid, alpha = gs.grid, gs.alpha
-    u = grid.check_field(u)
-    gu = grid.sobolev_seminorm_sq(u, alpha)
-    if gu <= 0:
-        raise ContractError("renormalize needs a nonzero |D|^{a/2} seminorm")
-    gq = grid.sobolev_seminorm_sq(gs.values, alpha)
-    lam_bar = float(np.sqrt(gq / gu))
-    ubar = lam_bar ** (1.0 / alpha) * grid.resample_scaled(u, scale=lam_bar ** (2.0 / alpha))
-    mass_defect = abs(grid.inner(ubar, ubar) - grid.inner(u, u)) / grid.inner(u, u)
-    grad_defect = abs(np.sqrt(grid.sobolev_seminorm_sq(ubar, alpha)) - np.sqrt(gq)) / np.sqrt(gq)
-    if mass_defect > 1e-8 or grad_defect > 1e-8:
-        raise ResolutionError(
-            f"renormalization not certified: mass defect {mass_defect:.2e}, "
-            f"gradient defect {grad_defect:.2e} (rescaled support may leave the grid)"
-        )
-    return ubar, lam_bar

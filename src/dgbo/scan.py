@@ -27,6 +27,7 @@ LAM_STOP = 0.75      # a row trips when the modulation scale contracts below thi
 LAM_NET_SLACK = 1e-9  # relative slack of lambda's net comparison, above decompose's ~2e-11 noise
 SOBOLEV_TRIP = 1.3   # ... or when its H^{alpha/2} norm grows by more than this factor
 CHECKPOINT_EVERY = 100  # steps between the checkpoints of a scan row
+T_END_SUPER = 80.0   # the horizon of a row certified supercritical
 # the perturbation vocabulary: a number, or an object of numbers under the listed keys
 PERTURBATION_KEYS = {"scale": None, "translate": None,
                      "bump": ("amplitude", "width", "offset"), "noise": ("band", "amplitude")}
@@ -154,7 +155,7 @@ def blowup_scan(
     *,
     grid: Grid,
     dt: float,
-    t_end_super: float = 80.0,
+    t_end_super: float = T_END_SUPER,
     t_end_bounded: float = 20.0,
     perturbation: dict | None = None,
 ):
@@ -170,11 +171,15 @@ def blowup_scan(
     decomposition's chi0 comes from the matrix-free ``spectrum`` of the
     ground state; the context records its structure certificate under the
     keys of the spectrum artifact. A failed certificate is recorded, not raised.
-    ``perturbation``, in the vocabulary of ``build_initial_data``, applies to
-    every row but may not set ``scale`` or ``noise`` (``ContractError``).
+    Every amplitude must be finite and positive (``ContractError``): the tube
+    is built around +Q. ``perturbation``, in the vocabulary of
+    ``build_initial_data``, applies to every row but may not set ``scale`` or
+    ``noise`` (``ContractError``).
     """
     if not all(0 < v < np.inf for v in (dt, t_end_super, t_end_bounded)):
         raise ContractError("dt, t_end_super and t_end_bounded must be finite and positive")
+    if not all(0 < a < np.inf for a in amplitudes):
+        raise ContractError(f"every amplitude must be finite and positive, got {list(amplitudes)}")
     perturbation = {} if perturbation is None else perturbation
     _check_recipe(perturbation)
     for key, why in (("scale", "the amplitude is the scan's axis"), ("noise", "a scan draws no random numbers")):

@@ -83,8 +83,8 @@ class Grid:
     def __init__(self, half_length: float, n_points: int):
         if not 0 < half_length < np.inf:
             raise ContractError(f"half_length must be finite and positive, got {half_length}")
-        n = int(n_points)
-        if n <= 0 or n % 2 != 0 or (n & (n - 1)) != 0:
+        n = int(n_points) if np.isfinite(n_points) else 0
+        if n != n_points or n <= 0 or n % 2 != 0 or (n & (n - 1)) != 0:
             raise ContractError(f"n_points must be a positive even power of two, got {n_points}")
         self.half_length = float(half_length)
         self.n = n
@@ -267,7 +267,7 @@ class Grid:
         """Even part about x = 0; f may stack fields along leading axes."""
         return 0.5 * (self.check_field(f, stacked=True) + self.reflect(f))
 
-    def resample_scaled(self, f, scale: float, shift: float = 0.0):
+    def resample_scaled(self, f, scale: float, shift: float):
         """Trigonometric interpolation of f at the points scale*x_j + shift.
 
         Evaluation points wrap periodically; the Nyquist coefficient is

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dgbo import modulation
+from dgbo import cli, modulation
 from dgbo.artifacts import (
     read_csv,
     read_field,
@@ -536,18 +536,23 @@ def small_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def mixed_alpha(small_dir, tmp_path_factory):
     """Paths of inputs on small_dir's (25, 256) grid: its alpha = 2 gs25 and
-    spec25, an alpha = 1.5 ground state gs15 with a run run15, and the
-    alpha = 2 track25 of a run from gs25."""
+    spec25, an alpha = 1.5 ground state gs15 with its spec15, a run run15 and
+    its track15, and the alpha = 2 track25 of a run from gs25."""
     root = tmp_path_factory.mktemp("mixed")
     p = {name: str(small_dir / name) for name in ("gs25", "spec25")}
-    p.update({name: str(root / name) for name in ("gs15", "run15", "run25", "track25")})
+    p.update({name: str(root / name)
+              for name in ("gs15", "spec15", "run15", "track15", "run25", "track25")})
     assert main(["ground-state", "--alpha", "1.5", "--half-length", "25", "--n", "256",
                  "--out", p["gs15"]]) == 0
     for gs, run in (("gs15", "run15"), ("gs25", "run25")):
         assert main(["evolve", "--state", p[gs], "--t-end", "0.01", "--dt", "1e-3",
                      "--out", p[run]]) == 0
-    assert main(["modulate", "--run", p["run25"], "--state", p["gs25"], "--chi0", p["spec25"],
-                 "--out", p["track25"]]) == 0
+    # exit 3: the structure is not certified on this grid, but chi0 is written
+    assert main(["spectrum", "--state", p["gs15"], "--out", p["spec15"]]) == 3
+    for run, gs, spec, out in (("run25", "gs25", "spec25", "track25"),
+                               ("run15", "gs15", "spec15", "track15")):
+        assert main(["modulate", "--run", p[run], "--state", p[gs], "--chi0", p[spec],
+                     "--out", p[out]]) == 0
     return p
 
 
@@ -564,6 +569,35 @@ class TestSmallCommands:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "alpha" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    def test_monotonicity_refuses_a_ground_state_of_another_alpha_before_any_check(
+            self, mixed_alpha, tmp_path, capsys, monkeypatch):
+        calls = []
+        for name in ("check_right_monotonicity", "check_left_monotonicity"):
+            def counted(*args, _check=getattr(cli, name), **kwargs):
+                calls.append(_check.__name__)
+                return _check(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        p = mixed_alpha
+        assert main(["monotonicity", "--run", p["run15"], "--track", p["track15"],
+                     "--state", p["gs25"], "--chi0", p["spec25"], "--x0", "5,6",
+                     "--r", "1.25", "--A", "10", "--out", str(tmp_path / "mono.json")]) == 2
+        assert "alpha" in capsys.readouterr().err
+        assert calls == []
+        assert os.listdir(tmp_path) == []
+
+    def test_a_fractional_grid_size_is_a_config_error(self, small_dir, tmp_path):
+        # int() would truncate 256.7 to 256 and certify a grid the sidecar does not state
+        for suffix in (".f64", ".json", ".cert.json"):
+            shutil.copy(str(small_dir / "gs25") + suffix, str(tmp_path / "gs") + suffix)
+        meta = read_json(str(tmp_path / "gs.json"))
+        meta["grid"]["n_points"] = 256.7
+        write_json(str(tmp_path / "gs.json"), meta)
+        before = sorted(os.listdir(tmp_path))
+        assert main(["spectrum", "--state", str(tmp_path / "gs"),
+                     "--out", str(tmp_path / "spec")]) == 2
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("half_length", ["nan", "inf"])
     def test_ground_state_refuses_a_non_finite_half_length(self, tmp_path, half_length):
@@ -737,6 +771,17 @@ class TestBlowupScan:
         ]) == 0
         with open(os.path.join(out, "scan.json")) as fh:
             assert json.load(fh)["t_end_bounded"] == 0.05
+
+    @pytest.mark.parametrize("amplitudes", ["0:0.05:0.05", "-1.1:-1.05:0.05"])
+    def test_amplitudes_that_are_not_positive_are_a_config_error(
+            self, tmp_path, capsys, amplitudes):
+        # a zero row has no growth ratio, and a negative row starts outside the
+        # tube around +Q, so lambda would never be tracked
+        assert main(["blowup-scan", "--alpha", "2", "--half-length", "24", "--n", "256",
+                     "--t-end", "0.05", f"--amplitudes={amplitudes}",
+                     "--out", str(tmp_path / "scan")]) == 2
+        assert "amplitude" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 def test_readme_recipe_parses():

@@ -248,7 +248,7 @@ class TestJ1:
     def test_critical_scaling_invariance(self, gs2):
         g = gs2.grid
         lam0 = 3.0
-        v = lam0 ** (-0.5) * g.resample_scaled(gs2.values, scale=lam0 ** (-1.0))
+        v = lam0 ** (-0.5) * g.resample_scaled(gs2.values, scale=lam0 ** (-1.0), shift=0.0)
         a = j1(g, gs2.values, 2.0)
         assert abs(j1(g, v, 2.0) - a) < 1e-8 * a
 

@@ -190,7 +190,8 @@ class TestParitySplit:
             assert abs(ev - ev_ref) < 1e-10 * scale
             assert min(np.max(np.abs(v - v_ref)), np.max(np.abs(v + v_ref))) < 1e-10
             assert rep.max_eig_residual < 1e-8
-            coer, coer_ref = (coercivity_probe(op, r, trials=100) for r in (rep, ref))
+            coer, coer_ref = (coercivity_probe(op, r, trials=100, rng=np.random.default_rng(1))
+                              for r in (rep, ref))
             assert coer.mu_est == pytest.approx(coer_ref.mu_est, rel=1e-13)
             assert coer.min_q_orthogonal == coer_ref.min_q_orthogonal
             householder = q_orthogonal_min(op.matrix, gs.values)
@@ -371,7 +372,7 @@ class TestBirmanSchwinger:
             "even-count": lambda: linearized._inertia(op, rep.kernel_tol, False),
             "odd-count": lambda: linearized._inertia(op, rep.kernel_tol, True),
             "odd-mode": lambda: linearized._parity_modes(op, True, 1),
-            "q-orthogonal": lambda: coercivity_probe(op, rep, trials=1),
+            "q-orthogonal": lambda: coercivity_probe(op, rep, trials=1, rng=np.random.default_rng(1)),
             "spectrum": lambda: spectrum(op),
         }[solve]
         with pytest.raises(ConvergenceError) as info:
@@ -457,7 +458,7 @@ class TestCoercivity:
 
     def test_probe(self, gs2_compact, spec2_compact):
         op = assemble(gs2_compact)
-        rep = coercivity_probe(op, spec2_compact, trials=200)
+        rep = coercivity_probe(op, spec2_compact, trials=200, rng=np.random.default_rng(1))
         assert rep.mu_est > 0.0
         assert not rep.violation
         # the infimum over the Q-orthogonal sphere sits at zero (attained
@@ -490,7 +491,8 @@ class TestCoercivity:
     def test_q_orthogonal_min_against_householder_oracle(self, alpha):
         gs = ground_state_for(alpha, COMPACT)
         op = assemble(gs)
-        rep = coercivity_probe(op, spectrum_for(alpha, COMPACT), trials=1)
+        rep = coercivity_probe(op, spectrum_for(alpha, COMPACT), trials=1,
+                               rng=np.random.default_rng(1))
         assert abs(rep.min_q_orthogonal - q_orthogonal_min(op.matrix, gs.values)) < 1e-10
 
     @settings(max_examples=100, deadline=None)

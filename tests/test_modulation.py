@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from dgbo import EvolutionConfig, Grid, beta, conserved, decompose, evolve, modulation
-from dgbo import renormalize, track
-from dgbo.errors import ClosenessError, ContractError, DecompositionError
+from dgbo import track
+from dgbo.errors import ClosenessError, DecompositionError
 from dgbo.ground_state import gkdv_profile
 
 from conftest import ground_state_for, spectrum_for, COMPACT
@@ -179,35 +179,6 @@ class TestBeta:
         s = lam0 ** (-2.0 / a)
         u_scaled = lam0 ** (-1.0 / a) * g.resample_scaled(u, scale=s, shift=-s * 2.0)
         assert abs(beta(u_scaled, gs) - b0) < 1e-10 * max(1.0, abs(b0))
-
-
-class TestRenormalize:
-    def test_identity_on_ground_state(self, frame):
-        gs, _ = frame
-        ubar, lam = renormalize(gs.values, gs)
-        assert lam == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(ubar - gs.values)) < 1e-10
-
-    def test_covariance(self, frame):
-        gs, _ = frame
-        u = make_soliton(gs, 0.8, 0.0)
-        ubar, lam = renormalize(u, gs)
-        assert lam == pytest.approx(0.8, abs=1e-7)
-        assert np.max(np.abs(ubar - gs.values)) < 1e-7
-
-    def test_generic_bump_certified(self, frame):
-        gs, _ = frame
-        g = gs.grid
-        u = 1.4 * np.exp(-(g.x**2) / 6.0)
-        ubar, lam = renormalize(u, gs)
-        assert abs(g.inner(ubar, ubar) - g.inner(u, u)) < 1e-8 * g.inner(u, u)
-        gq = g.sobolev_seminorm_sq(gs.values, gs.alpha)
-        assert abs(g.sobolev_seminorm_sq(ubar, gs.alpha) - gq) < 1e-7 * gq
-
-    def test_zero_gradient_rejected(self, frame):
-        gs, _ = frame
-        with pytest.raises(ContractError):
-            renormalize(np.zeros(gs.grid.n), gs)
 
 
 @pytest.fixture(scope="module")

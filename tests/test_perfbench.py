@@ -10,9 +10,12 @@ import ast
 import importlib
 import importlib.util
 import inspect
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
+
+import dgbo
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -83,3 +86,22 @@ def test_each_workload_call_binds_to_the_signature(name, args, keywords, line):
     assert all(k.arg is not None for k in keywords)
     signature = inspect.signature(_resolve(name))
     signature.bind(*[None] * len(args), **{k.arg: None for k in keywords})
+
+
+def test_each_tracer_hook_reads_its_entry_point_result():
+    # the hooks read attributes of the returned values (assemble's .matrix, the
+    # .iterations of a ground state and of a decomposition), which a signature
+    # check cannot see; run each once on a real return value
+    gs = dgbo.solve_ground_state(2.0, dgbo.Grid(25.0, 256))
+    op = dgbo.assemble(gs)
+    results = {
+        "solve_ground_state": gs,
+        "assemble": op,
+        "decompose": dgbo.decompose(gs.values, gs, dgbo.spectrum(op).chi0),
+    }
+    hooks = {path: hook for _span, _module, path, hook in _load_tracing().ENTRY_POINTS if hook}
+    assert set(hooks) == set(results)
+    counters = defaultdict(float)
+    for path, hook in hooks.items():
+        hook(counters, results[path])
+    assert all(v > 0 for v in counters.values()) and len(counters) == 4

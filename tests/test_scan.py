@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dgbo import Grid, LinearizedOperator, assemble, continuation_ladder, linearized
-from dgbo import spectrum
+from dgbo import scan, spectrum
 from dgbo.artifacts import read_json, write_spectrum
 from dgbo.cli import main
 from dgbo.errors import ContractError
@@ -50,6 +50,14 @@ def test_a_scan_perturbation_may_not_set_the_amplitude():
     with pytest.raises(ContractError, match="scale"):
         blowup_scan(2.0, [0.9, 1.0], grid=Grid(24.0, 256), dt=5e-4, t_end_super=0.05,
                     perturbation={"scale": 1.02})
+
+
+@pytest.mark.parametrize("amplitudes", [[0.0], [-1.1, -1.05], [1.02, np.nan], [1.02, np.inf]])
+def test_a_scan_refuses_amplitudes_that_are_not_finite_and_positive(amplitudes, monkeypatch):
+    # the tube is built around +Q; the refusal comes before the ground-state solve
+    monkeypatch.setattr(scan, "continuation_ladder", lambda *a, **k: pytest.fail("solved"))
+    with pytest.raises(ContractError, match="amplitude"):
+        blowup_scan(2.0, amplitudes, grid=Grid(24.0, 256), dt=5e-4, t_end_super=0.05)
 
 
 def test_a_scan_perturbation_may_not_draw_noise():
